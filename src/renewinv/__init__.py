@@ -3,8 +3,8 @@
 Approximates functions from the derivatives of their Laplace transforms via
 a gamma-type operator and its order-2 accelerated lattice variant, with a
 complete classical-risk-model ruin pipeline (negative-binomial lattice
-discretization plus Panjer recursion) and a rigorous a-priori error-bound
-calculator.
+discretization plus a compound geometric series reciprocal) and a rigorous
+a-priori error-bound calculator.
 """
 
 from .bounds import (

@@ -30,9 +30,12 @@ def lattice_index(t: float, u: float) -> tuple[int, float]:
     """Split t*u into integer lattice index and fractional part.
 
     Products within 1e-9 of an integer snap to it, so u = k/t computed in
-    floating point lands exactly on index k.
+    floating point lands exactly on index k.  A non-finite product raises
+    :class:`DomainError`.
     """
     x = t * u
+    if not math.isfinite(x):
+        raise DomainError(f"lattice position t*u must be finite, got t={t}, u={u}")
     k = math.floor(x)
     frac = x - k
     if frac > 1.0 - _SNAP:

@@ -2,8 +2,11 @@
 
 The non-ruin probability is the CDF of a geometric sum of equilibrium-law
 claims.  The pipeline discretizes the equilibrium law on the lattices {k/t}
-and {k/(2t)}, runs Panjer's recursion on each, and combines the two
-cumulative distributions into the order-2 accelerated lattice approximation.
+and {k/(2t)}, expands the compound geometric PMF on each with
+:func:`~renewinv.compound.panjer_geometric` (a Newton series reciprocal in
+O(K log K)), and combines the two cumulative distributions into the
+order-2 accelerated lattice approximation.  The fine lattice is capped at
+``MAX_FINE_LATTICE`` points, checked before any array is built.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .transforms import (
 )
 
 import numpy as np
+
+# Most points approximate_nonruin puts on the fine lattice {k/(2t)}: 2K <= 2**20.
+MAX_FINE_LATTICE = 2**20
 
 
 @dataclass(frozen=True)
@@ -92,11 +98,12 @@ class RenewalIngredients:
 
 
 def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproximation:
-    """Run the full discretize -> Panjer -> accelerate pipeline up to u_max.
+    """Run the full discretize -> compound -> accelerate pipeline up to u_max.
 
     Both lattice rates t and 2t are processed; the k = 0 value is pinned to
     the exact 1 - phi since the accelerated operator is defined to take the
-    true value at the origin.
+    true value at the origin.  Raises :class:`DomainError` for a non-finite
+    t * u_max and for a lattice beyond ``MAX_FINE_LATTICE``.
     """
     if not t > 0:
         raise DomainError(f"lattice rate t must be positive, got {t}")
@@ -105,6 +112,11 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     k, frac = lattice_index(t, u_max)
     K = k if frac == 0.0 else k + 1
     K = max(K, 1)
+    if 2 * K > MAX_FINE_LATTICE:
+        raise DomainError(
+            f"t*u_max = {t * u_max:g} needs {2 * K} points on the fine lattice, "
+            f"more than the limit {MAX_FINE_LATTICE}"
+        )
     mix, phi = model.claims, model.phi
 
     sev_coarse = discretize_equilibrium(mix, t, equilibrium_truncation_index(mix, t, K - 1))

@@ -119,20 +119,18 @@ def negbin_pmf_terms(k_max: int, shape: RealShape) -> np.ndarray:
     """Probability masses P(N = j), j = 0..k_max, of the negative binomial.
 
     Term recursion term_{j+1} = term_j * (alpha + j) / (j + 1) * (1 - rho),
-    seeded with rho**alpha evaluated in log space.  Avoids cancellation and
-    supports real alpha.
+    seeded with rho**alpha evaluated in log space and run as one cumulative
+    product, which multiplies in the same order as the scalar recursion.
+    Avoids cancellation and supports real alpha.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     alpha, rho = shape.alpha, shape.rho
-    out = np.zeros(k_max + 1)
-    out[0] = math.exp(alpha * math.log(rho))
-    q = 1.0 - rho
-    term = out[0]
-    for j in range(k_max):
-        term *= (alpha + j) / (j + 1.0) * q
-        out[j + 1] = term
-    return out
+    j = np.arange(k_max, dtype=float)
+    factors = np.empty(k_max + 1)
+    factors[0] = math.exp(alpha * math.log(rho))
+    factors[1:] = (alpha + j) / (j + 1.0) * (1.0 - rho)
+    return np.cumprod(factors)
 
 
 def negbin_logpmf(k: int, shape: RealShape) -> float:

@@ -90,6 +90,25 @@ class TestRuin:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--u-max", "inf"), ("--u-max", "nan"), ("--t", "inf"), ("--t", "1e6")]
+    )
+    def test_non_finite_or_oversized_lattice_exits_2(self, write_spec, capsys, flag, value):
+        spec = write_spec([(1.0, 1.0, 1.0)], "exp")
+        args = {"--phi": "0.9", "--t": "5", "--u-max": "40", flag: value}
+        argv = ["ruin", "--spec", spec] + [tok for pair in args.items() for tok in pair]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_negbin_underflow_exits_2(self, write_spec, capsys):
+        spec = write_spec([(1.0, 200.0, 1.0)], "gamma200")
+        code, _, err = run(
+            ["ruin", "--spec", spec, "--phi", "0.5", "--t", "100", "--u-max", "300"], capsys
+        )
+        assert code == 2
+        assert "underflow" in err
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -166,6 +185,16 @@ class TestInvert:
         code, _, _ = run(
             ["invert", "--transform", "exp_decay", "--a", "1", "--method", "postwidder",
              "--t", "2.5", "--u", "1"],
+            capsys,
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("method", ["lstar", "m2"])
+    @pytest.mark.parametrize("u", ["nan", "inf", "1,nan"])
+    def test_non_finite_u_exits_2(self, capsys, method, u):
+        code, _, _ = run(
+            ["invert", "--transform", "exp_decay", "--a", "1", "--method", method,
+             "--t", "5", "--u", u],
             capsys,
         )
         assert code == 2

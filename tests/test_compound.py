@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renewinv import (
     compound_cdf,
@@ -17,6 +18,28 @@ from renewinv import (
 )
 from renewinv.oracles import closed_form_lstar_exponential_ruin
 from renewinv.transforms import Component, TransformOracle
+
+
+def panjer_reference(severity, phi, K):
+    """Panjer's recursion for the geometric compound, the O(K^2) reference."""
+    f = severity.weights
+    denom = 1.0 - phi * float(f[0])
+    out = np.zeros(K + 1)
+    out[0] = (1.0 - phi) / denom
+    k_sev = severity.truncation_index
+    for k in range(1, K + 1):
+        j_hi = min(k, k_sev)
+        acc = float(np.dot(f[1 : j_hi + 1], out[k - 1 :: -1][:j_hi]))
+        out[k] = phi * acc / denom
+    return out
+
+
+def assert_matches_reference(severity, phi, K):
+    got = panjer_geometric(severity, phi, K).weights
+    want = panjer_reference(severity, phi, K)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+    assert float(np.max(np.abs(np.cumsum(got) - np.cumsum(want)))) <= 1e-12
 
 
 class TestDiscretizeEquilibrium:
@@ -128,6 +151,34 @@ class TestPanjerGeometric:
                 panjer_geometric(sev, phi, 10)
 
 
+class TestPanjerAgainstReference:
+    @pytest.mark.parametrize("phi", [1e-12, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("sev_len", ["short", "long"])
+    @pytest.mark.parametrize("K", [0, 1, 2, 255, 256, 257, 1023, 1024, 1025, 4000])
+    def test_table_mixture(self, half_mixture, K, sev_len, phi):
+        # lattice rate scaled so the severity covers u up to 10 (short, fewer
+        # than K+1 points) or 40 (long, more than K+1 points)
+        t = max(K, 4) / 20.0
+        k_sev = K // 2 if sev_len == "short" else 2 * K + 1
+        assert_matches_reference(discretize_equilibrium(half_mixture, t, k_sev), phi, K)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sev=st.integers(1, 2500),
+        K=st.integers(0, 1500),
+        phi=st.floats(1e-12, 0.99),
+        zero_frac=st.floats(0.0, 0.9),
+    )
+    def test_random_severity(self, seed, n_sev, K, phi, zero_frac):
+        rng = np.random.default_rng(seed)
+        w = rng.random(n_sev) ** 3
+        w[rng.random(n_sev) < zero_frac] = 0.0
+        total = w.sum()
+        w = w / total if total > 0 else w
+        assert_matches_reference(LatticePMF(1.0, w), phi, K)
+
+
 class TestCompoundCdf:
     def test_point_mass_gives_constant_one(self):
         cdf = compound_cdf(LatticePMF(5.0, np.array([1.0, 0.0, 0.0])))
@@ -139,7 +190,7 @@ class TestCompoundCdf:
         assert np.all(np.diff(cdf.values) >= 0.0)
         assert cdf.values[-1] <= 1.0
 
-    @pytest.mark.parametrize("t", [5.0, 10.0])
+    @pytest.mark.parametrize("t", [5.0, 10.0, 100.0])
     def test_exponential_closed_form_identity(self, exp_mixture, t):
         # the compound CDF must equal the closed-form operator image of the
         # exponential non-ruin function at every lattice point

@@ -48,6 +48,13 @@ class TestLatticeIndex:
         k, frac = lattice_index(5.0, 0.9)
         assert k == 4 and frac == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "t,u", [(math.inf, 40.0), (5.0, math.inf), (5.0, math.nan), (math.nan, 1.0), (0.0, math.inf)]
+    )
+    def test_non_finite_product_raises(self, t, u):
+        with pytest.raises(DomainError):
+            lattice_index(t, u)
+
 
 class TestLStar:
     @pytest.mark.parametrize("t,u", [(1.0, 0.0), (5.0, 0.8), (5.0, 7.3), (10.0, 40.0)])
@@ -70,6 +77,11 @@ class TestLStar:
         for t, u in [(5.0, 0.8), (2.0, 3.1), (10.0, 0.05)]:
             k = lattice_index(t, u)[0]
             assert l_star(LinearRampLST(), t, u) == pytest.approx((k + 1) / t, rel=1e-13)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_point(self, u):
+        with pytest.raises(DomainError):
+            l_star(ConstantLST(1.0), 5.0, u)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from renewinv import (
     ScaledLST,
     SumLST,
 )
+from renewinv.ruin import MAX_FINE_LATTICE
 
 
 class TestRiskModel:
@@ -108,6 +109,33 @@ class TestApproximateNonruin:
             approximate_nonruin(model, 0.0, 10.0)
         with pytest.raises(DomainError):
             approximate_nonruin(model, 5.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "t,u_max", [(math.inf, 40.0), (5.0, math.inf), (math.nan, 40.0), (5.0, math.nan)]
+    )
+    def test_non_finite_rate_or_horizon(self, exp_mixture, t, u_max):
+        with pytest.raises(DomainError):
+            approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
+
+    def test_non_finite_query(self, exp_mixture):
+        approx = approximate_nonruin(RiskModel(exp_mixture, 0.9), 5.0, 10.0)
+        with pytest.raises(DomainError):
+            approx.nonruin(math.nan)
+
+    @pytest.mark.parametrize("t,u_max", [(1e6, 40.0), (1.0, MAX_FINE_LATTICE / 2 + 1)])
+    def test_lattice_size_cap(self, exp_mixture, t, u_max):
+        with pytest.raises(DomainError, match="fine lattice"):
+            approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
+
+    def test_negbin_underflow_is_an_error(self):
+        # rho**alpha = 101**-200 underflows at t=100, which used to turn the
+        # equilibrium law uniform and return nonruin(300) = 1.0
+        model = RiskModel(GammaMixture((Component(1.0, 200.0, 1.0),)), 0.5)
+        with pytest.raises(DomainError, match="underflow"):
+            approximate_nonruin(model, 100.0, 300.0)
+        assert approximate_nonruin(model, 5.0, 300.0).nonruin(300.0) == pytest.approx(
+            0.897096, abs=1e-6
+        )
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     def test_against_transform_route(self, gamma32_mixture, phi):

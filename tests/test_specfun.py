@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +37,19 @@ REG_GAMMA_REFERENCE = [
     (0.5, 10.0, 0.9999922557835689559164),
     (25.0, 12.0, 0.0006856332013882278025113),
 ]
+
+
+def negbin_terms_loop(k_max, shape):
+    """Scalar term recursion, the reference for the cumulative-product kernel."""
+    alpha, rho = shape.alpha, shape.rho
+    out = np.zeros(k_max + 1)
+    out[0] = math.exp(alpha * math.log(rho))
+    q = 1.0 - rho
+    term = out[0]
+    for j in range(k_max):
+        term *= (alpha + j) / (j + 1.0) * q
+        out[j + 1] = term
+    return out
 
 
 class TestLogGamma:
@@ -177,6 +191,24 @@ class TestNegbinCdf:
             RealShape(1.0, 1.5)
         with pytest.raises(DomainError):
             negbin_cdf(-1, RealShape(1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "k_max,alpha,rho",
+        [(0, 1.5, 0.2), (0, 200.0, 1.0 / 101.0), (40, 2.5, 1.0), (1, 1.0, 0.5), (5000, 1.5, 1e-3)],
+    )
+    def test_terms_bitwise_equal_loop(self, k_max, alpha, rho):
+        shape = RealShape(alpha, rho)
+        assert np.array_equal(negbin_pmf_terms(k_max, shape), negbin_terms_loop(k_max, shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 300.0),
+        rho=st.floats(1e-4, 1.0),
+        k=st.integers(0, 3000),
+    )
+    def test_terms_bitwise_equal_loop_random(self, alpha, rho, k):
+        shape = RealShape(alpha, rho)
+        assert np.array_equal(negbin_pmf_terms(k, shape), negbin_terms_loop(k, shape))
 
     @settings(max_examples=60, deadline=None)
     @given(

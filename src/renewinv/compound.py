@@ -29,6 +29,8 @@ from .transforms import GammaMixture, TransformOracle
 _NEGATIVE_TOL = 1e-12
 _MASS_TOL = 1e-12
 _EXCESS_TOL = 1e-9
+# np.convolve and a zero-padded FFT product cost about the same when the
+# shorter operand has ~512 terms (numpy 2.4, one core of a Xeon VM).
 _DIRECT_MAX = 512
 
 

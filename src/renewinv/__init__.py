@@ -16,13 +16,10 @@ from .bounds import (
     NormLedger,
     ruin_bound_report,
     ruin_w_functions,
-    theorem_bound,
 )
 from .compound import (
     compound_cdf,
     discretize_equilibrium,
-    discretize_general,
-    equilibrium_truncation_index,
     LatticePMF,
     panjer_geometric,
 )
@@ -38,6 +35,7 @@ from .oracles import closed_form_lstar_exponential_ruin, convolution_renewal_sol
 from .ruin import (
     approximate_nonruin,
     exact_nonruin_exponential,
+    lstar_nonruin,
     renewal_data_from_model,
     RenewalIngredients,
     RiskModel,
@@ -58,7 +56,6 @@ from .transforms import (
     ConstantLST,
     CumulativeLST,
     ExponentialDecayLST,
-    gamma_mixture_lst_derivs,
     GammaMixture,
     GammaMixtureLST,
     renewal_ratio_derivs,

@@ -317,11 +317,6 @@ def chain_high_order_bounds(report: BoundReport, ledger: NormLedger, phi: float)
     return replace(report, u2m3_norm=u2m3, u2m4_norm=u2m4, um3_norm=u2m4)
 
 
-def theorem_bound(report: BoundReport, t: float) -> float:
-    """The three-term uniform error bound at lattice rate t."""
-    return report.total_bound(t)
-
-
 def ruin_bound_report(model: RiskModel, exact_integrals: bool = True) -> tuple[NormLedger, BoundReport]:
     """Ledger plus fully chained bound report for a risk model."""
     ledger = ruin_w_functions(model)

@@ -17,10 +17,9 @@ import math
 import sys
 
 from .bounds import ruin_bound_report
-from .compound import compound_cdf, discretize_equilibrium, equilibrium_truncation_index, panjer_geometric
 from .errors import AdmissibilityError, DomainError, NegativeWeightError, SingularityError
 from .inversion import l_star, lattice_index, m2_lattice, post_widder, stehfest2
-from .ruin import approximate_nonruin, exact_nonruin_exponential, RiskModel
+from .ruin import approximate_nonruin, exact_nonruin_exponential, lstar_nonruin, RiskModel
 from .transforms import (
     Component,
     CumulativeLST,
@@ -134,13 +133,11 @@ def cmd_ruin(args) -> int:
         raise _UsageError(f"--u-max must be positive, got {args.u_max}")
     if not args.t > 0:
         raise _UsageError(f"--t must be positive, got {args.t}")
-    mix = _load_mixture(args.spec)
-    model = RiskModel(mix, args.phi)
+    model = RiskModel(_load_mixture(args.spec), args.phi)
     approx = approximate_nonruin(model, args.t, args.u_max)
 
     K = approx.lattice.truncation_index
-    sev = discretize_equilibrium(mix, args.t, equilibrium_truncation_index(mix, args.t, K))
-    plain = compound_cdf(panjer_geometric(sev, args.phi, K))
+    plain = lstar_nonruin(model, args.t, K)
 
     rows = []
     for k in range(K + 1):

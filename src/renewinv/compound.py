@@ -2,15 +2,18 @@
 geometric sum.
 
 The equilibrium law of a gamma mixture discretizes onto the grid {k/t} with
-weights proportional to negative-binomial survival probabilities.  The
-compound geometric distribution of those lattice variables has the
-generating function (1 - phi) / (1 - phi F(z)), F being the severity's; its
-first K+1 coefficients come from a Newton iteration for the reciprocal
-power series, with products by direct convolution for short operands and
-zero-padded real FFT for long ones, in O(K log K) instead of the O(K^2) of
-Panjer's recursion.  The function keeps the name ``panjer_geometric``
-because it returns the same coefficients and its callers and the benchmark
-tracer refer to it by that name.  Its cumulative sums are exactly the
+weights proportional to negative-binomial survival probabilities; those are
+the normalized weights of :func:`~renewinv.transforms.survival_to_density_oracle`,
+so ``discretize_equilibrium`` takes them from that oracle at exactly the
+K+1 points the compound step reads.  The compound geometric distribution of
+those lattice variables has the generating function
+(1 - phi) / (1 - phi F(z)), F being the severity's; its first K+1
+coefficients come from a Newton iteration for the reciprocal power series,
+with products by direct convolution for short operands and zero-padded real
+FFT for long ones, in O(K log K) instead of the O(K^2) of Panjer's
+recursion.  The function keeps the name ``panjer_geometric`` because it
+returns the same coefficients and its callers and the benchmark tracer
+refer to it by that name.  Its cumulative sums are exactly the
 gamma-operator approximation of the non-ruin probability.
 """
 
@@ -23,11 +26,9 @@ import numpy as np
 
 from .errors import DomainError, NegativeWeightError
 from .inversion import LatticeFunction
-from .specfun import negbin_pmf_terms, RealShape
-from .transforms import GammaMixture, TransformOracle
+from .transforms import GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
-_MASS_TOL = 1e-12
 _EXCESS_TOL = 1e-9
 # np.convolve and a zero-padded FFT product cost about the same when the
 # shorter operand has ~512 terms (numpy 2.4, one core of a Xeon VM).
@@ -38,8 +39,10 @@ _DIRECT_MAX = 512
 class LatticePMF:
     """Probability weights on the grid {k/t, k = 0..K} plus truncated mass.
 
-    ``mass_deficit`` is 1 - sum(weights), clamped at zero; it must stay
-    below the configured truncation tolerance for downstream use.
+    ``mass_deficit`` is 1 - sum(weights), clamped at zero: for an
+    equilibrium discretization, the true mass of the tail beyond K.  It is
+    informational; the compound kernel reads only the weights up to its own
+    index and never this field.
     """
 
     t: float
@@ -75,71 +78,15 @@ def _fresh_pmf(t: float, weights: np.ndarray) -> LatticePMF:
     return LatticePMF(t=t, weights=weights, mass_deficit=deficit)
 
 
-def equilibrium_truncation_index(
-    mixture: GammaMixture, t: float, min_index: int = 0, mass_tol: float = _MASS_TOL
-) -> int:
-    """Smallest truncation K >= min_index with cumulative mass >= 1 - mass_tol.
-
-    The per-component tails are eventually geometric with ratio
-    t/(t + beta), so K grows one block at a time until the deficit clears
-    the tolerance.
-    """
-    if not t > 0:
-        raise DomainError(f"lattice rate t must be positive, got {t}")
-    K = max(int(min_index), 8)
-    while True:
-        w = _equilibrium_weights(mixture, t, K)
-        if 1.0 - math.fsum(w.tolist()) < mass_tol:
-            return K
-        if K > 10_000_000:
-            raise DomainError("equilibrium discretization failed to reach mass tolerance")
-        K *= 2
-
-
-def _equilibrium_weights(mixture: GammaMixture, t: float, K: int) -> np.ndarray:
-    out = np.zeros(K + 1)
-    for p, alpha, beta in mixture.components:
-        terms = negbin_pmf_terms(K, RealShape(alpha, beta / (t + beta)))
-        survival = np.maximum(1.0 - np.cumsum(terms), 0.0)
-        out += p * survival
-    return out / (t * mixture.mean)
-
-
 def discretize_equilibrium(mixture: GammaMixture, t: float, K: int) -> LatticePMF:
     """Lattice masses of the discretized equilibrium law of a gamma mixture.
 
     P(L = k/t) = sum_i p_i * P(NB(alpha_i, beta_i/(t+beta_i)) > k) divided
-    by t * mean; the total over all k is exactly one, so the stored deficit
-    is the truncated tail.
+    by t * mean, for k = 0..K: the normalized weights of the
+    equilibrium-density oracle.  The total over all k is exactly one, so
+    the stored deficit is the tail beyond K.
     """
-    if not t > 0:
-        raise DomainError(f"lattice rate t must be positive, got {t}")
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
-    return _fresh_pmf(t, _equilibrium_weights(mixture, t, K))
-
-
-def discretize_general(oracle: TransformOracle, mu: float, t: float, K: int) -> LatticePMF:
-    """Equilibrium discretization from a bare transform oracle of the claim law.
-
-    P(L = k/t) = (1 - partial sums of the oracle weights) / (t * mu); the
-    only route available when the claim law is not a gamma mixture, and the
-    cross-check oracle when it is.  Raises :class:`NegativeWeightError`
-    when cancellation in the partial sums turns materially negative.
-    """
-    if not mu > 0:
-        raise DomainError(f"claim mean must be positive, got {mu}")
-    if not t > 0:
-        raise DomainError(f"lattice rate t must be positive, got {t}")
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
-    partial = np.cumsum(oracle.weights(t, K))
-    w = (1.0 - partial) / (t * mu)
-    if w.min() < -_NEGATIVE_TOL:
-        raise NegativeWeightError(
-            f"cancellation produced weight {w.min()} at t={t}; K={K} too large for doubles"
-        )
-    return _fresh_pmf(t, np.maximum(w, 0.0))
+    return _fresh_pmf(t, survival_to_density_oracle(mixture).weights(t, K))
 
 
 def _polymul(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:

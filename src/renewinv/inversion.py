@@ -24,6 +24,9 @@ from .errors import DomainError
 from .transforms import TransformOracle
 
 _SNAP = 1e-9
+# Most points an order-2 lattice approximation puts on its fine lattice
+# {k/(2t)}: 2K <= 2**20, checked before any oracle call or array.
+MAX_FINE_LATTICE = 2**20
 
 
 def lattice_index(t: float, u: float) -> tuple[int, float]:
@@ -106,10 +109,16 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
 
     Value at k/t is 2 L*_{2t} g((2k-1)/(2t)) - L*_t g((k-1)/t) for k >= 1
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
-    lattice rate.
+    lattice rate.  Raises :class:`DomainError` when the fine lattice would
+    exceed ``MAX_FINE_LATTICE`` points.
     """
     if K < 1:
         raise DomainError(f"truncation index K must be >= 1, got {K}")
+    if 2 * K > MAX_FINE_LATTICE:
+        raise DomainError(
+            f"K = {K} needs {2 * K} points on the fine lattice, "
+            f"more than the limit {MAX_FINE_LATTICE}"
+        )
     w_fine = oracle.weights(2.0 * t, 2 * K - 1)
     w_coarse = oracle.weights(t, K - 1)
     vals = np.empty(K + 1)

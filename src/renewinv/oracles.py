@@ -6,6 +6,7 @@ closed-form routes used by the test suite to cross-check it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable
@@ -14,8 +15,6 @@ import numpy as np
 
 from .errors import DomainError
 from .inversion import lattice_index
-
-_calibration_cache: dict[float, float] = {}
 
 
 def convolution_renewal_solve(
@@ -29,8 +28,9 @@ def convolution_renewal_solve(
 
     Returns (grid, values) on the uniform grid of step h.  Local accuracy is
     O(h^2); this is a cross-check oracle, not a production solver.  Each new
-    step size is calibrated once against the exponential closed form and a
-    warning is emitted if the disagreement exceeds 1e-4.
+    step size is calibrated once against the exponential closed form (the
+    result is memoized per h), and every call whose step disagrees by more
+    than 1e-4 emits a warning.
     """
     if not 0 <= phi < 1:
         raise DomainError(f"defect phi must be in [0, 1), got {phi}")
@@ -54,16 +54,20 @@ def _volterra_grid(f, v, phi, u_max, h):
     return grid, m
 
 
+@functools.lru_cache
+def _calibration_error(h: float) -> float:
+    """Sup error of the step-h solve against the exponential closed form on [0, 5]."""
+    phi = 0.9
+    grid, m = _volterra_grid(lambda y: math.exp(-y), lambda u: phi * math.exp(-u), phi, 5.0, h)
+    exact = phi * np.exp(-(1.0 - phi) * grid)
+    return float(np.max(np.abs(m - exact)))
+
+
 def _warn_if_step_too_coarse(h: float) -> None:
-    if h not in _calibration_cache:
-        phi = 0.9
-        grid, m = _volterra_grid(lambda y: math.exp(-y), lambda u: phi * math.exp(-u), phi, 5.0, h)
-        exact = phi * np.exp(-(1.0 - phi) * grid)
-        _calibration_cache[h] = float(np.max(np.abs(m - exact)))
-    if _calibration_cache[h] > 1e-4:
+    error = _calibration_error(h)
+    if error > 1e-4:
         warnings.warn(
-            f"step h={h} too coarse: exponential calibration error "
-            f"{_calibration_cache[h]:.3e} exceeds 1e-4",
+            f"step h={h} too coarse: exponential calibration error {error:.3e} exceeds 1e-4",
             stacklevel=3,
         )
 

@@ -1,12 +1,15 @@
 """Classical risk model: end-to-end non-ruin probability approximation.
 
 The non-ruin probability is the CDF of a geometric sum of equilibrium-law
-claims.  The pipeline discretizes the equilibrium law on the lattices {k/t}
-and {k/(2t)}, expands the compound geometric PMF on each with
+claims.  :func:`lstar_nonruin` is the one assembly of that sum on a lattice
+{k/t}: it discretizes the equilibrium law at exactly the K+1 points used,
+expands the compound geometric PMF with
 :func:`~renewinv.compound.panjer_geometric` (a Newton series reciprocal in
-O(K log K)), and combines the two cumulative distributions into the
-order-2 accelerated lattice approximation.  The fine lattice is capped at
-``MAX_FINE_LATTICE`` points, checked before any array is built.
+O(K log K)), and takes cumulative sums, which is the gamma-operator value
+L*_t.  :func:`approximate_nonruin` runs it at rates t and 2t and combines the
+two curves into the order-2 accelerated lattice approximation.  The fine
+lattice is capped at ``MAX_FINE_LATTICE`` points, checked before any array
+is built.
 """
 
 from __future__ import annotations
@@ -15,14 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .compound import (
-    compound_cdf,
-    discretize_equilibrium,
-    equilibrium_truncation_index,
-    panjer_geometric,
-)
+from .compound import compound_cdf, discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
-from .inversion import LatticeFunction, lattice_index
+from .inversion import LatticeFunction, lattice_index, MAX_FINE_LATTICE
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -32,9 +30,6 @@ from .transforms import (
 )
 
 import numpy as np
-
-# Most points approximate_nonruin puts on the fine lattice {k/(2t)}: 2K <= 2**20.
-MAX_FINE_LATTICE = 2**20
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,16 @@ class RenewalIngredients:
     v: Callable[[float], float]
 
 
+def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
+    """Gamma-operator approximation L*_t of the non-ruin probability on {k/t, k = 0..K}.
+
+    The CDF of the geometric compound of the equilibrium law discretized at
+    rate t; both steps stop at index K.
+    """
+    severity = discretize_equilibrium(model.claims, t, K)
+    return compound_cdf(panjer_geometric(severity, model.phi, K))
+
+
 def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproximation:
     """Run the full discretize -> compound -> accelerate pipeline up to u_max.
 
@@ -117,15 +122,9 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
             f"t*u_max = {t * u_max:g} needs {2 * K} points on the fine lattice, "
             f"more than the limit {MAX_FINE_LATTICE}"
         )
-    mix, phi = model.claims, model.phi
-
-    sev_coarse = discretize_equilibrium(mix, t, equilibrium_truncation_index(mix, t, K - 1))
-    cdf_coarse = compound_cdf(panjer_geometric(sev_coarse, phi, K - 1))
-
-    sev_fine = discretize_equilibrium(
-        mix, 2.0 * t, equilibrium_truncation_index(mix, 2.0 * t, 2 * K - 1)
-    )
-    cdf_fine = compound_cdf(panjer_geometric(sev_fine, phi, 2 * K - 1))
+    phi = model.phi
+    cdf_coarse = lstar_nonruin(model, t, K - 1)
+    cdf_fine = lstar_nonruin(model, 2.0 * t, 2 * K - 1)
 
     vals = np.empty(K + 1)
     vals[0] = 1.0 - phi

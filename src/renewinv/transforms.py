@@ -26,6 +26,10 @@ from .errors import DomainError, SingularityError
 from .specfun import negbin_pmf_terms, RealShape, reg_inc_gamma_lower, reg_inc_gamma_upper
 
 _SINGULARITY_TOL = 1e-12
+# Smallest log seed (beta/(t+beta))**alpha of the negative-binomial weights:
+# below it the subnormal spacing 2**-1074 exceeds 1e-9 of the seed, and every
+# later term inherits that relative error through the term recursion.
+_MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 
 
 class TransformOracle(abc.ABC):
@@ -188,10 +192,24 @@ class GammaMixtureLST(TransformOracle):
         self.mixture = mixture
 
     def weights(self, t, k_max):
+        """Mixture of the components' negative-binomial masses.
+
+        Raises :class:`DomainError` when a component's seed
+        (beta/(t+beta))**alpha underflows into the subnormal range, where
+        its relative error exceeds 1e-9.
+        """
         self._require_valid_point(t, k_max)
         out = np.zeros(k_max + 1)
         for p, alpha, beta in self.mixture.components:
-            out += p * negbin_pmf_terms(k_max, RealShape(alpha, beta / (t + beta)))
+            rho = beta / (t + beta)
+            log_seed = alpha * math.log(rho)
+            if log_seed < _MIN_LOG_SEED:
+                raise DomainError(
+                    f"negative-binomial seed (beta/(t+beta))**alpha = exp({log_seed:.1f}) "
+                    f"underflows at t={t}, alpha={alpha}, beta={beta}: below "
+                    f"exp({_MIN_LOG_SEED:.1f}) its subnormal rounding exceeds 1e-9"
+                )
+            out += p * negbin_pmf_terms(k_max, RealShape(alpha, rho))
         return out
 
     def derivs(self, t, k_max):
@@ -207,11 +225,6 @@ class GammaMixtureLST(TransformOracle):
                 mag = math.exp(logmag) if logmag < 709.0 else math.inf
                 out[j] += p * (mag if j % 2 == 0 else -mag)
         return out
-
-
-def gamma_mixture_lst_derivs(mixture: GammaMixture, t: float, k_max: int) -> np.ndarray:
-    """Raw transform derivatives [Phi(t), ..., Phi^(k_max)(t)] of the mixture LST."""
-    return GammaMixtureLST(mixture).derivs(t, k_max)
 
 
 class ExponentialDecayLST(TransformOracle):
@@ -355,7 +368,11 @@ def renewal_ratio_derivs(
     t: float,
     k_max: int,
 ) -> np.ndarray:
-    """Raw derivatives [m~(t), ..., m~^(k_max)(t)] of the renewal-solution transform."""
+    """Raw derivatives [m~(t), ..., m~^(k_max)(t)] of the renewal-solution transform.
+
+    The only route for phi = 0, where m~ = v~ and :class:`RenewalRatioLST`
+    rejects the parameter.
+    """
     if phi == 0.0:
         return v_oracle.derivs(t, k_max)
     return RenewalRatioLST(v_oracle, f_oracle, phi).derivs(t, k_max)

@@ -21,7 +21,6 @@ from renewinv import (
     RiskModel,
     ruin_bound_report,
     ruin_w_functions,
-    theorem_bound,
 )
 from renewinv.bounds import _component_i_fpp
 
@@ -198,7 +197,7 @@ class TestChainHighOrderBounds:
 class TestTheoremBound:
     def test_zero_norms_give_zero(self):
         report = BoundReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert theorem_bound(report, 3.0) == 0.0
+        assert report.total_bound(3.0) == 0.0
 
     def test_quarters_when_rate_doubles(self):
         _, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))

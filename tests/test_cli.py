@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -101,13 +102,27 @@ class TestRuin:
         assert code == 2
         assert "Traceback" not in err
 
-    def test_negbin_underflow_exits_2(self, write_spec, capsys):
-        spec = write_spec([(1.0, 200.0, 1.0)], "gamma200")
-        code, _, err = run(
-            ["ruin", "--spec", spec, "--phi", "0.5", "--t", "100", "--u-max", "300"], capsys
-        )
+    @pytest.mark.parametrize(
+        "alpha,argv",
+        [
+            pytest.param(200.0, ["ruin", "--phi", "0.5", "--t", "100", "--u-max", "300"],
+                         id="ruin-gamma200-t100"),
+            pytest.param(159.7, ["ruin", "--phi", "0.5", "--t", "100", "--u-max", "300"],
+                         id="ruin-gamma159.7-t100"),
+            pytest.param(140.0, ["ruin", "--phi", "0.5", "--t", "100", "--u-max", "40"],
+                         id="ruin-gamma140-t100"),
+            # all-zero masses used to give L*(300) = 0 where the CDF is ~1
+            pytest.param(200.0, ["invert", "--transform", "gamma_mixture", "--method", "lstar",
+                                 "--t", "1e4", "--u", "300"], id="invert-gamma200-t1e4"),
+        ],
+    )
+    def test_negbin_underflow_exits_2(self, write_spec, capsys, alpha, argv):
+        spec = write_spec([(1.0, alpha, 1.0)], "gamma")
+        start = time.perf_counter()
+        code, _, err = run(argv + ["--spec", spec], capsys)
+        assert time.perf_counter() - start < 0.5
         assert code == 2
-        assert "underflow" in err
+        assert "underflow" in err and "Traceback" not in err
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -188,6 +203,15 @@ class TestInvert:
             capsys,
         )
         assert code == 2
+
+    def test_m2_lattice_cap_exits_2(self, capsys):
+        # t*u = 4e7 would put 8e7 points on the fine lattice
+        code, _, err = run(
+            ["invert", "--transform", "exp_decay", "--method", "m2", "--t", "1e6", "--u", "40"],
+            capsys,
+        )
+        assert code == 2
+        assert "fine lattice" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["lstar", "m2"])
     @pytest.mark.parametrize("u", ["nan", "inf", "1,nan"])

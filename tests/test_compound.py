@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 from renewinv import (
     compound_cdf,
     discretize_equilibrium,
-    discretize_general,
     DomainError,
-    equilibrium_truncation_index,
     GammaMixture,
-    GammaMixtureLST,
     LatticePMF,
+    negbin_logpmf,
     NegativeWeightError,
     panjer_geometric,
+    RealShape,
 )
 from renewinv.oracles import closed_form_lstar_exponential_ruin
-from renewinv.transforms import Component, TransformOracle
+from renewinv.transforms import Component
 
 
 def panjer_reference(severity, phi, K):
@@ -32,6 +31,20 @@ def panjer_reference(severity, phi, K):
         acc = float(np.dot(f[1 : j_hi + 1], out[k - 1 :: -1][:j_hi]))
         out[k] = phi * acc / denom
     return out
+
+
+def equilibrium_weights_lgamma(mixture, t, K):
+    """Equilibrium lattice masses from lgamma negative-binomial masses.
+
+    Shares no code with the transform oracle: each mass is exp of
+    ``negbin_logpmf``, not a term of the cumulative-product recursion.
+    """
+    out = np.zeros(K + 1)
+    for p, alpha, beta in mixture.components:
+        shape = RealShape(alpha, beta / (t + beta))
+        masses = np.array([math.exp(negbin_logpmf(k, shape)) for k in range(K + 1)])
+        out += p * (1.0 - np.cumsum(masses))
+    return out / (t * mixture.mean)
 
 
 def assert_matches_reference(severity, phi, K):
@@ -59,8 +72,7 @@ class TestDiscretizeEquilibrium:
     @pytest.mark.parametrize("t", [5.0, 10.0])
     def test_mass_accounting(self, all_table_mixtures, t):
         for mix in all_table_mixtures.values():
-            K = equilibrium_truncation_index(mix, t, int(40 * t))
-            pmf = discretize_equilibrium(mix, t, K)
+            pmf = discretize_equilibrium(mix, t, int(40 * t))
             total = math.fsum(pmf.weights.tolist())
             assert pmf.mass_deficit < 1e-10
             assert abs(total + pmf.mass_deficit - 1.0) < 1e-12
@@ -78,33 +90,15 @@ class TestDiscretizeEquilibrium:
 
 
 class TestDiscretizeGeneral:
-    def test_first_weight_formula(self, exp_mixture):
-        oracle = GammaMixtureLST(exp_mixture)
-        pmf = discretize_general(oracle, 1.0, 5.0, 5)
-        assert pmf.weights[0] == pytest.approx((1.0 - 1.0 / 6.0) / 5.0, rel=1e-13)
-
-    def test_gamma_2_1_first_weight(self):
-        mix = GammaMixture((Component(1.0, 2.0, 1.0),))
-        pmf = discretize_general(GammaMixtureLST(mix), 2.0, 5.0, 5)
-        assert pmf.weights[0] == pytest.approx(35.0 / 360.0, rel=1e-13)
+    """The general formula P(L = k/t) = sum_i p_i P(N_i > k) / (t * mean),
+    N_i negative binomial, from lgamma masses against the oracle weights."""
 
     @pytest.mark.parametrize("t", [5.0, 10.0])
     def test_agrees_with_equilibrium_path(self, all_table_mixtures, t):
         for mix in all_table_mixtures.values():
             a = discretize_equilibrium(mix, t, 400)
-            b = discretize_general(GammaMixtureLST(mix), mix.mean, t, 400)
-            assert float(np.max(np.abs(a.weights - b.weights))) < 1e-10
-
-    def test_negative_weight_error(self):
-        class Overweight(TransformOracle):
-            # partial sums exceed one materially, as if cancellation blew up
-            def weights(self, t, k_max):
-                w = np.zeros(k_max + 1)
-                w[0] = 1.0 + 1e-9
-                return w
-
-        with pytest.raises(NegativeWeightError):
-            discretize_general(Overweight(), 1.0, 5.0, 3)
+            b = equilibrium_weights_lgamma(mix, t, 400)
+            assert float(np.max(np.abs(a.weights - b))) < 1e-10
 
 
 class TestLatticePMF:
@@ -138,7 +132,7 @@ class TestPanjerGeometric:
     def test_mass_preservation_bound(self, exp_mixture):
         phi, t = 0.9, 5.0
         K = int(40 * t)
-        sev = discretize_equilibrium(exp_mixture, t, equilibrium_truncation_index(exp_mixture, t, K))
+        sev = discretize_equilibrium(exp_mixture, t, K)
         comp = panjer_geometric(sev, phi, K)
         missing = 1.0 - math.fsum(comp.weights.tolist())
         closed_tail = phi * (t / (t + 1.0 - phi)) ** (K + 1)
@@ -196,7 +190,7 @@ class TestCompoundCdf:
         # exponential non-ruin function at every lattice point
         phi = 0.9
         K = int(40 * t)
-        sev = discretize_equilibrium(exp_mixture, t, equilibrium_truncation_index(exp_mixture, t, K))
+        sev = discretize_equilibrium(exp_mixture, t, K)
         cdf = compound_cdf(panjer_geometric(sev, phi, K))
         worst = max(
             abs(float(cdf.values[k]) - closed_form_lstar_exponential_ruin(phi, t, k / t))

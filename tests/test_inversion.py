@@ -16,6 +16,7 @@ from renewinv import (
     stehfest2,
     SumLST,
 )
+from renewinv.inversion import MAX_FINE_LATTICE
 from renewinv.transforms import TransformOracle
 
 
@@ -129,6 +130,15 @@ class TestM2Lattice:
     def test_needs_positive_truncation(self):
         with pytest.raises(DomainError):
             m2_lattice(ConstantLST(1.0), 5.0, 0, 1.0)
+
+    def test_fine_lattice_cap_before_any_oracle_call(self):
+        class Untouchable(TransformOracle):
+            def weights(self, t, k_max):
+                raise AssertionError("oracle called past the lattice cap")
+
+        m2_lattice(ConstantLST(1.0), 5.0, MAX_FINE_LATTICE // 2, 1.0)
+        with pytest.raises(DomainError, match="fine lattice"):
+            m2_lattice(Untouchable(), 5.0, MAX_FINE_LATTICE // 2 + 1, 1.0)
 
     @pytest.mark.parametrize("t", [5.0, 10.0])
     def test_acceleration_beats_plain_operator(self, t):

@@ -35,6 +35,12 @@ class TestVolterraSolver:
         with pytest.warns(UserWarning, match="too coarse"):
             convolution_renewal_solve(lambda y: math.exp(-y), lambda u: 0.5, 0.5, 2.0, 0.5)
 
+    def test_coarse_step_warns_on_every_call(self):
+        # the calibration error is memoized per step; the warning is not
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="too coarse"):
+                convolution_renewal_solve(lambda y: math.exp(-y), lambda u: 0.5, 0.5, 2.0, 0.25)
+
     def test_gamma32_pipeline_envelope(self, gamma32_mixture):
         # sanity envelope: the integral-equation solution and the
         # accelerated pipeline must agree within a few bound-widths

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from renewinv import (
     DomainError,
     exact_nonruin_exponential,
     GammaMixture,
+    lstar_nonruin,
     m2_lattice,
     renewal_data_from_model,
     RenewalRatioLST,
     RiskModel,
+    ruin_bound_report,
     ScaledLST,
     SumLST,
 )
+from renewinv.oracles import closed_form_lstar_exponential_ruin
 from renewinv.ruin import MAX_FINE_LATTICE
 
 
@@ -127,15 +131,49 @@ class TestApproximateNonruin:
         with pytest.raises(DomainError, match="fine lattice"):
             approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
 
-    def test_negbin_underflow_is_an_error(self):
-        # rho**alpha = 101**-200 underflows at t=100, which used to turn the
-        # equilibrium law uniform and return nonruin(300) = 1.0
-        model = RiskModel(GammaMixture((Component(1.0, 200.0, 1.0),)), 0.5)
+    @pytest.mark.parametrize(
+        "alpha,t,u_max",
+        [
+            # rho**alpha = 101**-200 underflows at t=100, which used to turn
+            # the equilibrium law uniform and return nonruin(300) = 1.0
+            pytest.param(200.0, 100.0, 300.0, id="gamma200-t100"),
+            # subnormal seed 101**-159.7 = 8.1e-321, which used to run a
+            # truncation search for about 5 s before failing
+            pytest.param(159.7, 100.0, 300.0, id="gamma159.7-t100"),
+            # only the fine-lattice seed 201**-140 underflows
+            pytest.param(140.0, 100.0, 40.0, id="gamma140-t100"),
+        ],
+    )
+    def test_negbin_underflow_is_an_error(self, alpha, t, u_max):
+        model = RiskModel(GammaMixture((Component(1.0, alpha, 1.0),)), 0.5)
+        start = time.perf_counter()
         with pytest.raises(DomainError, match="underflow"):
-            approximate_nonruin(model, 100.0, 300.0)
-        assert approximate_nonruin(model, 5.0, 300.0).nonruin(300.0) == pytest.approx(
+            approximate_nonruin(model, t, u_max)
+        assert time.perf_counter() - start < 0.5
+
+    def test_negbin_seed_above_underflow_answers(self):
+        gamma200 = RiskModel(GammaMixture((Component(1.0, 200.0, 1.0),)), 0.5)
+        assert approximate_nonruin(gamma200, 5.0, 300.0).nonruin(300.0) == pytest.approx(
             0.897096, abs=1e-6
         )
+        # fine-lattice seed 201**-133 = 1.4e-306 is still a normal double
+        gamma133 = RiskModel(GammaMixture((Component(1.0, 133.0, 1.0),)), 0.5)
+        fine = approximate_nonruin(gamma133, 100.0, 40.0)
+        coarse = approximate_nonruin(gamma133, 50.0, 40.0)
+        worst = max(abs(fine.nonruin(k / 50.0) - coarse.lattice.values[k]) for k in range(2001))
+        assert worst < 1e-9
+
+    def test_rate_500_gamma32(self, gamma32_mixture):
+        # t = 500 used to fail the truncation search's 1e-12 mass tolerance
+        model = RiskModel(gamma32_mixture, 0.9)
+        fine = approximate_nonruin(model, 500.0, 40.0)
+        vals = fine.lattice.values
+        assert vals.min() >= 1.0 - 0.9 and vals.max() <= 1.0
+        assert np.all(np.diff(vals) >= 0.0)
+        ref = approximate_nonruin(model, 200.0, 40.0).lattice.values
+        worst = max(abs(fine.nonruin(k / 200.0) - ref[k]) for k in range(ref.size))
+        _, report = ruin_bound_report(model)
+        assert worst <= report.total_bound(200.0)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     def test_against_transform_route(self, gamma32_mixture, phi):
@@ -151,6 +189,19 @@ class TestApproximateNonruin:
         direct = m2_lattice(nonruin_oracle, t, int(t * u_max), 1.0 - phi)
         pipeline = approximate_nonruin(model, t, u_max)
         assert np.allclose(direct.values, pipeline.lattice.values, atol=1e-10)
+
+
+class TestLstarNonruin:
+    @pytest.mark.parametrize("t", [5.0, 100.0])
+    def test_exponential_closed_form(self, exp_mixture, t):
+        K = int(40 * t)
+        curve = lstar_nonruin(RiskModel(exp_mixture, 0.9), t, K)
+        assert curve.truncation_index == K
+        worst = max(
+            abs(float(curve.values[k]) - closed_form_lstar_exponential_ruin(0.9, t, k / t))
+            for k in range(K + 1)
+        )
+        assert worst < 1e-9
 
 
 class TestRenewalData:

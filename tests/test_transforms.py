@@ -8,7 +8,6 @@ from renewinv import (
     ConstantLST,
     DomainError,
     ExponentialDecayLST,
-    gamma_mixture_lst_derivs,
     GammaMixture,
     GammaMixtureLST,
     renewal_ratio_derivs,
@@ -59,7 +58,7 @@ class TestGammaMixture:
 
 class TestGammaMixtureLST:
     def test_exponential_value(self, exp_mixture):
-        derivs = gamma_mixture_lst_derivs(exp_mixture, 5.0, 1)
+        derivs = GammaMixtureLST(exp_mixture).derivs(5.0, 1)
         assert derivs[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
         assert derivs[1] == pytest.approx(-1.0 / 36.0, rel=1e-14)
 
@@ -71,7 +70,7 @@ class TestGammaMixtureLST:
     def test_closed_form_derivatives(self, gamma32_mixture):
         # Phi^(j)(t) = (-1)^j Gamma(a+j)/Gamma(a) b^a / (t+b)^(a+j)
         t, alpha, beta = 3.0, 1.5, 1.0
-        derivs = gamma_mixture_lst_derivs(gamma32_mixture, t, 20)
+        derivs = GammaMixtureLST(gamma32_mixture).derivs(t, 20)
         for j in range(21):
             expected = (-1.0) ** j * math.exp(
                 math.lgamma(alpha + j)

@@ -128,24 +128,24 @@ def _golden_max(fn, a: float, b: float, iters: int = 60) -> float:
 def _sup_norm(fn, decay_start: float) -> float:
     """Sup of |fn| on [0, inf) for functions with gamma-type decaying tails.
 
-    Grid search on [0, u_hi] with u_hi doubled past the analytic decay
-    threshold until the endpoint value is negligible against the running
-    maximum, then golden-section refinement of the best brackets.
+    ``fn`` takes a float or an array of points.  Each pass is one array
+    evaluation on a 4096-point grid over [0, u_hi]; u_hi starts at twice
+    the analytic decay threshold and doubles until the endpoint value is
+    negligible against the running maximum, or u_hi passes 1e9.
+    Golden-section search, one point at a time, then refines the brackets
+    of the four largest interior local maxima and the first grid cell.
     """
     u_hi = max(2.0 * decay_start, 4.0)
     while True:
         grid = np.linspace(0.0, u_hi, _GRID_POINTS)
-        vals = np.array([abs(fn(u)) for u in grid])
+        vals = np.abs(fn(grid))
         peak = float(vals.max())
         if vals[-1] <= _TAIL_RTOL * max(peak, 1e-300) or u_hi > 1e9:
             break
         u_hi *= 2.0
-    interior = [
-        i
-        for i in range(1, _GRID_POINTS - 1)
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
-    ]
-    interior.sort(key=lambda i: -vals[i])
+    mid = vals[1:-1]
+    interior = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:])) + 1
+    interior = interior[np.argsort(-vals[interior], kind="stable")]
     best = peak
     for i in interior[:4]:
         best = max(best, _golden_max(fn, grid[i - 1], grid[i + 1]))
@@ -153,22 +153,28 @@ def _sup_norm(fn, decay_start: float) -> float:
     return best
 
 
-def _u2_cdf_deriv2(mixture: GammaMixture, u: float) -> float:
-    """u^2 * F_X''(u) for a gamma mixture, assembled so u = 0 is exact."""
+def _u2_cdf_deriv2(mixture: GammaMixture, u):
+    """u^2 * F_X''(u) for a gamma mixture at a float or an array of points.
+
+    Assembled so u = 0 is exact.
+    """
     total = 0.0
     for p, alpha, beta in mixture.components:
         x = beta * u
         coeff = math.exp(alpha * math.log(beta) - math.lgamma(alpha))
-        total += p * coeff * u**alpha * math.exp(-x) * (alpha - 1.0 - x)
+        total += p * coeff * u**alpha * np.exp(-x) * (alpha - 1.0 - x)
     return total
 
 
-def _u2_cdf_deriv3(mixture: GammaMixture, u: float) -> float:
-    """u^2 * F_X'''(u) for a gamma mixture; exponents stay nonnegative for alpha >= 1."""
+def _u2_cdf_deriv3(mixture: GammaMixture, u):
+    """u^2 * F_X'''(u) for a gamma mixture at a float or an array of points.
+
+    Exponents stay nonnegative for alpha >= 1.
+    """
     total = 0.0
     for p, alpha, beta in mixture.components:
         x = beta * u
-        g = math.exp(-x - math.lgamma(alpha))
+        g = np.exp(-x - math.lgamma(alpha))
         poly = (
             (alpha - 1.0) * (alpha - 2.0) * beta**alpha * u ** (alpha - 1.0)
             - 2.0 * (alpha - 1.0) * beta ** (alpha + 1.0) * u**alpha

@@ -25,8 +25,16 @@ from .transforms import TransformOracle
 
 _SNAP = 1e-9
 # Most points an order-2 lattice approximation puts on its fine lattice
-# {k/(2t)}: 2K <= 2**20, checked before any oracle call or array.
+# {k/(2t)}: 2K <= 2**20, checked before any oracle call or array.  The
+# single-point operators request at most as many oracle weights.
 MAX_FINE_LATTICE = 2**20
+
+
+def _require_weight_count(n: int, what: str) -> None:
+    if n > MAX_FINE_LATTICE:
+        raise DomainError(
+            f"{what} needs {n} oracle weights, more than the limit {MAX_FINE_LATTICE}"
+        )
 
 
 def lattice_index(t: float, u: float) -> tuple[int, float]:
@@ -96,10 +104,13 @@ def l_star(oracle: TransformOracle, t: float, u: float) -> float:
 
     Equals E g(S([tu]+1)/t) with S(n) a standard Gamma(n, 1) variable; for
     a CDF source this is the CDF of the lattice-discretized variable.
+    Raises :class:`DomainError` when the k + 1 weights it reads exceed
+    ``MAX_FINE_LATTICE``.
     """
     if u < 0:
         raise DomainError(f"l_star requires u >= 0, got {u}")
     k, _ = lattice_index(t, u)
+    _require_weight_count(k + 1, f"l_star at t*u = {t * u}")
     w = oracle.weights(t, k)
     return t * float(w[k])
 
@@ -132,12 +143,15 @@ def post_widder(oracle: TransformOracle, n: int, u: float) -> float:
     """Post-Widder approximation of g(u) of integer order n >= 1.
 
     Equals E g(u S(n)/n); uses the (n-1)-th transform derivative at n/u.
+    Raises :class:`DomainError` when the n weights it reads exceed
+    ``MAX_FINE_LATTICE``.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"Post-Widder order must be a positive integer, got {n}")
     if not u > 0:
         raise DomainError(f"post_widder requires u > 0, got {u}")
     n = int(n)
+    _require_weight_count(n, f"Post-Widder order {n}")
     s = n / u
     w = oracle.weights(s, n - 1)
     return s * float(w[n - 1])

@@ -82,34 +82,117 @@ def _upper_contfrac(alpha, x):
     return h * math.exp(-x + alpha * math.log(x) - math.lgamma(alpha))
 
 
-def reg_inc_gamma_lower(alpha: float, x: float) -> float:
+def _lower_series_array(alpha, x):
+    # _lower_series elementwise; converged elements leave the active set.
+    out = np.empty_like(x)
+    active = np.arange(x.size)
+    xa = x
+    ap = alpha
+    total = np.full(x.size, 1.0 / alpha)
+    delta = total.copy()
+    for _ in range(_MAX_ITER):
+        if not active.size:
+            break
+        ap += 1.0
+        delta *= xa / ap
+        total += delta
+        done = np.abs(delta) < np.abs(total) * _EPS
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, xa, total, delta = active[keep], xa[keep], total[keep], delta[keep]
+    out[active] = total
+    return out * np.exp(-x + alpha * np.log(x) - math.lgamma(alpha))
+
+
+def _upper_contfrac_array(alpha, x):
+    # _upper_contfrac elementwise; converged elements leave the active set.
+    out = np.empty_like(x)
+    active = np.arange(x.size)
+    b = x + 1.0 - alpha
+    c = np.full(x.size, 1.0 / _FPMIN)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _MAX_ITER):
+        if not active.size:
+            break
+        an = -i * (i - alpha)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _FPMIN] = _FPMIN
+        c = b + an / c
+        c[np.abs(c) < _FPMIN] = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[active[done]] = h[done]
+            keep = ~done
+            active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
+    out[active] = h
+    return out * np.exp(-x + alpha * np.log(x) - math.lgamma(alpha))
+
+
+def _check_inc_gamma_args(name, alpha, x):
+    if not alpha > 0:
+        raise DomainError(f"{name} requires alpha > 0, got {alpha}")
+    if np.ndim(x):
+        x = np.asarray(x, dtype=float)
+        bad = ~(x >= 0)
+        if bad.any():
+            raise DomainError(f"{name} requires x >= 0, got {x[bad][0]}")
+    elif not x >= 0:
+        raise DomainError(f"{name} requires x >= 0, got {x}")
+    return x
+
+
+def _inc_gamma_array(alpha, x, upper):
+    # Same branches as the scalar functions, each run on its share of x.
+    series = (x > 0.0) & (x < alpha + 1.0)
+    contfrac = (x >= alpha + 1.0) & (x < math.inf)
+    out = np.where(x == 0.0, 1.0, 0.0) if upper else np.where(x == math.inf, 1.0, 0.0)
+    lower = _lower_series_array(alpha, x[series])
+    tail = _upper_contfrac_array(alpha, x[contfrac])
+    out[series] = 1.0 - lower if upper else lower
+    out[contfrac] = tail if upper else 1.0 - tail
+    return out
+
+
+def reg_inc_gamma_lower(alpha: float, x):
     """Regularized lower incomplete gamma function P(alpha, x).
 
     Series expansion for x < alpha + 1, continued fraction otherwise.
+    ``x`` may be a float or an array; an array runs the same recurrences
+    elementwise.  P(alpha, inf) = 1; NaN or negative x raises
+    :class:`DomainError`.
     """
-    if not alpha > 0:
-        raise DomainError(f"reg_inc_gamma_lower requires alpha > 0, got {alpha}")
-    if x < 0:
-        raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got {x}")
+    x = _check_inc_gamma_args("reg_inc_gamma_lower", alpha, x)
+    if np.ndim(x):
+        return _inc_gamma_array(alpha, x, upper=False)
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if x < alpha + 1.0:
         return _lower_series(alpha, x)
     return 1.0 - _upper_contfrac(alpha, x)
 
 
-def reg_inc_gamma_upper(alpha: float, x: float) -> float:
+def reg_inc_gamma_upper(alpha: float, x):
     """Regularized upper incomplete gamma function Q(alpha, x) = 1 - P(alpha, x).
 
     Computed directly by the continued fraction for x >= alpha + 1 so the
-    tail is accurate without cancellation.
+    tail is accurate without cancellation.  ``x`` may be a float or an
+    array, as for :func:`reg_inc_gamma_lower`; Q(alpha, inf) = 0.
     """
-    if not alpha > 0:
-        raise DomainError(f"reg_inc_gamma_upper requires alpha > 0, got {alpha}")
-    if x < 0:
-        raise DomainError(f"reg_inc_gamma_upper requires x >= 0, got {x}")
+    x = _check_inc_gamma_args("reg_inc_gamma_upper", alpha, x)
+    if np.ndim(x):
+        return _inc_gamma_array(alpha, x, upper=True)
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < alpha + 1.0:
         return 1.0 - _lower_series(alpha, x)
     return _upper_contfrac(alpha, x)

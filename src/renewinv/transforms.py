@@ -32,6 +32,11 @@ _SINGULARITY_TOL = 1e-12
 _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 
 
+def _require_not_nan(u) -> None:
+    if np.isnan(u).any():
+        raise DomainError("claim-law point u must not be NaN")
+
+
 class TransformOracle(abc.ABC):
     """Supplies derivatives of a Laplace transform at points t > gamma_abscissa.
 
@@ -132,29 +137,58 @@ class GammaMixture:
         return total
 
     def cdf(self, u: float) -> float:
+        """P(X <= u); 1 at u = inf."""
         if u <= 0:
             return 0.0
         return math.fsum(
             p * reg_inc_gamma_lower(alpha, beta * u) for p, alpha, beta in self.components
         )
 
-    def survival(self, u: float) -> float:
+    def survival(self, u):
+        """P(X > u) at a float or an array of points; 0 at u = inf.
+
+        An array runs the incomplete gamma elementwise, where NaN raises.
+        """
+        if np.ndim(u):
+            u = np.asarray(u, dtype=float)
+            total = np.zeros(u.shape)
+            for p, alpha, beta in self.components:
+                total += p * reg_inc_gamma_upper(alpha, beta * np.maximum(u, 0.0))
+            return np.where(u <= 0, 1.0, total)
         if u <= 0:
             return 1.0
         return math.fsum(
             p * reg_inc_gamma_upper(alpha, beta * u) for p, alpha, beta in self.components
         )
 
-    def density(self, u: float) -> float:
-        if u < 0:
+    def density(self, u):
+        """Density at a float or an array of points; 0 at u = inf.
+
+        At u = 0 an alpha = 1 component contributes p * beta, an alpha > 1
+        component 0; alpha < 1 diverges there but is never needed (bounds
+        require alpha >= 1) and contributes 0.
+        """
+        if np.ndim(u):
+            u = np.asarray(u, dtype=float)
+            _require_not_nan(u)
+            inside = (u > 0.0) & (u < math.inf)
+            x = np.where(inside, u, 1.0)
+            total = np.zeros(u.shape)
+            for p, alpha, beta in self.components:
+                inner = p * beta * np.exp(
+                    -beta * x + (alpha - 1.0) * np.log(beta * x) - math.lgamma(alpha)
+                )
+                at_zero = p * beta if alpha == 1.0 else 0.0
+                total += np.where(inside, inner, np.where(u == 0.0, at_zero, 0.0))
+            return total
+        _require_not_nan(u)
+        if u < 0 or u == math.inf:
             return 0.0
         total = 0.0
         for p, alpha, beta in self.components:
             if u == 0.0:
                 if alpha == 1.0:
                     total += p * beta
-                # alpha > 1 contributes 0; alpha < 1 diverges but is never
-                # needed (bounds require alpha >= 1)
                 continue
             total += p * beta * math.exp(
                 -beta * u + (alpha - 1.0) * math.log(beta * u) - math.lgamma(alpha)
@@ -167,8 +201,11 @@ class GammaMixture:
         Uses int_0^z (1 - F_a(x)) dx = z (1 - F_a(z)) + a P(a+1, z) per
         component.
         """
+        _require_not_nan(u)
         if u <= 0:
             return 0.0
+        if u == math.inf:
+            return 1.0
         total = 0.0
         for p, alpha, beta in self.components:
             z = beta * u

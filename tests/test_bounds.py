@@ -22,10 +22,67 @@ from renewinv import (
     ruin_bound_report,
     ruin_w_functions,
 )
+from renewinv import bounds
 from renewinv.bounds import _component_i_fpp
 
 
 import functools
+
+
+def sup_norm_reference(fn, decay_start):
+    """The loop-based sup-norm search, one scalar ``fn`` call per grid point.
+
+    Reference for the array grid passes of ``bounds._sup_norm``: same grid,
+    doubling rule, stopping test and golden-section refinement.
+    """
+    u_hi = max(2.0 * decay_start, 4.0)
+    while True:
+        grid = np.linspace(0.0, u_hi, bounds._GRID_POINTS)
+        vals = np.array([abs(fn(u)) for u in grid])
+        peak = float(vals.max())
+        if vals[-1] <= bounds._TAIL_RTOL * max(peak, 1e-300) or u_hi > 1e9:
+            break
+        u_hi *= 2.0
+    interior = [
+        i
+        for i in range(1, bounds._GRID_POINTS - 1)
+        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
+    ]
+    interior.sort(key=lambda i: -vals[i])
+    best = peak
+    for i in interior[:4]:
+        best = max(best, bounds._golden_max(fn, grid[i - 1], grid[i + 1]))
+    best = max(best, bounds._golden_max(fn, grid[0], grid[1]))
+    return best
+
+
+def seeded_admissible_mixture(seed):
+    """1-3 components, shapes in [1, 4], rates in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(n))
+    return GammaMixture(tuple(
+        Component(float(p), float(a), float(b))
+        for p, a, b in zip(weights, rng.uniform(1.0, 4.0, n), rng.uniform(0.5, 2.0, n))
+    ))
+
+
+@st.composite
+def admissible_mixtures(draw):
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    total = math.fsum(raw)
+    return GammaMixture(tuple(
+        Component(w / total, draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0))) for w in raw
+    ))
+
+
+LEDGER_MIXTURES = {
+    "exponential": GammaMixture.exponential(),
+    "gamma_3_2": GammaMixture((Component(1.0, 1.5, 1.0),)),
+    "mixture": GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0))),
+    # seeds 11, 12, 13 draw 1, 2 and 3 components
+    **{f"seed{seed}": seeded_admissible_mixture(seed) for seed in (11, 12, 13)},
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,6 +118,39 @@ class TestWFunctions:
         assert (ledger.ez, ledger.ez2) == (ez, ez2)
         assert (ledger.i0_fpp, ledger.i1_fpp, ledger.i2_fpp) == (i0, i1, i2)
         assert (ledger.f0, ledger.f1_0) == (f0, f1_0)
+
+
+class TestSupNormKernel:
+    @pytest.mark.parametrize("name", LEDGER_MIXTURES)
+    def test_ledger_matches_loop_reference(self, monkeypatch, name):
+        model = RiskModel(LEDGER_MIXTURES[name], 0.9)
+        ledger, _ = ruin_bound_report(model)
+        monkeypatch.setattr(bounds, "_sup_norm", sup_norm_reference)
+        reference, _ = ruin_bound_report(model)
+        for field in dataclasses.fields(NormLedger):
+            assert getattr(ledger, field.name) == pytest.approx(
+                getattr(reference, field.name), rel=1e-12, abs=0.0
+            ), field.name
+
+    @pytest.mark.parametrize("deriv", [bounds._u2_cdf_deriv2, bounds._u2_cdf_deriv3])
+    def test_derivative_terms_take_arrays(self, deriv):
+        u = np.linspace(0.0, 30.0, 301)
+        for mix in LEDGER_MIXTURES.values():
+            scalar = np.array([deriv(mix, float(v)) for v in u])
+            np.testing.assert_allclose(deriv(mix, u), scalar, rtol=1e-14, atol=1e-300)
+
+    @settings(max_examples=15, deadline=None)
+    @given(mix=admissible_mixtures(), phi=st.floats(0.5, 0.95))
+    def test_bound_covers_gap_between_rates(self, mix, phi):
+        # sup |M2_5 - M2_40| <= bound(5) + bound(40) must hold if the bound
+        # holds at both rates; it needs neither range nor monotonicity
+        model = RiskModel(mix, phi)
+        _, report = ruin_bound_report(model)
+        coarse = approximate_nonruin(model, 5.0, 40.0).lattice.values
+        fine = approximate_nonruin(model, 40.0, 40.0).lattice.values[::8]
+        assert coarse.shape == fine.shape
+        gap = float(np.max(np.abs(coarse - fine)))
+        assert gap <= report.total_bound(5.0) + report.total_bound(40.0)
 
 
 class TestEquilibriumMoments:

@@ -111,9 +111,10 @@ class TestRuin:
                          id="ruin-gamma159.7-t100"),
             pytest.param(140.0, ["ruin", "--phi", "0.5", "--t", "100", "--u-max", "40"],
                          id="ruin-gamma140-t100"),
-            # all-zero masses used to give L*(300) = 0 where the CDF is ~1
+            # all-zero masses used to give L*(100) = 0 where the CDF is ~1; u = 100
+            # keeps the 1e6 + 1 weights under the cap that refuses u = 300
             pytest.param(200.0, ["invert", "--transform", "gamma_mixture", "--method", "lstar",
-                                 "--t", "1e4", "--u", "300"], id="invert-gamma200-t1e4"),
+                                 "--t", "1e4", "--u", "100"], id="invert-gamma200-t1e4"),
         ],
     )
     def test_negbin_underflow_exits_2(self, write_spec, capsys, alpha, argv):
@@ -212,6 +213,24 @@ class TestInvert:
         )
         assert code == 2
         assert "fine lattice" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "method,t,u",
+        [
+            ("lstar", "1e4", "300"),  # 3e6 + 1 weights to print one value
+            ("postwidder", "2000000", "1"),
+            ("stehfest2", "600000", "1"),  # order 2n = 1.2e6
+        ],
+    )
+    def test_single_point_weight_cap_exits_2(self, write_spec, capsys, method, t, u):
+        spec = write_spec([(1.0, 200.0, 1.0)], "gamma")
+        code, _, err = run(
+            ["invert", "--transform", "gamma_mixture", "--spec", spec, "--method", method,
+             "--t", t, "--u", u],
+            capsys,
+        )
+        assert code == 2
+        assert "oracle weights" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["lstar", "m2"])
     @pytest.mark.parametrize("u", ["nan", "inf", "1,nan"])

@@ -20,6 +20,13 @@ from renewinv.inversion import MAX_FINE_LATTICE
 from renewinv.transforms import TransformOracle
 
 
+class Untouchable(TransformOracle):
+    """Oracle that fails the test if any operator asks it for weights."""
+
+    def weights(self, t, k_max):
+        raise AssertionError("oracle called past the lattice cap")
+
+
 class LinearRampLST(TransformOracle):
     """Oracle for g(u) = u, with transform 1/t^2 and weights (k+1)/t^2."""
 
@@ -90,6 +97,12 @@ class TestLStar:
         with pytest.raises(DomainError):
             l_star(ConstantLST(1.0), 0.0, 1.0)
 
+    def test_weight_cap_before_any_oracle_call(self):
+        # t*u = 2**20 - 1 reads weights 0..2**20 - 1, exactly the cap
+        assert l_star(ConstantLST(1.0), 1.0, MAX_FINE_LATTICE - 1.0) == 1.0
+        with pytest.raises(DomainError, match="oracle weights"):
+            l_star(Untouchable(), 1.0, float(MAX_FINE_LATTICE))
+
     def test_cdf_image_is_a_cdf(self):
         # for a CDF source the operator value is itself a distribution
         # function on the lattice: within [0, 1] and nondecreasing in u
@@ -132,10 +145,6 @@ class TestM2Lattice:
             m2_lattice(ConstantLST(1.0), 5.0, 0, 1.0)
 
     def test_fine_lattice_cap_before_any_oracle_call(self):
-        class Untouchable(TransformOracle):
-            def weights(self, t, k_max):
-                raise AssertionError("oracle called past the lattice cap")
-
         m2_lattice(ConstantLST(1.0), 5.0, MAX_FINE_LATTICE // 2, 1.0)
         with pytest.raises(DomainError, match="fine lattice"):
             m2_lattice(Untouchable(), 5.0, MAX_FINE_LATTICE // 2 + 1, 1.0)
@@ -222,6 +231,11 @@ class TestPostWidder:
         with pytest.raises(DomainError):
             post_widder(ConstantLST(1.0), 3, 0.0)
 
+    def test_weight_cap_before_any_oracle_call(self):
+        assert post_widder(ConstantLST(1.0), MAX_FINE_LATTICE, 2.0) == pytest.approx(1.0, rel=1e-14)
+        with pytest.raises(DomainError, match="oracle weights"):
+            post_widder(Untouchable(), MAX_FINE_LATTICE + 1, 2.0)
+
 
 class TestStehfest2:
     def test_constant(self):
@@ -231,6 +245,11 @@ class TestStehfest2:
         a, n, u = 1.0, 5, 10.0
         expected = 2.0 * (1.0 + a * u / (2 * n)) ** (-2 * n) - (1.0 + a * u / n) ** (-n)
         assert stehfest2(ExponentialDecayLST(a), n, u) == pytest.approx(expected, rel=1e-13)
+
+    def test_weight_cap_before_any_oracle_call(self):
+        # the order-2n term alone passes the cap
+        with pytest.raises(DomainError, match="oracle weights"):
+            stehfest2(Untouchable(), MAX_FINE_LATTICE // 2 + 1, 2.0)
 
     def test_test_function_composition(self):
         p, n, u = 0.1, 5, 10.0

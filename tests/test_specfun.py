@@ -127,6 +127,74 @@ class TestRegIncGamma:
         with pytest.raises(DomainError):
             reg_inc_gamma_upper(-2.0, 1.0)
 
+    def test_limit_at_infinity(self):
+        assert reg_inc_gamma_lower(1.5, math.inf) == 1.0
+        assert reg_inc_gamma_upper(1.5, math.inf) == 0.0
+        x = np.array([0.0, math.inf])
+        assert np.array_equal(reg_inc_gamma_lower(1.5, x), [0.0, 1.0])
+        assert np.array_equal(reg_inc_gamma_upper(1.5, x), [1.0, 0.0])
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("x", [math.nan, -1.0, np.array([1.0, math.nan]), np.array([2.0, -1e-300])])
+    def test_nan_or_negative_raises(self, fn, x):
+        with pytest.raises(DomainError):
+            fn(1.5, x)
+
+
+# x = alpha + 1 splits the series from the continued fraction; at x = 700
+# the upper tail is near the bottom of the normal range, at 1e3 it is 0
+ARRAY_ALPHAS = [0.5, 1.0, 1.5, 2.0, 4.0]
+
+
+def array_points(alpha):
+    split = alpha + 1.0
+    return np.array([
+        0.0, 1e-12, 1e-3, 0.5 * split, np.nextafter(split, 0.0), split,
+        np.nextafter(split, math.inf), 2.0 * split, 30.0, 700.0, 1e3,
+    ])
+
+
+class TestRegIncGammaArray:
+    """The array path runs the scalar recurrences elementwise."""
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("alpha", ARRAY_ALPHAS)
+    def test_matches_scalar_path(self, fn, alpha):
+        x = array_points(alpha)
+        scalar = np.array([fn(alpha, float(v)) for v in x])
+        np.testing.assert_allclose(fn(alpha, x), scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    def test_shape_is_kept(self, fn):
+        x = np.array([[0.0, 1.0, 5.0], [40.0, 0.2, math.inf]])
+        out = fn(2.5, x)
+        assert out.shape == x.shape
+        assert np.array_equal(out.ravel(), fn(2.5, x.ravel()))
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    def test_empty_array(self, fn):
+        assert fn(1.5, np.array([])).shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.5, 4.0),
+        xs=st.lists(st.floats(0.0, 800.0), min_size=1, max_size=40),
+    )
+    def test_matches_scalar_path_random(self, alpha, xs):
+        x = np.array(xs)
+        for fn in (reg_inc_gamma_lower, reg_inc_gamma_upper):
+            scalar = np.array([fn(alpha, v) for v in xs])
+            np.testing.assert_allclose(fn(alpha, x), scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.7, 10.0])
+    def test_against_scipy(self, alpha):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0.01, 3.0 * alpha + 20.0, 400)
+        np.testing.assert_allclose(reg_inc_gamma_lower(alpha, x), special.gammainc(alpha, x),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(reg_inc_gamma_upper(alpha, x), special.gammaincc(alpha, x),
+                                   rtol=1e-13)
+
 
 class TestNegbinCdf:
     def test_geometric_first_term(self):

@@ -56,6 +56,52 @@ class TestGammaMixture:
             )
 
 
+SKEWED_MIXTURE = GammaMixture((Component(0.3, 2.5, 0.7), Component(0.7, 1.0, 1.9)))
+ARRAY_FUNCTIONS = ["survival", "density"]
+
+
+class TestGammaMixtureArrays:
+    """Array points run the scalar formulas elementwise; limits and NaN alike."""
+
+    @pytest.mark.parametrize("name", ARRAY_FUNCTIONS)
+    def test_matches_scalar_path(self, all_table_mixtures, name):
+        u = np.concatenate([[-1.0, 0.0, 1e-12], np.linspace(0.01, 60.0, 300)])
+        for mix in [*all_table_mixtures.values(), SKEWED_MIXTURE]:
+            fn = getattr(mix, name)
+            scalar = np.array([fn(float(v)) for v in u])
+            np.testing.assert_allclose(fn(u), scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name,limit", [("cdf", 1.0), ("survival", 0.0), ("density", 0.0)])
+    def test_limit_at_infinity(self, all_table_mixtures, name, limit):
+        for mix in all_table_mixtures.values():
+            fn = getattr(mix, name)
+            assert fn(math.inf) == limit
+            if name in ARRAY_FUNCTIONS:
+                assert np.array_equal(fn(np.array([math.inf, math.inf])), [limit, limit])
+        assert all_table_mixtures["mixture"].equilibrium_cdf(math.inf) == 1.0
+
+    @pytest.mark.parametrize(
+        "name", ["cdf", "survival", "density", "equilibrium_cdf", "equilibrium_density"]
+    )
+    def test_nan_raises(self, half_mixture, name):
+        with pytest.raises(DomainError):
+            getattr(half_mixture, name)(math.nan)
+
+    @pytest.mark.parametrize("name", ARRAY_FUNCTIONS)
+    def test_nan_in_array_raises(self, half_mixture, name):
+        with pytest.raises(DomainError):
+            getattr(half_mixture, name)(np.array([1.0, math.nan]))
+
+    def test_density_at_origin(self, exp_mixture, gamma32_mixture, half_mixture):
+        origin = np.array([0.0, 1.0])
+        assert exp_mixture.density(origin)[0] == 1.0  # p * beta for alpha = 1
+        assert GammaMixture.exponential(2.5).density(origin)[0] == 2.5
+        assert gamma32_mixture.density(origin)[0] == 0.0  # alpha > 1
+        assert GammaMixture((Component(1.0, 3.0, 2.0),)).density(origin)[0] == 0.0
+        assert half_mixture.density(origin)[0] == 0.5
+        assert SKEWED_MIXTURE.density(origin)[0] == 0.7 * 1.9
+
+
 class TestGammaMixtureLST:
     def test_exponential_value(self, exp_mixture):
         derivs = GammaMixtureLST(exp_mixture).derivs(5.0, 1)

@@ -42,11 +42,8 @@ from .ruin import (
     RuinApproximation,
 )
 from .specfun import (
-    log_gamma,
-    negbin_cdf,
     negbin_logpmf,
     negbin_pmf_terms,
-    negbin_survival,
     RealShape,
     reg_inc_gamma_lower,
     reg_inc_gamma_upper,
@@ -58,7 +55,6 @@ from .transforms import (
     ExponentialDecayLST,
     GammaMixture,
     GammaMixtureLST,
-    renewal_ratio_derivs,
     RenewalRatioLST,
     ScaledLST,
     SumLST,

@@ -230,18 +230,14 @@ def equilibrium_moments(mixture: GammaMixture) -> tuple[float, float]:
     return mixture.raw_moment(2) / (2.0 * m1), mixture.raw_moment(3) / (3.0 * m1)
 
 
-def _component_i_fpp(alpha: float, i: int, exact: bool) -> float:
+def _component_i_fpp(alpha: float, i: int) -> float:
     """Weighted integral int u^i |F_a''| du for a unit-rate gamma CDF.
 
-    Exact mode splits |F''| at its single sign change u = alpha - 1 and
-    integrates each piece by incomplete gamma; the fallback bounds
-    |alpha - 1 - u| by (alpha - 1) + u, which is tight at alpha = 1.
+    Splits |F''| at its single sign change u = alpha - 1 and integrates
+    each piece by incomplete gamma.
     """
     if alpha == 1.0:
         return float(math.factorial(i))
-    if not exact:
-        first = (alpha - 1.0) * math.exp(math.lgamma(alpha - 1.0 + i) - math.lgamma(alpha))
-        return first + math.exp(math.lgamma(alpha + i) - math.lgamma(alpha))
     c = alpha - 1.0
     a = alpha + i - 1.0
     r_hi = math.exp(math.lgamma(a + 1.0) - math.lgamma(alpha))
@@ -254,21 +250,18 @@ def _component_i_fpp(alpha: float, i: int, exact: bool) -> float:
     )
 
 
-def f_second_integrals(
-    mixture: GammaMixture, exact: bool = True
-) -> tuple[float, float, float, float, float]:
+def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, float, float]:
     """(I0, I1, I2 of f'', f(0), f'(0)) for the equilibrium density f.
 
     f'' = -F_X''/mean, so each gamma component with rate beta contributes
-    beta**(1-i) times its unit-rate integral.  ``exact=False`` switches to
-    the componentwise upper bounds.
+    beta**(1-i) times its unit-rate integral.
     """
     _require_admissible(mixture)
     mu = mixture.mean
     integrals = []
     for i in range(3):
         total = math.fsum(
-            p * beta ** (1 - i) * _component_i_fpp(alpha, i, exact)
+            p * beta ** (1 - i) * _component_i_fpp(alpha, i)
             for p, alpha, beta in mixture.components
         )
         integrals.append(total / mu)
@@ -323,12 +316,9 @@ def chain_high_order_bounds(report: BoundReport, ledger: NormLedger, phi: float)
     return replace(report, u2m3_norm=u2m3, u2m4_norm=u2m4, um3_norm=u2m4)
 
 
-def ruin_bound_report(model: RiskModel, exact_integrals: bool = True) -> tuple[NormLedger, BoundReport]:
+def ruin_bound_report(model: RiskModel) -> tuple[NormLedger, BoundReport]:
     """Ledger plus fully chained bound report for a risk model."""
     ledger = ruin_w_functions(model)
-    if not exact_integrals:
-        i0, i1, i2, f0, f1_0 = f_second_integrals(model.claims, exact=False)
-        ledger = replace(ledger, i0_fpp=i0, i1_fpp=i1, i2_fpp=i2, f0=f0, f1_0=f1_0)
     report = chain_derivative_bounds(ledger, model.phi)
     report = chain_high_order_bounds(report, ledger, model.phi)
     return ledger, report

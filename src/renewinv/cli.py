@@ -12,13 +12,14 @@ Exit codes: 0 success, 1 table check failed, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .bounds import ruin_bound_report
 from .errors import AdmissibilityError, DomainError, NegativeWeightError, SingularityError
-from .inversion import l_star, lattice_index, m2_lattice, post_widder, stehfest2
+from .inversion import covering_index, l_star, m2_lattice, post_widder, stehfest2
 from .ruin import approximate_nonruin, exact_nonruin_exponential, lstar_nonruin, RiskModel
 from .transforms import (
     Component,
@@ -47,9 +48,12 @@ def _fmt(x: float) -> str:
 def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _csv(header: list[str], rows: list[list[float]]) -> str:
@@ -177,7 +181,7 @@ def cmd_invert(args) -> int:
         raise _UsageError("--u must contain at least one value")
 
     if args.method in ("postwidder", "stehfest2"):
-        if args.t <= 0 or args.t != int(args.t):
+        if not math.isfinite(args.t) or args.t <= 0 or args.t != int(args.t):
             raise _UsageError(f"--t must be a positive integer for {args.method}, got {args.t}")
         n = int(args.t)
         op = post_widder if args.method == "postwidder" else stehfest2
@@ -185,9 +189,7 @@ def cmd_invert(args) -> int:
     elif args.method == "lstar":
         values = [l_star(oracle, args.t, u) for u in u_values]
     elif args.method == "m2":
-        k, frac = lattice_index(args.t, max(u_values))
-        K = max(k if frac == 0.0 else k + 1, 1)
-        lattice = m2_lattice(oracle, args.t, K, g0)
+        lattice = m2_lattice(oracle, args.t, covering_index(args.t, max(u_values)), g0)
         values = [lattice(u) for u in u_values]
     else:
         raise _UsageError(f"unknown method {args.method!r}")
@@ -205,35 +207,12 @@ def cmd_bound(args) -> int:
         raise _UsageError(f"--t must be positive, got {args.t}")
     mix = _load_mixture(args.spec)
     model = RiskModel(mix, args.phi)
-    ledger, report = ruin_bound_report(model, exact_integrals=(args.integrals == "exact"))
+    ledger, report = ruin_bound_report(model)
     payload = {
         "phi": args.phi,
         "t": args.t,
-        "integral_mode": args.integrals,
-        "w1_norm": ledger.w1_norm,
-        "uw1_norm": ledger.uw1_norm,
-        "u2w1_norm": ledger.u2w1_norm,
-        "w2_norm": ledger.w2_norm,
-        "uw2_norm": ledger.uw2_norm,
-        "u2w2_norm": ledger.u2w2_norm,
-        "u2w1pp_norm": ledger.u2w1pp_norm,
-        "u2w2pp_norm": ledger.u2w2pp_norm,
-        "ez": ledger.ez,
-        "ez2": ledger.ez2,
-        "i0_fpp": ledger.i0_fpp,
-        "i1_fpp": ledger.i1_fpp,
-        "i2_fpp": ledger.i2_fpp,
-        "f0": ledger.f0,
-        "f1_0": ledger.f1_0,
-        "m1_norm_bound": report.m1_norm,
-        "um1_norm_bound": report.um1_norm,
-        "u2m1_norm_bound": report.u2m1_norm,
-        "m2_norm_bound": report.m2_norm,
-        "um2_norm_bound": report.um2_norm,
-        "u2m2_norm_bound": report.u2m2_norm,
-        "u2m3_norm_bound": report.u2m3_norm,
-        "u2m4_norm_bound": report.u2m4_norm,
-        "um3_norm_bound": report.um3_norm,
+        **dataclasses.asdict(ledger),
+        **{f"{name}_bound": value for name, value in dataclasses.asdict(report).items()},
         "total_bound": report.total_bound(args.t),
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
@@ -257,9 +236,9 @@ def cmd_convergence(args) -> int:
         beta = comps[0].beta
         reference = lambda u: exact_nonruin_exponential(args.phi, beta, u)
     else:
-        t_ref = 8.0 * max(t_list)
-        ref_approx = approximate_nonruin(model, t_ref, args.u_max)
-        reference = ref_approx.lattice
+        # the coarse lattices end at K/t >= u_max, so the reference must reach the last of them
+        u_ref = max(covering_index(t, args.u_max) / t for t in t_list)
+        reference = approximate_nonruin(model, 8.0 * max(t_list), u_ref).lattice
 
     errors = {}
     for t in t_list:
@@ -318,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--integrals", choices=("exact", "upper"), default="exact")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 

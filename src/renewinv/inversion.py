@@ -56,6 +56,16 @@ def lattice_index(t: float, u: float) -> tuple[int, float]:
     return k, frac
 
 
+def covering_index(t: float, u: float) -> int:
+    """Smallest lattice index K >= 1 whose point K/t reaches u.
+
+    ceil(t*u) with the snapping of :func:`lattice_index`, at least 1; the
+    truncation index of a lattice that must cover [0, u].
+    """
+    k, frac = lattice_index(t, u)
+    return max(k if frac == 0.0 else k + 1, 1)
+
+
 @dataclass(frozen=True)
 class LatticeFunction:
     """Real values on the grid {k/t, k = 0..K} with linear interpolation.

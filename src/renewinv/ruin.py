@@ -20,7 +20,7 @@ from typing import Callable
 
 from .compound import compound_cdf, discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
-from .inversion import LatticeFunction, lattice_index, MAX_FINE_LATTICE
+from .inversion import covering_index, LatticeFunction, MAX_FINE_LATTICE
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -114,9 +114,7 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
         raise DomainError(f"lattice rate t must be positive, got {t}")
     if not u_max > 0:
         raise DomainError(f"u_max must be positive, got {u_max}")
-    k, frac = lattice_index(t, u_max)
-    K = k if frac == 0.0 else k + 1
-    K = max(K, 1)
+    K = covering_index(t, u_max)
     if 2 * K > MAX_FINE_LATTICE:
         raise DomainError(
             f"t*u_max = {t * u_max:g} needs {2 * K} points on the fine lattice, "

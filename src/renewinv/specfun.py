@@ -1,10 +1,10 @@
 """Special functions used throughout the package.
 
-Log-gamma, the regularized incomplete gamma function, and the cumulative
-distribution of a negative binomial with real (non-integer) shape.  The
-negative-binomial CDF is the workhorse of the lattice discretization: for
-gamma-distributed claim amounts the discretized equilibrium weights are
-scaled negative-binomial survival probabilities.
+The regularized incomplete gamma function and the masses of a negative
+binomial with real (non-integer) shape.  The negative-binomial masses are
+the workhorse of the lattice discretization: for gamma-distributed claim
+amounts they are the normalized transform-derivative weights, and the
+discretized equilibrium weights are their scaled tail sums.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ class RealShape:
             raise DomainError(f"shape alpha must be positive, got {self.alpha}")
         if not 0 < self.rho <= 1:
             raise DomainError(f"success probability rho must be in (0, 1], got {self.rho}")
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive real ``x``."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _lower_series(alpha, x):
@@ -234,16 +227,3 @@ def negbin_logpmf(k: int, shape: RealShape) -> float:
         + k * math.log1p(-rho)
         + alpha * math.log(rho)
     )
-
-
-def negbin_cdf(k: int, shape: RealShape) -> float:
-    """CDF of a negative binomial with real shape: sum of masses 0..k."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
-    terms = negbin_pmf_terms(int(k), shape)
-    return min(1.0, math.fsum(terms))
-
-
-def negbin_survival(k: int, shape: RealShape) -> float:
-    """P(N > k) for the negative binomial; complement of :func:`negbin_cdf`."""
-    return max(0.0, 1.0 - negbin_cdf(k, shape))

@@ -8,9 +8,7 @@ derivative weights
 where ``g~`` is the Laplace transform of the source function.  For a
 probability density these weights are exactly the lattice masses
 P(X^(t-grid) = k/t), so they live in [0, 1] and never overflow, while the
-raw derivatives grow like k! and die around k ~ 300 in doubles.  Raw
-derivatives are available through :meth:`TransformOracle.derivs` for the
-moderate orders where they are representable.
+raw derivatives grow like k! and die around k ~ 300 in doubles.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ def _require_not_nan(u) -> None:
 
 
 class TransformOracle(abc.ABC):
-    """Supplies derivatives of a Laplace transform at points t > gamma_abscissa.
+    """Supplies the normalized derivative weights of a transform at t > gamma_abscissa.
 
     ``gamma_abscissa`` is the growth bound of the source function
     (|g(u)| = O(exp(gamma * u))); the transform is defined strictly to the
@@ -50,20 +48,6 @@ class TransformOracle(abc.ABC):
     @abc.abstractmethod
     def weights(self, t: float, k_max: int) -> np.ndarray:
         """Normalized weights (-t)**k / k! * g~^(k)(t) for k = 0..k_max."""
-
-    def derivs(self, t: float, k_max: int) -> np.ndarray:
-        """Raw derivatives [g~(t), g~'(t), ..., g~^(k_max)(t)].
-
-        Scaled from the normalized weights; overflows to +-inf once
-        k!/t**k leaves double range (k of a few hundred for t ~ 5).
-        """
-        w = self.weights(t, k_max)
-        out = np.empty_like(w)
-        factor = 1.0
-        for k in range(k_max + 1):
-            out[k] = w[k] * factor
-            factor *= -(k + 1.0) / t
-        return out
 
     def value(self, t: float) -> float:
         """The transform g~(t) itself."""
@@ -249,20 +233,6 @@ class GammaMixtureLST(TransformOracle):
             out += p * negbin_pmf_terms(k_max, RealShape(alpha, rho))
         return out
 
-    def derivs(self, t, k_max):
-        # Closed form Phi^(j)(t) = (-1)^j Gamma(a+j)/Gamma(a) b^a / (t+b)^(a+j),
-        # assembled in log space so intermediate factors cannot overflow.
-        self._require_valid_point(t, k_max)
-        out = np.zeros(k_max + 1)
-        for p, alpha, beta in self.mixture.components:
-            base = alpha * math.log(beta) - math.lgamma(alpha)
-            logtb = math.log(t + beta)
-            for j in range(k_max + 1):
-                logmag = base + math.lgamma(alpha + j) - (alpha + j) * logtb
-                mag = math.exp(logmag) if logmag < 709.0 else math.inf
-                out[j] += p * (mag if j % 2 == 0 else -mag)
-        return out
-
 
 class ExponentialDecayLST(TransformOracle):
     """Transform oracle for g(u) = exp(-a u), a >= 0 (a = 0 gives g == 1).
@@ -396,20 +366,3 @@ class RenewalRatioLST(TransformOracle):
             inner = math.fsum((out[:k] * fw[k:0:-1]).tolist())
             out[k] = (vw[k] + self.phi * inner) / denom
         return out
-
-
-def renewal_ratio_derivs(
-    v_oracle: TransformOracle,
-    f_oracle: TransformOracle,
-    phi: float,
-    t: float,
-    k_max: int,
-) -> np.ndarray:
-    """Raw derivatives [m~(t), ..., m~^(k_max)(t)] of the renewal-solution transform.
-
-    The only route for phi = 0, where m~ = v~ and :class:`RenewalRatioLST`
-    rejects the parameter.
-    """
-    if phi == 0.0:
-        return v_oracle.derivs(t, k_max)
-    return RenewalRatioLST(v_oracle, f_oracle, phi).derivs(t, k_max)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import time
 
 import pytest
 
+from renewinv import BoundReport, GammaMixture, NormLedger, RiskModel, ruin_bound_report
 from renewinv.cli import main
 
 
@@ -205,6 +207,17 @@ class TestInvert:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["postwidder", "stehfest2"])
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_order_exits_2(self, capsys, method, t):
+        code, _, err = run(
+            ["invert", "--transform", "exp_decay", "--a", "1", "--method", method,
+             "--t", t, "--u", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "positive integer" in err and "Traceback" not in err
+
     def test_m2_lattice_cap_exits_2(self, capsys):
         # t*u = 4e7 would put 8e7 points on the fine lattice
         code, _, err = run(
@@ -268,6 +281,23 @@ class TestBound:
         b10 = json.loads(out10)["total_bound"]
         assert b10 == pytest.approx(b5 / 4.0, rel=1e-12)
 
+    def test_keys_follow_ledger_and_report_fields(self, write_spec, capsys):
+        spec = write_spec([(1.0, 1.0, 1.0)], "exp")
+        code, out, _ = run(["bound", "--spec", spec, "--phi", "0.9", "--t", "5"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        ledger_keys = [f.name for f in dataclasses.fields(NormLedger)]
+        report_keys = [f.name for f in dataclasses.fields(BoundReport)]
+        assert list(payload) == (
+            ["phi", "t"] + ledger_keys + [f"{k}_bound" for k in report_keys] + ["total_bound"]
+        )
+        ledger, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))
+        assert [payload[k] for k in ledger_keys] == [getattr(ledger, k) for k in ledger_keys]
+        assert [payload[f"{k}_bound"] for k in report_keys] == [
+            getattr(report, k) for k in report_keys
+        ]
+        assert payload["total_bound"] == report.total_bound(5.0)
+
     def test_inadmissible_shape_exits_3(self, write_spec, capsys):
         spec = write_spec([(1.0, 0.5, 1.0)], "heavy")
         code, _, err = run(["bound", "--spec", spec, "--phi", "0.9", "--t", "5"], capsys)
@@ -312,6 +342,19 @@ class TestConvergence:
         )
         assert code == 2
 
+    def test_reference_covers_last_coarse_point(self, write_spec, capsys):
+        # t = 3 covers u_max = 1.1 up to 4/3, past the 8t reference lattice
+        # built only to ceil(24 * 1.1)/24 = 1.125
+        spec = write_spec([(1.0, 1.5, 1.0)], "g32")
+        code, out, err = run(
+            ["convergence", "--spec", spec, "--phi", "0.9", "--t-list", "3",
+             "--u-max", "1.1"],
+            capsys,
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert 0.0 < float(rows[0][1]) < 1e-3
+
     def test_self_reference_for_non_exponential(self, write_spec, capsys):
         spec = write_spec([(1.0, 1.5, 1.0)], "g32")
         code, out, _ = run(
@@ -322,3 +365,25 @@ class TestConvergence:
         assert code == 0
         _, rows = parse_csv(out)
         assert 1.2 <= float(rows[0][2]) <= 3.0
+
+
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["ruin", "--phi", "0.9", "--t", "5", "--u-max", "2"],
+            ["invert", "--transform", "exp_decay", "--method", "m2", "--t", "5", "--u", "1"],
+            ["bound", "--phi", "0.9", "--t", "5"],
+            ["convergence", "--phi", "0.9", "--t-list", "5", "--u-max", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
+    def test_unwritable_out_exits_2(self, write_spec, tmp_path, capsys, argv, target):
+        spec = write_spec([(1.0, 1.0, 1.0)], "exp")
+        out = tmp_path / "nowhere" / "out.csv" if target == "missing-dir" else tmp_path
+        spec_args = [] if argv[0] in ("table1", "invert") else ["--spec", spec]
+        code, _, err = run(argv + spec_args + ["--out", str(out)], capsys)
+        assert code == 2
+        assert "cannot write" in err and "Traceback" not in err

@@ -16,7 +16,7 @@ from renewinv import (
     stehfest2,
     SumLST,
 )
-from renewinv.inversion import MAX_FINE_LATTICE
+from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 from renewinv.transforms import TransformOracle
 
 
@@ -62,6 +62,14 @@ class TestLatticeIndex:
     def test_non_finite_product_raises(self, t, u):
         with pytest.raises(DomainError):
             lattice_index(t, u)
+
+
+    @pytest.mark.parametrize(
+        "t,u,K", [(5.0, 0.8, 4), (5.0, 0.9, 5), (3.0, 1.0 / 3.0, 1), (5.0, 0.01, 1), (5.0, 0.0, 1)]
+    )
+    def test_covering_index(self, t, u, K):
+        # smallest K >= 1 with K/t >= u, after the snap of lattice_index
+        assert covering_index(t, u) == K
 
 
 class TestLStar:

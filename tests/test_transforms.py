@@ -10,7 +10,6 @@ from renewinv import (
     ExponentialDecayLST,
     GammaMixture,
     GammaMixtureLST,
-    renewal_ratio_derivs,
     RenewalRatioLST,
     ScaledLST,
     SingularityError,
@@ -104,9 +103,10 @@ class TestGammaMixtureArrays:
 
 class TestGammaMixtureLST:
     def test_exponential_value(self, exp_mixture):
-        derivs = GammaMixtureLST(exp_mixture).derivs(5.0, 1)
-        assert derivs[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
-        assert derivs[1] == pytest.approx(-1.0 / 36.0, rel=1e-14)
+        # w_0 = Phi(5) = 1/6 and w_1 = -5 Phi'(5) = 5/36
+        w = GammaMixtureLST(exp_mixture).weights(5.0, 1)
+        assert w[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert w[1] == pytest.approx(5.0 / 36.0, rel=1e-14)
 
     def test_value_is_probability_transform(self, half_mixture):
         for t in [0.5, 1.0, 5.0, 50.0]:
@@ -114,17 +114,20 @@ class TestGammaMixtureLST:
             assert 0.0 < val < 1.0
 
     def test_closed_form_derivatives(self, gamma32_mixture):
-        # Phi^(j)(t) = (-1)^j Gamma(a+j)/Gamma(a) b^a / (t+b)^(a+j)
+        # (-t)^j/j! Phi^(j)(t) = Gamma(a+j)/(Gamma(a) j!) b^a t^j / (t+b)^(a+j),
+        # the negative-binomial mass at j with success probability b/(t+b)
         t, alpha, beta = 3.0, 1.5, 1.0
-        derivs = GammaMixtureLST(gamma32_mixture).derivs(t, 20)
+        w = GammaMixtureLST(gamma32_mixture).weights(t, 20)
         for j in range(21):
-            expected = (-1.0) ** j * math.exp(
+            expected = math.exp(
                 math.lgamma(alpha + j)
                 - math.lgamma(alpha)
+                - math.lgamma(j + 1.0)
                 + alpha * math.log(beta)
+                + j * math.log(t)
                 - (alpha + j) * math.log(t + beta)
             )
-            assert derivs[j] == pytest.approx(expected, rel=1e-12)
+            assert w[j] == pytest.approx(expected, rel=1e-12)
 
     def test_single_exponential_weights_are_geometric(self):
         mix = GammaMixture.exponential(2.0)
@@ -195,27 +198,20 @@ class TestRenewalRatio:
     def test_base_case_is_plain_ratio(self, exp_mixture):
         data = renewal_data_from_model(RiskModel(exp_mixture, 0.9))
         t = 5.0
-        m0 = renewal_ratio_derivs(data.v_oracle, data.f_oracle, 0.9, t, 0)[0]
+        m0 = RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9).weights(t, 0)[0]
         v0 = data.v_oracle.value(t)
         f0 = data.f_oracle.value(t)
         assert m0 == pytest.approx(v0 / (1.0 - 0.9 * f0), rel=1e-14)
 
-    def test_zero_defect_reduces_to_v(self, exp_mixture):
-        data = renewal_data_from_model(RiskModel(exp_mixture, 0.5))
-        t = 3.0
-        got = renewal_ratio_derivs(data.v_oracle, data.f_oracle, 0.0, t, 12)
-        expected = data.v_oracle.derivs(t, 12)
-        assert np.allclose(got, expected, rtol=1e-14)
-
     def test_exponential_ruin_closed_form(self, exp_mixture):
-        # ruin transform for unit-mean exponential claims at phi = 0.9:
-        # m~^(k)(t) = 0.9 (-1)^k k! / (t + 0.1)^(k+1)
+        # ruin transform for unit-mean exponential claims at phi = 0.9 is
+        # m~(t) = 0.9 / (t + 0.1), with weights 0.9 t^k / (t + 0.1)^(k+1)
         data = renewal_data_from_model(RiskModel(exp_mixture, 0.9))
         t = 5.0
-        derivs = renewal_ratio_derivs(data.v_oracle, data.f_oracle, 0.9, t, 60)
+        w = RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9).weights(t, 60)
         for k in range(61):
-            expected = 0.9 * (-1.0) ** k * math.factorial(k) / (t + 0.1) ** (k + 1)
-            assert derivs[k] == pytest.approx(expected, rel=1e-9)
+            expected = 0.9 * t**k / (t + 0.1) ** (k + 1)
+            assert w[k] == pytest.approx(expected, rel=1e-9)
 
     def test_singularity_error(self):
         # a non-probability "density" with transform 2/(t+1) hits

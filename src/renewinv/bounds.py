@@ -89,10 +89,11 @@ class BoundReport:
     def total_bound(self, t: float) -> float:
         """Uniform error bound of the order-2 operator at lattice rate t.
 
-        Exactly C / t^2 with C fixed by the chained norms.
+        Exactly C / t^2 with C fixed by the chained norms; a non-finite t
+        raises rather than report the limit 0 as if it were a bound.
         """
-        if not t > 0:
-            raise DomainError(f"lattice rate t must be positive, got {t}")
+        if not 0 < t < math.inf:
+            raise DomainError(f"lattice rate t must be positive and finite, got {t}")
         if self.u2m4_norm is None or self.um3_norm is None:
             raise DomainError("high-order entries missing; run chain_high_order_bounds first")
         coeff = self.m2_norm / 8.0 + self.um3_norm / 6.0 + 9.0 * self.u2m4_norm / 16.0

@@ -203,8 +203,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if not args.t > 0:
-        raise _UsageError(f"--t must be positive, got {args.t}")
+    if not 0 < args.t < math.inf:
+        raise _UsageError(f"--t must be positive and finite, got {args.t}")
     mix = _load_mixture(args.spec)
     model = RiskModel(mix, args.phi)
     ledger, report = ruin_bound_report(model)

@@ -11,9 +11,11 @@ those lattice variables has the generating function
 coefficients come from a Newton iteration for the reciprocal power series,
 with products by direct convolution for short operands and zero-padded real
 FFT for long ones, in O(K log K) instead of the O(K^2) of Panjer's
-recursion.  The function keeps the name ``panjer_geometric`` because it
-returns the same coefficients and its callers and the benchmark tracer
-refer to it by that name.  Its cumulative sums are exactly the
+recursion.  That series kernel lives in :mod:`renewinv.transforms`, beside
+the renewal-ratio division :class:`~renewinv.transforms.RenewalRatioLST`
+that uses it too.  The function keeps the name ``panjer_geometric``
+because it returns the same coefficients and its callers and the benchmark
+tracer refer to it by that name.  Its cumulative sums are exactly the
 gamma-operator approximation of the non-ruin probability.
 """
 
@@ -26,13 +28,10 @@ import numpy as np
 
 from .errors import DomainError, NegativeWeightError
 from .inversion import LatticeFunction
-from .transforms import GammaMixture, survival_to_density_oracle
+from .transforms import _series_reciprocal, GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
 _EXCESS_TOL = 1e-9
-# np.convolve and a zero-padded FFT product cost about the same when the
-# shorter operand has ~512 terms (numpy 2.4, one core of a Xeon VM).
-_DIRECT_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -89,43 +88,15 @@ def discretize_equilibrium(mixture: GammaMixture, t: float, K: int) -> LatticePM
     return _fresh_pmf(t, survival_to_density_oracle(mixture).weights(t, K))
 
 
-def _polymul(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """First ``n`` coefficients of the polynomial product x * y.
-
-    Direct convolution while the shorter operand has at most
-    ``_DIRECT_MAX`` terms, zero-padded real FFT above that.
-    """
-    x, y = x[:n], y[:n]
-    if min(x.size, y.size) <= _DIRECT_MAX:
-        return np.convolve(x, y)[:n]
-    size = 1 << (x.size + y.size - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
-
-
-def _series_reciprocal(a: np.ndarray) -> np.ndarray:
-    """1 / a(z) mod z**a.size by Newton iteration, for a[0] != 0.
-
-    Each pass h <- h + h (1 - a h) doubles the number of correct terms; the
-    target sizes are halved down from a.size so the last pass lands on it.
-    """
-    sizes = [a.size]
-    while sizes[-1] > 1:
-        sizes.append((sizes[-1] + 1) // 2)
-    h = np.array([1.0 / a[0]])
-    for n, m in zip(sizes[-1:0:-1], sizes[-2::-1]):
-        # a h = 1 + O(z**n), so 1 - a h mod z**m is the negated middle slice
-        residual = _polymul(a[:m], h, m)[n:]
-        h = np.concatenate((h, -_polymul(h, residual, m - n)))
-    return h
-
-
 def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     """PMF of the geometric compound of a lattice severity, to index K.
 
     The count is geometric with P(M = n) = (1-phi) phi**n, so the PGF of the
     compound is (1 - phi) / (1 - phi F(z)) with F the severity PGF.  The
     reciprocal series is taken by Newton iteration in O(K log K) (Brent &
-    Kung, J. ACM 25, 1978), with F truncated or zero-padded to K+1 terms.
+    Kung, J. ACM 25, 1978), with F truncated or zero-padded to K+1 terms;
+    the kernel is the one :class:`~renewinv.transforms.RenewalRatioLST`
+    divides with, defined in :mod:`renewinv.transforms`.
     The coefficients are those of Panjer's recursion, whose name the
     function keeps; the O(K^2) recursion is the reference in the tests.
     """

@@ -5,11 +5,12 @@ claims.  :func:`lstar_nonruin` is the one assembly of that sum on a lattice
 {k/t}: it discretizes the equilibrium law at exactly the K+1 points used,
 expands the compound geometric PMF with
 :func:`~renewinv.compound.panjer_geometric` (a Newton series reciprocal in
-O(K log K)), and takes cumulative sums, which is the gamma-operator value
-L*_t.  :func:`approximate_nonruin` runs it at rates t and 2t and combines the
-two curves into the order-2 accelerated lattice approximation.  The fine
-lattice is capped at ``MAX_FINE_LATTICE`` points, checked before any array
-is built.
+O(K log K), the kernel defined in :mod:`renewinv.transforms` that the
+renewal-ratio oracle also divides with), and takes cumulative sums, which is
+the gamma-operator value L*_t.  :func:`approximate_nonruin` runs it at rates
+t and 2t and combines the two curves into the order-2 accelerated lattice
+approximation.  The fine lattice is capped at ``MAX_FINE_LATTICE`` points,
+checked before any array is built.
 """
 
 from __future__ import annotations

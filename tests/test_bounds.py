@@ -311,6 +311,13 @@ class TestTheoremBound:
         spread = (max(consts) - min(consts)) / max(consts)
         assert spread < 1e-14
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+    def test_non_finite_rate_rejected(self, t):
+        # C / inf**2 = 0 would read as an exact approximation
+        _, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))
+        with pytest.raises(DomainError, match="finite"):
+            report.total_bound(t)
+
     def test_incomplete_report_rejected(self):
         partial = chain_derivative_bounds(exp_ledger(0.9), 0.9)
         with pytest.raises(DomainError):

@@ -298,6 +298,14 @@ class TestBound:
         ]
         assert payload["total_bound"] == report.total_bound(5.0)
 
+    @pytest.mark.parametrize("t", ["inf", "nan", "0"])
+    def test_non_finite_or_non_positive_rate_exits_2(self, write_spec, capsys, t):
+        spec = write_spec([(1.0, 1.0, 1.0)], "exp")
+        code, out, err = run(["bound", "--spec", spec, "--phi", "0.9", "--t", t], capsys)
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err and "Traceback" not in err
+
     def test_inadmissible_shape_exits_3(self, write_spec, capsys):
         spec = write_spec([(1.0, 0.5, 1.0)], "heavy")
         code, _, err = run(["bound", "--spec", spec, "--phi", "0.9", "--t", "5"], capsys)

@@ -2,22 +2,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renewinv import (
+    approximate_nonruin,
     Component,
     ConstantLST,
     DomainError,
     ExponentialDecayLST,
     GammaMixture,
     GammaMixtureLST,
+    m2_lattice,
     RenewalRatioLST,
     ScaledLST,
     SingularityError,
     SumLST,
     survival_to_density_oracle,
     SurvivalLST,
+    TransformOracle,
 )
+from renewinv.inversion import covering_index
 from renewinv.ruin import renewal_data_from_model, RiskModel
+
+
+def ratio_reference(v_oracle, f_oracle, phi, t, k_max):
+    """Renewal-ratio weights by the O(K^2) recursion with fsum inner sums, the reference."""
+    fw = f_oracle.weights(t, k_max)
+    vw = v_oracle.weights(t, k_max)
+    denom = 1.0 - phi * fw[0]
+    out = np.empty(k_max + 1)
+    out[0] = vw[0] / denom
+    for k in range(1, k_max + 1):
+        inner = math.fsum((out[:k] * fw[k:0:-1]).tolist())
+        out[k] = (vw[k] + phi * inner) / denom
+    return out
+
+
+class ReferenceNonruinLST(TransformOracle):
+    """1 - m for the ruin function m, with ``ratio_reference`` as its kernel."""
+
+    def __init__(self, model):
+        self.data = renewal_data_from_model(model)
+
+    def weights(self, t, k_max):
+        data = self.data
+        return 1.0 / t - ratio_reference(data.v_oracle, data.f_oracle, data.phi, t, k_max)
+
+
+@st.composite
+def admissible_mixtures(draw):
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    total = math.fsum(raw)
+    return GammaMixture(tuple(
+        Component(w / total, draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0))) for w in raw
+    ))
 
 
 class TestGammaMixture:
@@ -226,3 +264,46 @@ class TestRenewalRatio:
         ratio = RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9)
         w = ratio.weights(5.0, 200)
         assert np.all(w >= 0.0)
+
+
+class TestRenewalRatioAgainstReference:
+    @pytest.mark.parametrize("k_max", [0, 1, 511, 512, 513, 1599])
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("t", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_table_models(self, all_table_mixtures, name, t, phi, k_max):
+        # k_max = 511, 512, 513 straddle the switch from direct to FFT products
+        data = renewal_data_from_model(RiskModel(all_table_mixtures[name], phi))
+        got = RenewalRatioLST(data.v_oracle, data.f_oracle, phi).weights(t, k_max)
+        want = ratio_reference(data.v_oracle, data.f_oracle, phi, t, k_max)
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want))) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mix=admissible_mixtures(),
+        phi=st.floats(0.05, 0.99),
+        t=st.floats(1.0, 50.0),
+        k_max=st.integers(0, 1200),
+    )
+    def test_random_admissible_mixtures(self, mix, phi, t, k_max):
+        # the division amplifies rounding by up to 1/(1 - phi), the sum of
+        # the reciprocal series' coefficients
+        data = renewal_data_from_model(RiskModel(mix, phi))
+        got = RenewalRatioLST(data.v_oracle, data.f_oracle, phi).weights(t, k_max)
+        want = ratio_reference(data.v_oracle, data.f_oracle, phi, t, k_max)
+        scale = float(np.max(np.abs(want))) / (1.0 - phi)
+        assert float(np.max(np.abs(got - want))) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("t", [10.0, 20.0])
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_reference_renewal_oracle_matches_pipeline(self, all_table_mixtures, name, t, phi):
+        # M2 over 1 - m with the fsum kernel against the compound route, so
+        # the two sides share no convolution kernel
+        model = RiskModel(all_table_mixtures[name], phi)
+        K = covering_index(t, 40.0)
+        got = m2_lattice(ReferenceNonruinLST(model), t, K, 1.0 - model.phi).values
+        want = approximate_nonruin(model, t, 40.0).lattice.values
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want))) <= 1e-10

@@ -30,6 +30,8 @@ from .transforms import GammaMixture
 
 _TAIL_RTOL = 1e-15
 _GRID_POINTS = 4096
+_REFINE_POINTS = 65
+_REFINE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,34 +109,38 @@ def _require_admissible(mixture: GammaMixture) -> None:
         )
 
 
-def _golden_max(fn, a: float, b: float, iters: int = 60) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = abs(fn(c)), abs(fn(d))
-    best = max(fc, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = abs(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = abs(fn(d))
-        best = max(best, fc, fd)
-    return best
+def _refine_max(fn, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest |fn| over the brackets [lo_i, hi_i], all refined together.
+
+    Each round evaluates ``_REFINE_POINTS`` evenly spaced points of every
+    bracket in one array call of ``fn``, then shrinks each bracket to the
+    two cells around its best point, until the brackets are
+    ``_REFINE_RTOL`` of their starting width: 7 calls with the defaults.
+    """
+    steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
+    rows = np.arange(lo.size)
+    best = 0.0
+    width = 1.0
+    while True:
+        pts = lo[:, None] + (hi - lo)[:, None] * steps
+        vals = np.abs(fn(pts.ravel())).reshape(pts.shape)
+        best = max(best, float(vals.max()))
+        if width <= _REFINE_RTOL:
+            return best
+        j = np.clip(vals.argmax(axis=1), 1, _REFINE_POINTS - 2)
+        lo, hi = pts[rows, j - 1], pts[rows, j + 1]
+        width *= 2.0 / (_REFINE_POINTS - 1)
 
 
 def _sup_norm(fn, decay_start: float) -> float:
     """Sup of |fn| on [0, inf) for functions with gamma-type decaying tails.
 
-    ``fn`` takes a float or an array of points.  Each pass is one array
-    evaluation on a 4096-point grid over [0, u_hi]; u_hi starts at twice
-    the analytic decay threshold and doubles until the endpoint value is
-    negligible against the running maximum, or u_hi passes 1e9.
-    Golden-section search, one point at a time, then refines the brackets
-    of the four largest interior local maxima and the first grid cell.
+    ``fn`` takes an array of points.  Each pass is one array evaluation on
+    a 4096-point grid over [0, u_hi]; u_hi starts at twice the analytic
+    decay threshold and doubles until the endpoint value is negligible
+    against the running maximum, or u_hi passes 1e9.  One batched
+    refinement (``_refine_max``) then searches the brackets of the four
+    largest interior local maxima and the first grid cell together.
     """
     u_hi = max(2.0 * decay_start, 4.0)
     while True:
@@ -146,12 +152,10 @@ def _sup_norm(fn, decay_start: float) -> float:
         u_hi *= 2.0
     mid = vals[1:-1]
     interior = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:])) + 1
-    interior = interior[np.argsort(-vals[interior], kind="stable")]
-    best = peak
-    for i in interior[:4]:
-        best = max(best, _golden_max(fn, grid[i - 1], grid[i + 1]))
-    best = max(best, _golden_max(fn, grid[0], grid[1]))
-    return best
+    top = interior[np.argsort(-vals[interior], kind="stable")][:4]
+    lo = np.append(grid[top - 1], grid[0])
+    hi = np.append(grid[top + 1], grid[1])
+    return max(peak, _refine_max(fn, lo, hi))
 
 
 def _u2_cdf_deriv2(mixture: GammaMixture, u):

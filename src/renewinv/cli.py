@@ -79,10 +79,6 @@ def _load_mixture(path: str) -> GammaMixture:
             p, alpha, beta = float(entry["p"]), float(entry["alpha"]), float(entry["beta"])
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"component {entry!r} needs numeric fields p, alpha, beta") from exc
-        if not alpha > 0 or not beta > 0:
-            raise _UsageError(f"component {entry!r} has non-positive alpha or beta")
-        if not p > 0:
-            raise _UsageError(f"component {entry!r} has non-positive weight")
         parsed.append((p, alpha, beta))
     total = math.fsum(p for p, _, _ in parsed)
     if abs(total - 1.0) > 1e-9:

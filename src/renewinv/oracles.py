@@ -7,7 +7,6 @@ closed-form routes used by the test suite to cross-check it.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from typing import Callable
 
@@ -18,19 +17,21 @@ from .inversion import lattice_index
 
 
 def convolution_renewal_solve(
-    f: Callable[[float], float],
-    v: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
+    v: Callable[[np.ndarray], np.ndarray],
     phi: float,
     u_max: float,
     h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve m(u) = phi * int_0^u m(u-y) f(y) dy + v(u) by trapezoidal stepping.
 
-    Returns (grid, values) on the uniform grid of step h.  Local accuracy is
-    O(h^2); this is a cross-check oracle, not a production solver.  Each new
-    step size is calibrated once against the exponential closed form (the
-    result is memoized per h), and every call whose step disagrees by more
-    than 1e-4 emits a warning.
+    ``f`` and ``v`` are each called once, on the array of grid points, and
+    return an array of values or one constant.  Returns (grid, values) on
+    the uniform grid of step h.  Local accuracy is O(h^2); this is a
+    cross-check oracle, not a production solver.  Each new step size is
+    calibrated once against the exponential closed form (the result is
+    memoized per h), and every call whose step disagrees by more than 1e-4
+    emits a warning.
     """
     if not 0 <= phi < 1:
         raise DomainError(f"defect phi must be in [0, 1), got {phi}")
@@ -43,8 +44,8 @@ def convolution_renewal_solve(
 def _volterra_grid(f, v, phi, u_max, h):
     n = int(round(u_max / h))
     grid = np.arange(n + 1) * h
-    fv = np.array([f(float(x)) for x in grid])
-    vv = np.array([v(float(x)) for x in grid])
+    fv = np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
+    vv = np.broadcast_to(np.asarray(v(grid), dtype=float), grid.shape)
     m = np.empty(n + 1)
     m[0] = vv[0]
     lead = 1.0 - phi * h * fv[0] / 2.0
@@ -58,7 +59,7 @@ def _volterra_grid(f, v, phi, u_max, h):
 def _calibration_error(h: float) -> float:
     """Sup error of the step-h solve against the exponential closed form on [0, 5]."""
     phi = 0.9
-    grid, m = _volterra_grid(lambda y: math.exp(-y), lambda u: phi * math.exp(-u), phi, 5.0, h)
+    grid, m = _volterra_grid(lambda y: np.exp(-y), lambda u: phi * np.exp(-u), phi, 5.0, h)
     exact = phi * np.exp(-(1.0 - phi) * grid)
     return float(np.max(np.abs(m - exact)))
 

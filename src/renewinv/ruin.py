@@ -81,16 +81,17 @@ class RenewalIngredients:
     """Defective-renewal data (f, v, phi) carried by a risk model.
 
     ``f`` is the equilibrium density of the claim law, ``v`` is phi times
-    the equilibrium survival; the ruin probability solves
-    m(u) = phi * int_0^u m(u-y) f(y) dy + v(u).  Oracles expose the
-    transforms for the ratio recursion and the inversion operators.
+    the equilibrium survival, both at a float or an array of points; the
+    ruin probability solves m(u) = phi * int_0^u m(u-y) f(y) dy + v(u).
+    Oracles expose the transforms for the ratio recursion and the
+    inversion operators.
     """
 
     phi: float
     f_oracle: TransformOracle
     v_oracle: TransformOracle
-    f: Callable[[float], float]
-    v: Callable[[float], float]
+    f: Callable
+    v: Callable
 
 
 def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:

@@ -38,6 +38,11 @@ def _require_not_nan(u) -> None:
         raise DomainError("claim-law point u must not be NaN")
 
 
+def _shaped_like(u: np.ndarray, values):
+    # A 0-d point array gives a float back; any other shape gives an array.
+    return float(values) if u.ndim == 0 else values
+
+
 class TransformOracle(abc.ABC):
     """Supplies the normalized derivative weights of a transform at t > gamma_abscissa.
 
@@ -78,9 +83,9 @@ class Component(NamedTuple):
 class GammaMixture:
     """Claim-amount model: finite mixture of gamma distributions.
 
-    Weights must sum to one (tolerance 1e-9); shapes and rates must be
-    positive.  Moments and transform derivatives are available in closed
-    form, which keeps the downstream error bounds exact.
+    Weights must sum to one (tolerance 1e-9); weights, shapes and rates
+    must be positive and finite.  Moments and transform derivatives are
+    available in closed form, which keeps the downstream error bounds exact.
     """
 
     components: tuple[Component, ...]
@@ -91,10 +96,12 @@ class GammaMixture:
         if not comps:
             raise DomainError("mixture needs at least one component")
         for p, alpha, beta in comps:
-            if not p > 0:
-                raise DomainError(f"mixture weight must be positive, got {p}")
-            if not alpha > 0 or not beta > 0:
-                raise DomainError(f"gamma parameters must be positive, got alpha={alpha}, beta={beta}")
+            if not 0 < p < math.inf:
+                raise DomainError(f"mixture weight must be positive and finite, got {p}")
+            if not (0 < alpha < math.inf and 0 < beta < math.inf):
+                raise DomainError(
+                    f"gamma parameters must be positive and finite, got alpha={alpha}, beta={beta}"
+                )
         total = math.fsum(p for p, _, _ in comps)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"mixture weights sum to {total}, expected 1")
@@ -123,30 +130,20 @@ class GammaMixture:
             total += p * rising / beta**n
         return total
 
-    def cdf(self, u: float) -> float:
-        """P(X <= u); 1 at u = inf."""
-        if u <= 0:
-            return 0.0
-        return math.fsum(
-            p * reg_inc_gamma_lower(alpha, beta * u) for p, alpha, beta in self.components
-        )
+    def cdf(self, u):
+        """P(X <= u) at a float or an array of points; 1 at u = inf."""
+        return self._incomplete_gamma_sum(reg_inc_gamma_lower, u, 0.0)
 
     def survival(self, u):
-        """P(X > u) at a float or an array of points; 0 at u = inf.
+        """P(X > u) at a float or an array of points; 0 at u = inf."""
+        return self._incomplete_gamma_sum(reg_inc_gamma_upper, u, 1.0)
 
-        An array runs the incomplete gamma elementwise, where NaN raises.
-        """
-        if np.ndim(u):
-            u = np.asarray(u, dtype=float)
-            total = np.zeros(u.shape)
-            for p, alpha, beta in self.components:
-                total += p * reg_inc_gamma_upper(alpha, beta * np.maximum(u, 0.0))
-            return np.where(u <= 0, 1.0, total)
-        if u <= 0:
-            return 1.0
-        return math.fsum(
-            p * reg_inc_gamma_upper(alpha, beta * u) for p, alpha, beta in self.components
-        )
+    def _incomplete_gamma_sum(self, fn, u, at_or_below_zero):
+        # sum_i p_i fn(alpha_i, beta_i u); fn raises on NaN
+        u = np.asarray(u, dtype=float)
+        x = np.maximum(u, 0.0)
+        total = sum(p * fn(alpha, beta * x) for p, alpha, beta in self.components)
+        return _shaped_like(u, np.where(u <= 0, at_or_below_zero, total))
 
     def density(self, u):
         """Density at a float or an array of points; 0 at u = inf.
@@ -155,52 +152,34 @@ class GammaMixture:
         component 0; alpha < 1 diverges there but is never needed (bounds
         require alpha >= 1) and contributes 0.
         """
-        if np.ndim(u):
-            u = np.asarray(u, dtype=float)
-            _require_not_nan(u)
-            inside = (u > 0.0) & (u < math.inf)
-            x = np.where(inside, u, 1.0)
-            total = np.zeros(u.shape)
-            for p, alpha, beta in self.components:
-                inner = p * beta * np.exp(
-                    -beta * x + (alpha - 1.0) * np.log(beta * x) - math.lgamma(alpha)
-                )
-                at_zero = p * beta if alpha == 1.0 else 0.0
-                total += np.where(inside, inner, np.where(u == 0.0, at_zero, 0.0))
-            return total
+        u = np.asarray(u, dtype=float)
         _require_not_nan(u)
-        if u < 0 or u == math.inf:
-            return 0.0
-        total = 0.0
-        for p, alpha, beta in self.components:
-            if u == 0.0:
-                if alpha == 1.0:
-                    total += p * beta
-                continue
-            total += p * beta * math.exp(
-                -beta * u + (alpha - 1.0) * math.log(beta * u) - math.lgamma(alpha)
-            )
-        return total
+        inside = (u > 0.0) & (u < math.inf)
+        x = np.where(inside, u, 1.0)
+        inner = sum(
+            p * beta * np.exp(-beta * x + (alpha - 1.0) * np.log(beta * x) - math.lgamma(alpha))
+            for p, alpha, beta in self.components
+        )
+        at_zero = sum(p * beta for p, alpha, beta in self.components if alpha == 1.0)
+        return _shaped_like(u, np.where(inside, inner, np.where(u == 0.0, at_zero, 0.0)))
 
-    def equilibrium_cdf(self, u: float) -> float:
+    def equilibrium_cdf(self, u):
         """CDF of the equilibrium distribution, (1/mean) * int_0^u survival.
 
-        Uses int_0^z (1 - F_a(x)) dx = z (1 - F_a(z)) + a P(a+1, z) per
-        component.
+        At a float or an array of points.  Uses
+        int_0^z (1 - F_a(x)) dx = z (1 - F_a(z)) + a P(a+1, z) per component.
         """
+        u = np.asarray(u, dtype=float)
         _require_not_nan(u)
-        if u <= 0:
-            return 0.0
-        if u == math.inf:
-            return 1.0
+        x = np.where(u < math.inf, np.maximum(u, 0.0), 0.0)
         total = 0.0
         for p, alpha, beta in self.components:
-            z = beta * u
+            z = beta * x
             partial = z * reg_inc_gamma_upper(alpha, z) + alpha * reg_inc_gamma_lower(alpha + 1.0, z)
-            total += p * partial / beta
-        return min(1.0, total / self.mean)
+            total = total + p * partial / beta
+        return _shaped_like(u, np.where(u == math.inf, 1.0, np.minimum(1.0, total / self.mean)))
 
-    def equilibrium_density(self, u: float) -> float:
+    def equilibrium_density(self, u):
         return self.survival(u) / self.mean
 
 
@@ -314,7 +293,8 @@ class SurvivalLST(TransformOracle):
 
     The weights are (1 - partial sums)/t, the scaled tail masses of the
     inner discretization; tiny negative values from cancellation are
-    clamped to zero.
+    clamped to zero.  The rounding error of the partial sums stays as an
+    absolute floor, so tails below ~1e-14 are noise (see RenewalRatioLST).
     """
 
     def __init__(self, inner: TransformOracle):
@@ -376,11 +356,15 @@ class RenewalRatioLST(TransformOracle):
     binomial coefficients appear.  Read as power series in z, it is the
     division W(m) = W(v) / (1 - phi W(f)), which the weights take in
     O(K log K): a Newton reciprocal of the denominator (Brent & Kung,
-    J. ACM 25, 1978), then one product.  The error is absolute, not relative
-    per weight: about 1e-16 / (1 - phi) of the largest weight for a density
+    J. ACM 25, 1978), then one product.  The division adds an absolute
+    error of about 1e-16 / (1 - phi) of the largest weight for a density
     f, whose reciprocal series has coefficients summing to up to
-    1 / (1 - phi).  The tests check it against ``ratio_reference``, the
+    1 / (1 - phi); the tests check it against ``ratio_reference``, the
     O(K^2) recursion above with exact (fsum) inner sums.
+
+    For ruin the SurvivalLST tail sums in v and f set a larger absolute
+    floor, so ruin weights below ~1e-14 are noise: 7.2e-15 is the error
+    against the exact exponential-claims weights at phi = 0.9, t = 10.
     """
 
     def __init__(self, v_oracle: TransformOracle, f_oracle: TransformOracle, phi: float):

@@ -144,6 +144,36 @@ class TestRuin:
         assert code == 2
 
 
+SPEC_COMMANDS = {
+    "ruin": ["--phi", "0.9", "--t", "5", "--u-max", "10"],
+    "bound": ["--phi", "0.9", "--t", "5"],
+    "convergence": ["--phi", "0.9", "--t-list", "5,10", "--u-max", "10"],
+}
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [(1.0, 1.0, math.inf)],
+            [(1.0, math.inf, 1.0)],
+            [(1.0, 1.5, math.nan)],
+            [(0.5, 1.0, 1.0), (0.5, 2.0, math.inf)],
+            [(math.inf, 1.0, 1.0)],
+            [(1.0, -1.0, 1.0)],
+            [(1.5, 1.0, 1.0), (-0.5, 2.0, 1.0)],
+        ],
+    )
+    def test_bad_claim_parameters_exit_2(self, write_spec, capsys, command, components):
+        # JSON Infinity and NaN parse to floats; the mixture refuses them
+        spec = write_spec(components)
+        code, out, err = run([command, "--spec", spec, *SPEC_COMMANDS[command]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestInvert:
     def test_m2_test_function(self, capsys):
         code, out, _ = run(

@@ -24,22 +24,22 @@ class TestVolterraSolver:
         assert float(np.max(np.abs(m - exact))) < 1e-6
 
     def test_zero_defect_returns_forcing_term(self):
-        grid, m = convolution_renewal_solve(math.exp, lambda u: math.cos(u), 0.0, 2.0, 1e-2)
+        grid, m = convolution_renewal_solve(np.exp, np.cos, 0.0, 2.0, 1e-2)
         assert np.allclose(m, np.cos(grid), atol=1e-12)
 
     def test_zero_forcing_returns_zero(self):
-        grid, m = convolution_renewal_solve(lambda y: math.exp(-y), lambda u: 0.0, 0.7, 3.0, 1e-2)
+        grid, m = convolution_renewal_solve(lambda y: np.exp(-y), lambda u: 0.0, 0.7, 3.0, 1e-2)
         assert np.all(m == 0.0)
 
     def test_coarse_step_warns(self):
         with pytest.warns(UserWarning, match="too coarse"):
-            convolution_renewal_solve(lambda y: math.exp(-y), lambda u: 0.5, 0.5, 2.0, 0.5)
+            convolution_renewal_solve(lambda y: np.exp(-y), lambda u: 0.5, 0.5, 2.0, 0.5)
 
     def test_coarse_step_warns_on_every_call(self):
         # the calibration error is memoized per step; the warning is not
         for _ in range(3):
             with pytest.warns(UserWarning, match="too coarse"):
-                convolution_renewal_solve(lambda y: math.exp(-y), lambda u: 0.5, 0.5, 2.0, 0.25)
+                convolution_renewal_solve(lambda y: np.exp(-y), lambda u: 0.5, 0.5, 2.0, 0.25)
 
     def test_gamma32_pipeline_envelope(self, gamma32_mixture):
         # sanity envelope: the integral-equation solution and the

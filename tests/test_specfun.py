@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
 from renewinv import (
     DomainError,
     negbin_logpmf,
@@ -82,6 +83,9 @@ class TestRegIncGamma:
             reg_inc_gamma_lower(1.0, -1.0)
         with pytest.raises(DomainError):
             reg_inc_gamma_upper(-2.0, 1.0)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                reg_inc_gamma_lower(alpha, 1.0)
 
     def test_limit_at_infinity(self):
         assert reg_inc_gamma_lower(1.5, math.inf) == 1.0
@@ -110,15 +114,26 @@ def array_points(alpha):
     ])
 
 
+# the scalar loop reference of each package function
+SCALAR_REFERENCE = {
+    reg_inc_gamma_lower: scalar_reference.reg_inc_gamma_lower,
+    reg_inc_gamma_upper: scalar_reference.reg_inc_gamma_upper,
+}
+
+
 class TestRegIncGammaArray:
-    """The array path runs the scalar recurrences elementwise."""
+    """The elementwise kernel matches the scalar loop reference, float calls included."""
 
     @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
     @pytest.mark.parametrize("alpha", ARRAY_ALPHAS)
     def test_matches_scalar_path(self, fn, alpha):
         x = array_points(alpha)
-        scalar = np.array([fn(alpha, float(v)) for v in x])
+        scalar = np.array([SCALAR_REFERENCE[fn](alpha, v) for v in x])
         np.testing.assert_allclose(fn(alpha, x), scalar, rtol=1e-14, atol=0.0)
+        # a float is a one-element array of the same kernel and comes back a float
+        floats = [fn(alpha, v) for v in [*x.tolist(), math.inf]]
+        assert all(type(value) is float for value in floats)
+        np.testing.assert_array_equal(floats[:-1], fn(alpha, x))
 
     @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
     def test_shape_is_kept(self, fn):
@@ -139,7 +154,7 @@ class TestRegIncGammaArray:
     def test_matches_scalar_path_random(self, alpha, xs):
         x = np.array(xs)
         for fn in (reg_inc_gamma_lower, reg_inc_gamma_upper):
-            scalar = np.array([fn(alpha, v) for v in xs])
+            scalar = np.array([SCALAR_REFERENCE[fn](alpha, v) for v in xs])
             np.testing.assert_allclose(fn(alpha, x), scalar, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.7, 10.0])
@@ -150,6 +165,28 @@ class TestRegIncGammaArray:
                                    rtol=1e-13)
         np.testing.assert_allclose(reg_inc_gamma_upper(alpha, x), special.gammaincc(alpha, x),
                                    rtol=1e-13)
+
+
+class TestRegIncGammaConvergence:
+    """A recurrence that runs out of terms raises; it never answers silently."""
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("x", [1e5, np.array([1.0, 1e5, 2e5])])
+    def test_unconverged_raises(self, fn, x):
+        # the series at x = alpha = 1e5 needs about 2,700 terms, the limit is 600
+        with pytest.raises(DomainError, match="did not converge"):
+            fn(1e5, x)
+
+    @pytest.mark.parametrize("alpha", [0.5, 10.0, 100.0, 1e3])
+    def test_large_shapes_against_scipy(self, alpha):
+        # the log prefactor -x + alpha log x - lgamma(alpha) cancels terms of
+        # size ~7 alpha, so the absolute error grows with alpha: 3.9e-13 at 1e3
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0.5 * alpha, 2.0 * alpha + 2.0, 301)
+        np.testing.assert_allclose(reg_inc_gamma_lower(alpha, x), special.gammainc(alpha, x),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(reg_inc_gamma_upper(alpha, x), special.gammaincc(alpha, x),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestNegbinCdf:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
 from renewinv import (
     approximate_nonruin,
     Component,
@@ -69,6 +70,13 @@ class TestGammaMixture:
         with pytest.raises(DomainError):
             GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5 + 1e-6, 1.0, 2.0)))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["p", "alpha", "beta"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        comp = Component(1.0, 1.5, 2.0)._replace(**{field: bad})
+        with pytest.raises(DomainError, match="finite"):
+            GammaMixture((comp,))
+
     def test_moments_gamma_2_1(self):
         mix = GammaMixture((Component(1.0, 2.0, 1.0),))
         assert mix.mean == pytest.approx(2.0, rel=1e-15)
@@ -94,28 +102,34 @@ class TestGammaMixture:
 
 
 SKEWED_MIXTURE = GammaMixture((Component(0.3, 2.5, 0.7), Component(0.7, 1.0, 1.9)))
-ARRAY_FUNCTIONS = ["survival", "density"]
+ARRAY_FUNCTIONS = ["cdf", "survival", "density", "equilibrium_cdf"]
 
 
 class TestGammaMixtureArrays:
-    """Array points run the scalar formulas elementwise; limits and NaN alike."""
+    """One body per function matches the scalar loop reference; limits and NaN alike."""
 
     @pytest.mark.parametrize("name", ARRAY_FUNCTIONS)
     def test_matches_scalar_path(self, all_table_mixtures, name):
         u = np.concatenate([[-1.0, 0.0, 1e-12], np.linspace(0.01, 60.0, 300)])
+        reference = getattr(scalar_reference, name)
         for mix in [*all_table_mixtures.values(), SKEWED_MIXTURE]:
             fn = getattr(mix, name)
-            scalar = np.array([fn(float(v)) for v in u])
+            scalar = np.array([reference(mix, float(v)) for v in u])
             np.testing.assert_allclose(fn(u), scalar, rtol=1e-14, atol=0.0)
+            # a float is a one-element array of the same body and comes back a float
+            floats = [fn(float(v)) for v in u]
+            assert all(type(value) is float for value in floats)
+            np.testing.assert_array_equal(floats, fn(u))
 
-    @pytest.mark.parametrize("name,limit", [("cdf", 1.0), ("survival", 0.0), ("density", 0.0)])
+    @pytest.mark.parametrize(
+        "name,limit",
+        [("cdf", 1.0), ("survival", 0.0), ("density", 0.0), ("equilibrium_cdf", 1.0)],
+    )
     def test_limit_at_infinity(self, all_table_mixtures, name, limit):
         for mix in all_table_mixtures.values():
             fn = getattr(mix, name)
             assert fn(math.inf) == limit
-            if name in ARRAY_FUNCTIONS:
-                assert np.array_equal(fn(np.array([math.inf, math.inf])), [limit, limit])
-        assert all_table_mixtures["mixture"].equilibrium_cdf(math.inf) == 1.0
+            assert np.array_equal(fn(np.array([math.inf, math.inf])), [limit, limit])
 
     @pytest.mark.parametrize(
         "name", ["cdf", "survival", "density", "equilibrium_cdf", "equilibrium_density"]
@@ -250,6 +264,17 @@ class TestRenewalRatio:
         for k in range(61):
             expected = 0.9 * t**k / (t + 0.1) ** (k + 1)
             assert w[k] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("t", [10.0, 20.0])
+    def test_exponential_absolute_error_floor(self, exp_mixture, t, phi):
+        # the error is absolute, set by the tail sums of SurvivalLST, so
+        # weights below ~1e-14 are noise; over k <= 1599 it measured 1.5e-15
+        # and 2.5e-15 at phi = 0.5, 7.2e-15 and 1.3e-14 at phi = 0.9 (t = 10, 20)
+        data = renewal_data_from_model(RiskModel(exp_mixture, phi))
+        w = RenewalRatioLST(data.v_oracle, data.f_oracle, phi).weights(t, 1599)
+        exact = phi * (t / (t + 1.0 - phi)) ** np.arange(1600) / (t + 1.0 - phi)
+        assert float(np.max(np.abs(w - exact))) <= 3e-14
 
     def test_singularity_error(self):
         # a non-probability "density" with transform 2/(t+1) hits

@@ -109,83 +109,111 @@ def _require_admissible(mixture: GammaMixture) -> None:
         )
 
 
-def _refine_max(fn, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Largest |fn| over the brackets [lo_i, hi_i], all refined together.
+def _sup_norms(law, rows, starts) -> list[float]:
+    """Sup of |row| on [0, inf) for every row, all searched in lockstep.
 
-    Each round evaluates ``_REFINE_POINTS`` evenly spaced points of every
-    bracket in one array call of ``fn``, then shrinks each bracket to the
-    two cells around its best point, until the brackets are
-    ``_REFINE_RTOL`` of their starting width: 7 calls with the defaults.
+    Each row is a function ``row(u, *law(u))`` of an array of points and
+    the claim-law values there, with a gamma-type decaying tail that sets
+    in near its ``starts`` entry.  A row's grid has 4096 points over
+    [0, u_hi]; u_hi starts at twice its start and doubles until the
+    endpoint value is negligible against the grid maximum, or u_hi passes
+    1e9.  Then the brackets of the row's four largest interior local
+    maxima and its first grid cell are refined: each round evaluates
+    ``_REFINE_POINTS`` evenly spaced points of every bracket and shrinks
+    each bracket to the two cells around its best point, until the
+    brackets are ``_REFINE_RTOL`` of their starting width (7 rounds with
+    the defaults).
+
+    Every row keeps its own grids, stopping rule and brackets, so its norm
+    is the one a search of that row alone finds.  What the rows share is
+    ``law``: it runs once per grid pass, over the distinct grids of the
+    rows still doubling, and once per refinement round, over the brackets
+    of every row.
     """
+    u_hi = [max(2.0 * start, 4.0) for start in starts]
+    grids: list = [None] * len(rows)
+    vals: list = [None] * len(rows)
+    doubling = list(range(len(rows)))
+    while doubling:
+        ends = sorted({u_hi[i] for i in doubling})
+        pts = np.concatenate([np.linspace(0.0, end, _GRID_POINTS) for end in ends])
+        at = law(pts)
+        still = []
+        for i in doubling:
+            k = ends.index(u_hi[i]) * _GRID_POINTS
+            cut = slice(k, k + _GRID_POINTS)
+            grids[i] = pts[cut]
+            vals[i] = np.abs(rows[i](pts[cut], *(a[cut] for a in at)))
+            if vals[i][-1] > _TAIL_RTOL * max(float(vals[i].max()), 1e-300) and u_hi[i] <= 1e9:
+                u_hi[i] *= 2.0
+                still.append(i)
+        doubling = still
+
+    best = [float(v.max()) for v in vals]
+    lo, hi, owned = [], [], []
+    for grid, v in zip(grids, vals):
+        mid = v[1:-1]
+        interior = np.flatnonzero((mid >= v[:-2]) & (mid >= v[2:])) + 1
+        top = interior[np.argsort(-v[interior], kind="stable")][:4]
+        k = sum(a.size for a in lo)
+        owned.append(slice(k, k + top.size + 1))
+        lo.append(np.append(grid[top - 1], grid[0]))
+        hi.append(np.append(grid[top + 1], grid[1]))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+
     steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
-    rows = np.arange(lo.size)
-    best = 0.0
+    brackets = np.arange(lo.size)
     width = 1.0
     while True:
         pts = lo[:, None] + (hi - lo)[:, None] * steps
-        vals = np.abs(fn(pts.ravel())).reshape(pts.shape)
-        best = max(best, float(vals.max()))
+        at = [a.reshape(pts.shape) for a in law(pts.ravel())]
+        vals = np.empty(pts.shape)
+        for i, cut in enumerate(owned):
+            vals[cut] = np.abs(rows[i](pts[cut], *(a[cut] for a in at)))
+            best[i] = max(best[i], float(vals[cut].max()))
         if width <= _REFINE_RTOL:
             return best
         j = np.clip(vals.argmax(axis=1), 1, _REFINE_POINTS - 2)
-        lo, hi = pts[rows, j - 1], pts[rows, j + 1]
+        lo, hi = pts[brackets, j - 1], pts[brackets, j + 1]
         width *= 2.0 / (_REFINE_POINTS - 1)
 
 
-def _sup_norm(fn, decay_start: float) -> float:
-    """Sup of |fn| on [0, inf) for functions with gamma-type decaying tails.
+def _gamma_kernel(alpha: float, power: float, x):
+    """x**power * e^(-x) / Gamma(alpha), formed in log space; 0**0 is 1.
 
-    ``fn`` takes an array of points.  Each pass is one array evaluation on
-    a 4096-point grid over [0, u_hi]; u_hi starts at twice the analytic
-    decay threshold and doubles until the endpoint value is negligible
-    against the running maximum, or u_hi passes 1e9.  One batched
-    refinement (``_refine_max``) then searches the brackets of the four
-    largest interior local maxima and the first grid cell together.
+    Large shapes stay finite where x**power and Gamma(alpha) alone overflow.
     """
-    u_hi = max(2.0 * decay_start, 4.0)
-    while True:
-        grid = np.linspace(0.0, u_hi, _GRID_POINTS)
-        vals = np.abs(fn(grid))
-        peak = float(vals.max())
-        if vals[-1] <= _TAIL_RTOL * max(peak, 1e-300) or u_hi > 1e9:
-            break
-        u_hi *= 2.0
-    mid = vals[1:-1]
-    interior = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:])) + 1
-    top = interior[np.argsort(-vals[interior], kind="stable")][:4]
-    lo = np.append(grid[top - 1], grid[0])
-    hi = np.append(grid[top + 1], grid[1])
-    return max(peak, _refine_max(fn, lo, hi))
+    if power == 0.0:
+        return np.exp(-x - math.lgamma(alpha))
+    with np.errstate(divide="ignore"):
+        return np.exp(power * np.log(x) - x - math.lgamma(alpha))
 
 
 def _u2_cdf_deriv2(mixture: GammaMixture, u):
     """u^2 * F_X''(u) for a gamma mixture at a float or an array of points.
 
-    Assembled so u = 0 is exact.
+    Per component, x^alpha e^(-x) / Gamma(alpha) * (alpha - 1 - x) at
+    x = beta u; exact at u = 0.
     """
     total = 0.0
     for p, alpha, beta in mixture.components:
         x = beta * u
-        coeff = math.exp(alpha * math.log(beta) - math.lgamma(alpha))
-        total += p * coeff * u**alpha * np.exp(-x) * (alpha - 1.0 - x)
+        total += p * _gamma_kernel(alpha, alpha, x) * (alpha - 1.0 - x)
     return total
 
 
 def _u2_cdf_deriv3(mixture: GammaMixture, u):
     """u^2 * F_X'''(u) for a gamma mixture at a float or an array of points.
 
-    Exponents stay nonnegative for alpha >= 1.
+    Per component, beta x^(alpha-1) e^(-x) / Gamma(alpha) times
+    (alpha-1)(alpha-2) - 2(alpha-1) x + x^2 at x = beta u; the power is
+    nonnegative for alpha >= 1.
     """
     total = 0.0
     for p, alpha, beta in mixture.components:
         x = beta * u
-        g = np.exp(-x - math.lgamma(alpha))
-        poly = (
-            (alpha - 1.0) * (alpha - 2.0) * beta**alpha * u ** (alpha - 1.0)
-            - 2.0 * (alpha - 1.0) * beta ** (alpha + 1.0) * u**alpha
-            + beta ** (alpha + 2.0) * u ** (alpha + 1.0)
-        )
-        total += p * g * poly
+        poly = (alpha - 1.0) * (alpha - 2.0) - 2.0 * (alpha - 1.0) * x + x * x
+        total += p * beta * _gamma_kernel(alpha, alpha - 1.0, x) * poly
     return total
 
 
@@ -197,33 +225,41 @@ def ruin_w_functions(model: RiskModel) -> NormLedger:
     """Complete norm ledger for a risk model's renewal ingredients.
 
     For ruin, w1(u) = -phi (1-phi) survival(u) / mean and
-    w2(u) = (phi/mean) w1(u) + phi (1-phi) density(u) / mean; their weighted
-    sup norms are found by grid search with a gamma-tail cutoff.  The norm
-    of u^2 w2'' uses the triangle bound through ||u^2 w1''|| and
-    ||u^2 F_X'''||.
+    w2(u) = (phi/mean) w1(u) + phi (1-phi) density(u) / mean.  Their
+    weighted sup norms and those of u^2 w1'' and u^2 F_X''' come from one
+    lockstep grid search with gamma-tail cutoffs, which evaluates the
+    claim law once per round for all eight.  The norm of u^2 w2'' uses the
+    triangle bound through ||u^2 w1''|| and ||u^2 F_X'''||.
     """
     mix, phi = model.claims, model.phi
     _require_admissible(mix)
     mu = mix.mean
     c1 = phi * (1.0 - phi) / mu
 
+    def law(u):
+        return mix.survival(u), mix.density(u)
+
     def w1_weighted(j):
-        return lambda u: c1 * u**j * mix.survival(u)
+        return lambda u, surv, dens: c1 * u**j * surv
 
     def w2_weighted(j):
-        return lambda u: u**j * c1 * (mix.density(u) - (phi / mu) * mix.survival(u))
+        return lambda u, surv, dens: u**j * c1 * (dens - (phi / mu) * surv)
 
-    w1n = [_sup_norm(w1_weighted(j), _decay_start(mix, j)) for j in range(3)]
-    w2n = [_sup_norm(w2_weighted(j), _decay_start(mix, j)) for j in range(3)]
-    u2w1pp = _sup_norm(lambda u: c1 * _u2_cdf_deriv2(mix, u), _decay_start(mix, 2))
-    u2_d3 = _sup_norm(lambda u: _u2_cdf_deriv3(mix, u), _decay_start(mix, 2))
+    rows = [
+        *(w1_weighted(j) for j in range(3)),
+        *(w2_weighted(j) for j in range(3)),
+        lambda u, surv, dens: c1 * _u2_cdf_deriv2(mix, u),
+        lambda u, surv, dens: _u2_cdf_deriv3(mix, u),
+    ]
+    starts = [_decay_start(mix, j) for j in (0, 1, 2, 0, 1, 2, 2, 2)]
+    w1_0, w1_1, w1_2, w2_0, w2_1, w2_2, u2w1pp, u2_d3 = _sup_norms(law, rows, starts)
     u2w2pp = (phi / mu) * u2w1pp + c1 * u2_d3
 
     ez, ez2 = equilibrium_moments(mix)
     i0, i1, i2, f0, f1_0 = f_second_integrals(mix)
     return NormLedger(
-        w1_norm=w1n[0], uw1_norm=w1n[1], u2w1_norm=w1n[2],
-        w2_norm=w2n[0], uw2_norm=w2n[1], u2w2_norm=w2n[2],
+        w1_norm=w1_0, uw1_norm=w1_1, u2w1_norm=w1_2,
+        w2_norm=w2_0, uw2_norm=w2_1, u2w2_norm=w2_2,
         u2w1pp_norm=u2w1pp, u2w2pp_norm=u2w2pp,
         ez=ez, ez2=ez2, i0_fpp=i0, i1_fpp=i1, i2_fpp=i2, f0=f0, f1_0=f1_0,
     )

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -61,11 +62,11 @@ def golden_max(fn, a, b, iters=60):
 
 
 def sup_norm_reference(fn, decay_start):
-    """The loop-based sup-norm search, one scalar ``fn`` call per point.
+    """The loop-based sup-norm search of one function, one scalar ``fn`` call per point.
 
-    Reference for ``bounds._sup_norm``: same grid, doubling rule, stopping
-    test and brackets, refined by golden-section search instead of the
-    batched refinement.
+    Reference for one row of ``bounds._sup_norms``: same grid, doubling
+    rule, stopping test and brackets, refined by golden-section search
+    instead of the batched refinement.
     """
     u_hi = max(2.0 * decay_start, 4.0)
     while True:
@@ -86,6 +87,18 @@ def sup_norm_reference(fn, decay_start):
         best = max(best, golden_max(fn, grid[i - 1], grid[i + 1]))
     best = max(best, golden_max(fn, grid[0], grid[1]))
     return best
+
+
+def sup_norms_reference(law, rows, starts):
+    """``sup_norm_reference`` row by row, the claim law called at one point at a time.
+
+    The law is memoized by point: rows with a common start share their grids.
+    """
+    law = functools.lru_cache(maxsize=None)(law)
+    return [
+        sup_norm_reference(lambda u, row=row: row(u, *law(u)), start)
+        for row, start in zip(rows, starts)
+    ]
 
 
 def seeded_admissible_mixture(seed):
@@ -159,7 +172,7 @@ class TestSupNormKernel:
         # the scalar incomplete-gamma loops, independent of the array kernel
         model = RiskModel(LEDGER_MIXTURES[name], 0.9)
         ledger, _ = ruin_bound_report(model)
-        monkeypatch.setattr(bounds, "_sup_norm", sup_norm_reference)
+        monkeypatch.setattr(bounds, "_sup_norms", sup_norms_reference)
         monkeypatch.setattr(transforms, "reg_inc_gamma_lower", scalar_reference.reg_inc_gamma_lower)
         monkeypatch.setattr(transforms, "reg_inc_gamma_upper", scalar_reference.reg_inc_gamma_upper)
         reference, _ = ruin_bound_report(model)
@@ -167,6 +180,76 @@ class TestSupNormKernel:
             assert getattr(ledger, field.name) == pytest.approx(
                 getattr(reference, field.name), rel=1e-12, abs=0.0
             ), field.name
+
+    def test_lockstep_rows_match_rows_searched_alone(self):
+        # the u-weighted exponential row stops doubling two passes before
+        # the u^2-weighted Gamma(4, 0.5) row, its grids always the longer of
+        # the two; each row must see the points and law values it sees
+        # alone, and so keep its norm to the last bit
+        expo = GammaMixture.exponential()
+        gamma4 = GammaMixture((Component(1.0, 4.0, 0.5),))
+        sizes = []
+
+        def law(u):
+            sizes.append(u.size)
+            return expo.survival(u), gamma4.density(u)
+
+        def recording_rows(seen):
+            def expo_row(u, surv, dens):
+                seen[0].append((u.copy(), surv.copy()))
+                return u * surv
+
+            def gamma_row(u, surv, dens):
+                seen[1].append((u.copy(), dens.copy()))
+                return u**2 * dens
+
+            return [expo_row, gamma_row]
+
+        starts = [6.0, 5.0]
+        seen_together, seen_alone = ([], []), ([], [])
+        together = bounds._sup_norms(law, recording_rows(seen_together), starts)
+        grid = bounds._GRID_POINTS
+        assert sizes[:5] == [2 * grid] * 3 + [grid] * 2
+        alone = [
+            bounds._sup_norms(law, [row], [start])[0]
+            for row, start in zip(recording_rows(seen_alone), starts)
+        ]
+        assert together == alone
+        for calls_together, calls_alone in zip(seen_together, seen_alone):
+            assert len(calls_together) == len(calls_alone)
+            for (u, value), (u_alone, value_alone) in zip(calls_together, calls_alone):
+                assert np.array_equal(u, u_alone) and np.array_equal(value, value_alone)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    def test_claim_law_runs_once_per_round(self, monkeypatch, phi):
+        # one survival and one density call per grid pass and refinement
+        # round, shared by all eight rows (a search per row made 60 and 30)
+        calls = collections.Counter()
+        for name in ("survival", "density"):
+            def counted(self, u, _name=name, _method=getattr(GammaMixture, name)):
+                calls[_name] += 1
+                return _method(self, u)
+
+            monkeypatch.setattr(GammaMixture, name, counted)
+        for name, mix in LEDGER_MIXTURES.items():
+            calls.clear()
+            ruin_bound_report(RiskModel(mix, phi))
+            assert calls["survival"] == calls["density"] <= 11, name
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.7, 140.0])
+    def test_derivative_terms_match_density_differences(self, alpha):
+        # u^2 F'' = u^2 f' and u^2 F''' = u^2 f'' by central differences of
+        # the density, a route independent of the log-space kernel
+        mix = GammaMixture((Component(1.0, alpha, 2.0),))
+        u = np.linspace(0.25, 4.0 * (alpha + 4.0) / 2.0, 200)
+        h = 1e-4 * u
+        f_lo, f_mid, f_hi = mix.density(u - h), mix.density(u), mix.density(u + h)
+        d2 = bounds._u2_cdf_deriv2(mix, u)
+        d3 = bounds._u2_cdf_deriv3(mix, u)
+        first = u**2 * (f_hi - f_lo) / (2.0 * h)
+        second = u**2 * (f_hi - 2.0 * f_mid + f_lo) / h**2
+        np.testing.assert_allclose(d2, first, rtol=0, atol=1e-6 * np.abs(d2).max())
+        np.testing.assert_allclose(d3, second, rtol=0, atol=1e-4 * np.abs(d3).max())
 
     @pytest.mark.parametrize("deriv", [bounds._u2_cdf_deriv2, bounds._u2_cdf_deriv3])
     def test_derivative_terms_take_arrays(self, deriv):

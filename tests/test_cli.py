@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -335,6 +336,18 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert "positive and finite" in err and "Traceback" not in err
+
+    def test_large_shape_ledger_is_finite(self, write_spec, capsys):
+        # x**alpha and Gamma(alpha) overflow on their own at alpha = 140
+        spec = write_spec([(1.0, 140.0, 1.0)], "gamma140")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["bound", "--spec", spec, "--phi", "0.5", "--t", "5"], capsys)
+        assert code == 0, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert payload["u2w1pp_norm"] > 0 and payload["total_bound"] > 0
 
     def test_inadmissible_shape_exits_3(self, write_spec, capsys):
         spec = write_spec([(1.0, 0.5, 1.0)], "heavy")

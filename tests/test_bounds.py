@@ -223,7 +223,7 @@ class TestSupNormKernel:
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     def test_claim_law_runs_once_per_round(self, monkeypatch, phi):
         # one survival and one density call per grid pass and refinement
-        # round, shared by all eight rows (a search per row made 60 and 30)
+        # round, shared by all eight rows
         calls = collections.Counter()
         for name in ("survival", "density"):
             def counted(self, u, _name=name, _method=getattr(GammaMixture, name)):

@@ -307,7 +307,8 @@ def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, floa
         )
         integrals.append(total / mu)
     f0 = 1.0 / mu
-    f1_0 = -math.fsum(p * beta for p, alpha, beta in mixture.components if alpha == 1.0) / mu
+    # 0.0 - x is +0.0 when no component has alpha = 1, where -x is -0.0
+    f1_0 = 0.0 - math.fsum(p * beta for p, alpha, beta in mixture.components if alpha == 1.0) / mu
     return integrals[0], integrals[1], integrals[2], f0, f1_0
 
 

@@ -9,19 +9,19 @@ K+1 points the compound step reads.  The compound geometric distribution of
 those lattice variables has the generating function
 (1 - phi) / (1 - phi F(z)), F being the severity's; its first K+1
 coefficients come from a Newton iteration for the reciprocal power series,
-with products by direct convolution for short operands and zero-padded real
-FFT for long ones, in O(K log K) instead of the O(K^2) of Panjer's
-recursion.  That series kernel lives in :mod:`renewinv.transforms`, beside
-the renewal-ratio division :class:`~renewinv.transforms.RenewalRatioLST`
-that uses it too.  The function keeps the name ``panjer_geometric``
-because it returns the same coefficients and its callers and the benchmark
-tracer refer to it by that name.  Its cumulative sums are exactly the
-gamma-operator approximation of the non-ruin probability.
+with products by direct convolution in the short passes and wrap-around
+(cyclic) real FFT products in the long ones, in O(K log K) instead of the
+O(K^2) of Panjer's recursion.  That series kernel lives in
+:mod:`renewinv.transforms`, beside the renewal-ratio division
+:class:`~renewinv.transforms.RenewalRatioLST` that uses it too.  The
+function keeps the name ``panjer_geometric`` because it returns the same
+coefficients and its callers and the benchmark tracer refer to it by that
+name.  Its cumulative sums are exactly the gamma-operator approximation of
+the non-ruin probability.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +66,14 @@ class LatticePMF:
 
 
 def _fresh_pmf(t: float, weights: np.ndarray) -> LatticePMF:
-    total = math.fsum(weights.tolist())
+    # np.sum adds pairwise (serial runs of at most 16 terms inside blocks
+    # of 128, then halving), so each weight passes through fewer than 50
+    # roundings for the n <= 2**20 + 1 points of MAX_FINE_LATTICE.  For
+    # nonnegative weights the error is then below 50 * 2**-53 * total,
+    # about 6e-15 and more than five orders under _EXCESS_TOL: the check
+    # fires on the same inputs as an exact sum, and the deficit moves by
+    # at most that much.
+    total = float(np.sum(weights))
     if total > 1.0 + _EXCESS_TOL:
         raise DomainError(
             f"lattice weights at t={t} sum to {total!r}, above 1 + {_EXCESS_TOL}: "

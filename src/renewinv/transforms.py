@@ -29,7 +29,10 @@ _SINGULARITY_TOL = 1e-12
 # later term inherits that relative error through the term recursion.
 _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 # np.convolve and a zero-padded FFT product cost about the same when the
-# shorter operand has ~512 terms (numpy 2.4, one core of a Xeon VM).
+# shorter operand has ~512 terms (numpy 2.4, one core of a Xeon VM).  A
+# wrap-around Newton pass from n terms ties at n ~ 384 and its FFT form is
+# ~20 us faster at n = 512 (58 against 36 us), too little in one pass per
+# reciprocal to keep a second threshold.
 _DIRECT_MAX = 512
 
 
@@ -331,17 +334,39 @@ def _polymul(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     """1 / a(z) mod z**a.size by Newton iteration, for a[0] != 0.
 
-    Each pass h <- h + h (1 - a h) doubles the number of correct terms; the
-    target sizes are halved down from a.size so the last pass lands on it.
+    Each pass h <- h + h (1 - a h) doubles the number of correct terms
+    (Brent & Kung, J. ACM 25, 1978).  The target sizes are halved down
+    from a.size, rounding up, so a pass goes from n correct terms to
+    m = 2n or 2n - 1 and the last one lands on a.size.
+
+    A pass from n to m needs the middle slice [n, m) of a[:m] h, since
+    a h = 1 + O(z**n), and then the first m - n terms of h times that
+    slice.  Short passes (n <= ``_DIRECT_MAX``) convolve directly.  Long
+    ones take every transform at one cyclic length L, the smallest power
+    of two >= m, with the wrap-around middle product of Harvey ("Faster
+    algorithms for the square root and reciprocal of power series",
+    Math. Comp. 80, 2011): a[:m] h has degree m + n - 2 < L + n, so its
+    cyclic product folds the terms from L up onto indices below n - 1,
+    which the pass discards, and the slice [n, m) comes out exact.  The
+    correction h * residual has degree m - 2 < L, so it is exact at the
+    same length and reuses the transform of h: five real transforms of
+    length L per pass, where a zero-padded linear product would need
+    three of length about 2L for the first product alone.
     """
     sizes = [a.size]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
     h = np.array([1.0 / a[0]])
     for n, m in zip(sizes[-1:0:-1], sizes[-2::-1]):
-        # a h = 1 + O(z**n), so 1 - a h mod z**m is the negated middle slice
-        residual = _polymul(a[:m], h, m)[n:]
-        h = np.concatenate((h, -_polymul(h, residual, m - n)))
+        if n <= _DIRECT_MAX:
+            residual = np.convolve(a[:m], h)[n:m]
+            step = np.convolve(h, residual)[: m - n]
+        else:
+            size = 1 << (m - 1).bit_length()
+            h_hat = np.fft.rfft(h, size)
+            residual = np.fft.irfft(np.fft.rfft(a[:m], size) * h_hat, size)[n:m]
+            step = np.fft.irfft(h_hat * np.fft.rfft(residual, size), size)[: m - n]
+        h = np.concatenate((h, -step))
     return h
 
 

@@ -329,6 +329,13 @@ class TestBound:
         ]
         assert payload["total_bound"] == report.total_bound(5.0)
 
+    def test_f1_0_is_positive_zero_without_exponential_component(self, write_spec, capsys):
+        spec = write_spec([(1.0, 3.0, 2.0)], "gamma3")
+        code, out, _ = run(["bound", "--spec", spec, "--phi", "0.9", "--t", "5"], capsys)
+        assert code == 0
+        assert '"f1_0": 0.0' in out
+        assert math.copysign(1.0, json.loads(out)["f1_0"]) == 1.0
+
     @pytest.mark.parametrize("t", ["inf", "nan", "0"])
     def test_non_finite_or_non_positive_rate_exits_2(self, write_spec, capsys, t):
         spec = write_spec([(1.0, 1.0, 1.0)], "exp")

@@ -138,6 +138,21 @@ class TestPanjerGeometric:
         closed_tail = phi * (t / (t + 1.0 - phi)) ** (K + 1)
         assert 0.0 <= missing <= phi * sev.mass_deficit / (1.0 - phi) + closed_tail + 1e-12
 
+    @pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
+    def test_excess_mass_check(self, excess, raises):
+        # a one-point severity w0 makes the compound a point mass of
+        # (1 - phi) / (1 - phi w0), chosen here to be 1 + excess
+        phi = 0.5
+        w0 = (1.0 - (1.0 - phi) / (1.0 + excess)) / phi
+        sev = LatticePMF(1.0, np.array([w0]))
+        if raises:
+            with pytest.raises(DomainError, match="above 1 \\+"):
+                panjer_geometric(sev, phi, 10)
+        else:
+            comp = panjer_geometric(sev, phi, 10)
+            assert float(np.sum(comp.weights)) == pytest.approx(1.0 + excess, rel=1e-15)
+            assert comp.mass_deficit == 0.0
+
     def test_phi_validation(self, exp_mixture):
         sev = discretize_equilibrium(exp_mixture, 5.0, 10)
         for phi in (0.0, 1.0, -0.5):
@@ -148,10 +163,14 @@ class TestPanjerGeometric:
 class TestPanjerAgainstReference:
     @pytest.mark.parametrize("phi", [1e-12, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("sev_len", ["short", "long"])
-    @pytest.mark.parametrize("K", [0, 1, 2, 255, 256, 257, 1023, 1024, 1025, 4000])
+    @pytest.mark.parametrize(
+        "K", [0, 1, 2, 255, 256, 257, 1023, 1024, 1025, 4000, 8191, 8192, 8193]
+    )
     def test_table_mixture(self, half_mixture, K, sev_len, phi):
         # lattice rate scaled so the severity covers u up to 10 (short, fewer
-        # than K+1 points) or 40 (long, more than K+1 points)
+        # than K+1 points) or 40 (long, more than K+1 points); K = 8191 and
+        # 8193 halve through odd sizes, and at K = 8192 the last pass's
+        # cyclic length is its target size
         t = max(K, 4) / 20.0
         k_sev = K // 2 if sev_len == "short" else 2 * K + 1
         assert_matches_reference(discretize_equilibrium(half_mixture, t, k_sev), phi, K)

@@ -24,6 +24,7 @@ from renewinv import (
 )
 from renewinv.inversion import covering_index
 from renewinv.ruin import renewal_data_from_model, RiskModel
+from renewinv.transforms import _DIRECT_MAX, _series_reciprocal
 
 
 def ratio_reference(v_oracle, f_oracle, phi, t, k_max):
@@ -332,3 +333,40 @@ class TestRenewalRatioAgainstReference:
         want = approximate_nonruin(model, t, 40.0).lattice.values
         assert got.shape == want.shape
         assert float(np.max(np.abs(got - want))) <= 1e-10
+
+
+class TestSeriesReciprocalKernel:
+    @pytest.mark.parametrize("size", [1026, 4000, 8192, 8193, 16000])
+    def test_fft_passes_stay_cyclic(self, monkeypatch, size):
+        # every transform of a Newton pass is taken at one cyclic length,
+        # never above the smallest power of two >= a.size, five per pass
+        lengths = []
+
+        def recording(fn):
+            def wrapped(x, n=None, *args, **kwargs):
+                lengths.append(n)
+                return fn(x, n, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+        rng = np.random.default_rng(size)
+        f = rng.random(size) ** 3
+        a = -0.9 * f / f.sum()
+        a[0] += 1.0
+        h = _series_reciprocal(a)
+
+        sizes = [size]
+        while sizes[-1] > 1:
+            sizes.append((sizes[-1] + 1) // 2)
+        fft_passes = sum(1 for n in sizes[1:] if n > _DIRECT_MAX)
+        assert fft_passes >= 1
+        assert None not in lengths
+        assert max(lengths) <= 1 << (size - 1).bit_length()
+        per_length = {n: lengths.count(n) for n in lengths}
+        assert len(per_length) == fft_passes
+        assert max(per_length.values()) <= 5
+        monkeypatch.undo()
+        unit = np.zeros(size)
+        unit[0] = 1.0
+        assert float(np.max(np.abs(np.convolve(a, h)[:size] - unit))) <= 1e-13

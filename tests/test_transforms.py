@@ -366,7 +366,6 @@ class TestSeriesReciprocalKernel:
         per_length = {n: lengths.count(n) for n in lengths}
         assert len(per_length) == fft_passes
         assert max(per_length.values()) <= 5
-        monkeypatch.undo()
         unit = np.zeros(size)
         unit[0] = 1.0
         assert float(np.max(np.abs(np.convolve(a, h)[:size] - unit))) <= 1e-13

@@ -18,6 +18,7 @@ contract.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,6 +31,7 @@ from .transforms import GammaMixture
 
 _TAIL_RTOL = 1e-15
 _GRID_POINTS = 4096
+_HALF = _GRID_POINTS // 2
 _REFINE_POINTS = 65
 _REFINE_RTOL = 1e-9
 
@@ -109,6 +111,38 @@ def _require_admissible(mixture: GammaMixture) -> None:
         )
 
 
+def _grow_tables(law, tables: dict, ends) -> None:
+    """Give every grid end in ``ends`` a table (grid, law values on it).
+
+    ``tables`` maps each grid end E already evaluated to its grid
+    ``np.linspace(0, E, 4096)`` and the law's arrays there.  The lower
+    half of the grid to 2E is, bit for bit, the even points of the grid to
+    E: both are k * fl(2E/4095) = 2k * fl(E/4095), as doubling is exact.
+    So a new end whose half has a table takes its lower half, points and
+    law values, from that table's even entries, and the law sees only the
+    2048 points above; an end with no half table gets a full grid.  One
+    ``law`` call covers the new points of every end, and every table is
+    built from the points the law saw.
+    """
+    new = sorted(end for end in ends if end not in tables)
+    fresh = [
+        np.linspace(0.0, end, _GRID_POINTS)[_HALF if end / 2.0 in tables else 0:] for end in new
+    ]
+    if not fresh:
+        return
+    at = law(np.concatenate(fresh))
+    k = 0
+    for end, pts in zip(new, fresh):
+        cut = slice(k, k + pts.size)
+        k += pts.size
+        values = [a[cut] for a in at]
+        if pts.size < _GRID_POINTS:
+            low, low_at = tables[end / 2.0]
+            pts = np.concatenate([low[::2], pts])
+            values = [np.concatenate([a_low[::2], a]) for a_low, a in zip(low_at, values)]
+        tables[end] = pts, values
+
+
 def _sup_norms(law, rows, starts) -> list[float]:
     """Sup of |row| on [0, inf) for every row, all searched in lockstep.
 
@@ -126,24 +160,21 @@ def _sup_norms(law, rows, starts) -> list[float]:
 
     Every row keeps its own grids, stopping rule and brackets, so its norm
     is the one a search of that row alone finds.  What the rows share is
-    ``law``: it runs once per grid pass, over the distinct grids of the
-    rows still doubling, and once per refinement round, over the brackets
-    of every row.
+    ``law``: each grid pass calls it once, on the grid points of the rows
+    still doubling that no earlier pass evaluated (see ``_grow_tables``),
+    and each refinement round once, over the brackets of every row.
     """
     u_hi = [max(2.0 * start, 4.0) for start in starts]
+    tables: dict = {}
     grids: list = [None] * len(rows)
     vals: list = [None] * len(rows)
     doubling = list(range(len(rows)))
     while doubling:
-        ends = sorted({u_hi[i] for i in doubling})
-        pts = np.concatenate([np.linspace(0.0, end, _GRID_POINTS) for end in ends])
-        at = law(pts)
+        _grow_tables(law, tables, {u_hi[i] for i in doubling})
         still = []
         for i in doubling:
-            k = ends.index(u_hi[i]) * _GRID_POINTS
-            cut = slice(k, k + _GRID_POINTS)
-            grids[i] = pts[cut]
-            vals[i] = np.abs(rows[i](pts[cut], *(a[cut] for a in at)))
+            grids[i], at = tables[u_hi[i]]
+            vals[i] = np.abs(rows[i](grids[i], *at))
             if vals[i][-1] > _TAIL_RTOL * max(float(vals[i].max()), 1e-300) and u_hi[i] <= 1e9:
                 u_hi[i] *= 2.0
                 still.append(i)
@@ -226,10 +257,11 @@ def ruin_w_functions(model: RiskModel) -> NormLedger:
 
     For ruin, w1(u) = -phi (1-phi) survival(u) / mean and
     w2(u) = (phi/mean) w1(u) + phi (1-phi) density(u) / mean.  Their
-    weighted sup norms and those of u^2 w1'' and u^2 F_X''' come from one
-    lockstep grid search with gamma-tail cutoffs, which evaluates the
-    claim law once per round for all eight.  The norm of u^2 w2'' uses the
-    triangle bound through ||u^2 w1''|| and ||u^2 F_X'''||.
+    six weighted sup norms come from one lockstep grid search with
+    gamma-tail cutoffs, which evaluates the claim law once per round for
+    all six; u^2 w1'' and u^2 F_X''', which read no claim law, come from a
+    second lockstep search.  The norm of u^2 w2'' uses the triangle bound
+    through ||u^2 w1''|| and ||u^2 F_X'''||.
     """
     mix, phi = model.claims, model.phi
     _require_admissible(mix)
@@ -245,14 +277,13 @@ def ruin_w_functions(model: RiskModel) -> NormLedger:
     def w2_weighted(j):
         return lambda u, surv, dens: u**j * c1 * (dens - (phi / mu) * surv)
 
-    rows = [
-        *(w1_weighted(j) for j in range(3)),
-        *(w2_weighted(j) for j in range(3)),
-        lambda u, surv, dens: c1 * _u2_cdf_deriv2(mix, u),
-        lambda u, surv, dens: _u2_cdf_deriv3(mix, u),
-    ]
-    starts = [_decay_start(mix, j) for j in (0, 1, 2, 0, 1, 2, 2, 2)]
-    w1_0, w1_1, w1_2, w2_0, w2_1, w2_2, u2w1pp, u2_d3 = _sup_norms(law, rows, starts)
+    rows = [*(w1_weighted(j) for j in range(3)), *(w2_weighted(j) for j in range(3))]
+    starts = [_decay_start(mix, j) for j in range(3)] * 2
+    w1_0, w1_1, w1_2, w2_0, w2_1, w2_2 = _sup_norms(law, rows, starts)
+    # these two rows read no claim law: searched apart, under a law that
+    # returns no arrays, their grids and brackets cost no law points
+    deriv_rows = [lambda u: c1 * _u2_cdf_deriv2(mix, u), lambda u: _u2_cdf_deriv3(mix, u)]
+    u2w1pp, u2_d3 = _sup_norms(lambda u: (), deriv_rows, [_decay_start(mix, 2)] * 2)
     u2w2pp = (phi / mu) * u2w1pp + c1 * u2_d3
 
     ez, ez2 = equilibrium_moments(mix)
@@ -271,24 +302,25 @@ def equilibrium_moments(mixture: GammaMixture) -> tuple[float, float]:
     return mixture.raw_moment(2) / (2.0 * m1), mixture.raw_moment(3) / (3.0 * m1)
 
 
-def _component_i_fpp(alpha: float, i: int) -> float:
-    """Weighted integral int u^i |F_a''| du for a unit-rate gamma CDF.
+def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
+    """Weighted integrals int u^i |F_a''| du, i = 0, 1, 2, for a unit-rate gamma CDF.
 
     Splits |F''| at its single sign change u = alpha - 1 and integrates
-    each piece by incomplete gamma.
+    each piece by incomplete gamma, P(a, alpha - 1) and P(a + 1, alpha - 1)
+    at a = alpha + i - 1.  The a + 1 of one integral is, up to rounding,
+    the a of the next, so each distinct shape is evaluated once per call.
     """
     if alpha == 1.0:
-        return float(math.factorial(i))
+        return 1.0, 1.0, 2.0
     c = alpha - 1.0
-    a = alpha + i - 1.0
-    r_hi = math.exp(math.lgamma(a + 1.0) - math.lgamma(alpha))
-    r_lo = math.exp(math.lgamma(a) - math.lgamma(alpha))
-    return (
-        r_hi
-        - c * r_lo
-        + 2.0 * c * r_lo * reg_inc_gamma_lower(a, c)
-        - 2.0 * r_hi * reg_inc_gamma_lower(a + 1.0, c)
-    )
+    lower = functools.cache(lambda shape: reg_inc_gamma_lower(shape, c))
+    out = []
+    for i in range(3):
+        a = alpha + i - 1.0
+        r_hi = math.exp(math.lgamma(a + 1.0) - math.lgamma(alpha))
+        r_lo = math.exp(math.lgamma(a) - math.lgamma(alpha))
+        out.append(r_hi - c * r_lo + 2.0 * c * r_lo * lower(a) - 2.0 * r_hi * lower(a + 1.0))
+    return out[0], out[1], out[2]
 
 
 def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, float, float]:
@@ -299,13 +331,10 @@ def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, floa
     """
     _require_admissible(mixture)
     mu = mixture.mean
-    integrals = []
-    for i in range(3):
-        total = math.fsum(
-            p * beta ** (1 - i) * _component_i_fpp(alpha, i)
-            for p, alpha, beta in mixture.components
-        )
-        integrals.append(total / mu)
+    parts = [(p, beta, _component_i_fpp(alpha)) for p, alpha, beta in mixture.components]
+    integrals = [
+        math.fsum(p * beta ** (1 - i) * fpp[i] for p, beta, fpp in parts) / mu for i in range(3)
+    ]
     f0 = 1.0 / mu
     # 0.0 - x is +0.0 when no component has alpha = 1, where -x is -0.0
     f1_0 = 0.0 - math.fsum(p * beta for p, alpha, beta in mixture.components if alpha == 1.0) / mu

@@ -320,7 +320,7 @@ def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
         r_hi = math.exp(math.lgamma(a + 1.0) - math.lgamma(alpha))
         r_lo = math.exp(math.lgamma(a) - math.lgamma(alpha))
         out.append(r_hi - c * r_lo + 2.0 * c * r_lo * lower(a) - 2.0 * r_hi * lower(a + 1.0))
-    return out[0], out[1], out[2]
+    return tuple(out)
 
 
 def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, float, float]:

@@ -283,8 +283,8 @@ class TestSupNormKernel:
 
     def test_grid_phase_law_points(self, monkeypatch):
         # the three Gamma(3/2) w-row ends each take three passes: a fresh
-        # 4096-point grid, then two 2048-point upper halves, so 24,576
-        # survival points where fresh grids on every pass took 36,864
+        # 4096-point grid, then two 2048-point upper halves: 24,576
+        # survival points, where fresh grids on every pass would take 36,864
         mix = LEDGER_MIXTURES["gamma_3_2"]
         grid_phase, points = [False], []
         grow = bounds._grow_tables

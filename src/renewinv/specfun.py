@@ -3,9 +3,11 @@
 The regularized incomplete gamma function and the masses of a negative
 binomial with real (non-integer) shape.
 
-The incomplete gamma has one elementwise kernel, a series and a continued
-fraction.  A float runs as a one-element array, about 0.3 ms a call against
-a few microseconds for a scalar loop, so pass many points as one array.
+The incomplete gamma has one elementwise kernel: the ascending series below
+x = alpha + 1 and, above it, the continued fraction evaluated bottom-up to
+a depth set per point.  A float runs as a one-element array, about 0.1-0.2
+ms a call against a few microseconds for a scalar loop, so pass many points
+as one array.
 
 The negative-binomial masses are the workhorse of the lattice
 discretization: for gamma-distributed claim amounts they are the
@@ -23,8 +25,8 @@ import numpy as np
 from .errors import DomainError
 
 _EPS = 1e-16
-_FPMIN = 1e-300
 _MAX_ITER = 600
+_SERIES_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -44,56 +46,92 @@ class RealShape:
             raise DomainError(f"success probability rho must be in (0, 1], got {self.rho}")
 
 
-def _lower_series(alpha, x):
-    # P(alpha, x) by the ascending series, reliable for x < alpha + 1.
-    # Converged elements leave the active set; unconverged ones stay NaN.
+def _prefactor(alpha, x):
+    # exp(-x) x**alpha / Gamma(alpha), which scales both recurrences.
+    return np.exp(-x + alpha * np.log(x) - math.lgamma(alpha))
+
+
+def _series(alpha, x):
+    # P(alpha, x) / prefactor by the ascending series, reliable for
+    # x < alpha + 1.  The terms are positive; convergence is tested once
+    # every _SERIES_BLOCK terms, where converged elements leave the active
+    # set.  Unconverged ones stay NaN.
     out = np.full(x.size, math.nan)
     active = np.arange(x.size)
     xa = x
     ap = alpha
     total = np.full(x.size, 1.0 / alpha)
     delta = total.copy()
-    for _ in range(_MAX_ITER):
-        if not active.size:
-            break
-        ap += 1.0
-        delta *= xa / ap
-        total += delta
-        done = np.abs(delta) < np.abs(total) * _EPS
+    for _ in range(_MAX_ITER // _SERIES_BLOCK):
+        for _ in range(_SERIES_BLOCK):
+            ap += 1.0
+            delta *= xa / ap
+            total += delta
+        done = delta < total * _EPS
         if done.any():
             out[active[done]] = total[done]
             keep = ~done
             active, xa, total, delta = active[keep], xa[keep], total[keep], delta[keep]
-    return out * np.exp(-x + alpha * np.log(x) - math.lgamma(alpha))
+            if not active.size:
+                break
+    return out
 
 
-def _upper_contfrac(alpha, x):
-    # Q(alpha, x) by the Lentz continued fraction, reliable for x >= alpha + 1.
-    # Converged elements leave the active set; unconverged ones stay NaN.
+def _contfrac_depth(alpha, x, cap):
+    # First depth tried at each point, a function of (alpha, x) only: a fit
+    # to the least depth at which the depth-N and depth-(N-1) values agree,
+    # over alpha in [0.05, 5000], that rarely falls short of it.
+    depth = np.ceil(5.0 + 95.0 / x + 9.0 * alpha / (alpha ** (2.0 / 3.0) + x - alpha))
+    return np.clip(depth, 1, cap).astype(np.int16)
+
+
+def _contfrac_tails(alpha, b0, depth):
+    # t_0 of the fraction at each point's depth N and at N - 1, bottom-up
+    # from t_N = b_N by t_i = b_i + a_{i+1} / t_{i+1}.  The 2n evaluations
+    # are sorted by depth, descending, so level i works on the prefix of
+    # those at least i deep; starting from t = inf makes a_{i+1} / t
+    # vanish at an evaluation's own depth.
+    n = b0.size
+    levels = np.concatenate([depth, depth - 1])
+    order = np.argsort(-levels, kind="stable")
+    b = np.concatenate([b0, b0])[order]
+    active = np.cumsum(np.bincount(levels)[::-1])[::-1].tolist()
+    t = np.full(2 * n, math.inf)
+    for i in range(len(active) - 1, -1, -1):
+        s = t[: active[i]]
+        np.divide(-(i + 1.0) * (i + 1.0 - alpha), s, out=s)
+        s += b[: active[i]]
+        s += 2.0 * i
+    out = np.empty(2 * n)
+    out[order] = t
+    return out[:n], out[n:]
+
+
+def _contfrac(alpha, x):
+    # Q(alpha, x) / prefactor by the continued fraction
+    # 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_i = x + 1 - alpha + 2i,
+    # a_i = -i(i - alpha), reliable for x >= alpha + 1 and evaluated
+    # bottom-up.  b_0 is taken as x - (alpha - 1), which is exact near
+    # x = alpha + 1 once alpha >= 2, where x + 1 - alpha rounds.
+    #
+    # A point is accepted when its depth-N and depth-(N-1) values agree to
+    # _EPS; the others double their depth up to _MAX_ITER and stay NaN past
+    # it.  For an integer alpha a_alpha = 0 ends the fraction, and the depth
+    # is capped there.  For x >= alpha + 1 every t_i >= i + 1, by induction
+    # down from t_N = b_N: t_i >= b_i where a_{i+1} >= 0, and
+    # t_i >= b_i - (i + 1 - alpha) = x + i otherwise; so no denominator
+    # vanishes.
+    cap = min(_MAX_ITER, int(alpha)) if float(alpha).is_integer() else _MAX_ITER
     out = np.full(x.size, math.nan)
-    active = np.arange(x.size)
-    b = x + 1.0 - alpha
-    c = np.full(x.size, 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _MAX_ITER):
-        if not active.size:
-            break
-        an = -i * (i - alpha)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < _FPMIN] = _FPMIN
-        c = b + an / c
-        c[np.abs(c) < _FPMIN] = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            out[active[done]] = h[done]
-            keep = ~done
-            active, b, c, d, h = active[keep], b[keep], c[keep], d[keep], h[keep]
-    return out * np.exp(-x + alpha * np.log(x) - math.lgamma(alpha))
+    todo = np.arange(x.size)
+    depth = _contfrac_depth(alpha, x, cap)
+    while todo.size:
+        deep, shallow = _contfrac_tails(alpha, x[todo] - (alpha - 1.0), depth)
+        done = np.abs(deep - shallow) <= _EPS * deep
+        out[todo[done]] = 1.0 / deep[done]
+        retry = ~done & (depth < cap)
+        todo, depth = todo[retry], np.minimum(2 * depth[retry], cap)
+    return out
 
 
 def _inc_gamma(name, alpha, x, upper):
@@ -108,10 +146,14 @@ def _inc_gamma(name, alpha, x, upper):
     series = (xs > 0.0) & (xs < alpha + 1.0)
     contfrac = (xs >= alpha + 1.0) & (xs < math.inf)
     out = np.where(xs == 0.0, 1.0, 0.0) if upper else np.where(xs == math.inf, 1.0, 0.0)
-    lower = _lower_series(alpha, xs[series])
-    tail = _upper_contfrac(alpha, xs[contfrac])
-    out[series] = 1.0 - lower if upper else lower
-    out[contfrac] = tail if upper else 1.0 - tail
+    if series.any():
+        xp = xs[series]
+        lower = _series(alpha, xp) * _prefactor(alpha, xp)
+        out[series] = 1.0 - lower if upper else lower
+    if contfrac.any():
+        xp = xs[contfrac]
+        tail = _contfrac(alpha, xp) * _prefactor(alpha, xp)
+        out[contfrac] = tail if upper else 1.0 - tail
     unconverged = np.isnan(out)
     if unconverged.any():
         raise DomainError(
@@ -126,9 +168,10 @@ def reg_inc_gamma_lower(alpha: float, x):
 
     Series expansion for x < alpha + 1, continued fraction otherwise, run
     elementwise over ``x``, a float or an array; a float comes back as a
-    float.  P(alpha, inf) = 1.  NaN or negative x, and a recurrence that
-    does not converge within 600 terms (at x = alpha, from alpha of about
-    5.4e3), raise :class:`DomainError`.
+    float.  A point's value depends on that point alone.  P(alpha, inf) = 1.
+    NaN or negative x, and a recurrence that does not converge within 600
+    terms, raise :class:`DomainError`: the series at x = alpha from alpha
+    of about 5.4e3, the fraction just above alpha + 1 from about 2.8e5.
     """
     return _inc_gamma("reg_inc_gamma_lower", alpha, x, upper=False)
 

@@ -10,14 +10,19 @@ that kernel.
 
 import math
 
-# the package's convergence constants
+# the package's convergence constants; FPMIN guards the Lentz loop
 EPS = 1e-16
 FPMIN = 1e-300
 MAX_ITER = 600
 
 
-def lower_series(alpha, x):
-    """P(alpha, x) by the ascending series, reliable for x < alpha + 1."""
+def prefactor(alpha, x):
+    """exp(-x) x**alpha / Gamma(alpha), which scales both recurrences."""
+    return math.exp(-x + alpha * math.log(x) - math.lgamma(alpha))
+
+
+def series(alpha, x):
+    """P(alpha, x) / prefactor by the ascending series, tested every term."""
     ap = alpha
     total = 1.0 / alpha
     delta = total
@@ -27,11 +32,11 @@ def lower_series(alpha, x):
         total += delta
         if abs(delta) < abs(total) * EPS:
             break
-    return total * math.exp(-x + alpha * math.log(x) - math.lgamma(alpha))
+    return total
 
 
-def upper_contfrac(alpha, x):
-    """Q(alpha, x) by the Lentz continued fraction, reliable for x >= alpha + 1."""
+def contfrac(alpha, x):
+    """Q(alpha, x) / prefactor by the forward (modified Lentz) continued fraction."""
     b = x + 1.0 - alpha
     c = 1.0 / FPMIN
     d = 1.0 / b
@@ -50,7 +55,17 @@ def upper_contfrac(alpha, x):
         h *= delta
         if abs(delta - 1.0) < EPS:
             break
-    return h * math.exp(-x + alpha * math.log(x) - math.lgamma(alpha))
+    return h
+
+
+def lower_series(alpha, x):
+    """P(alpha, x) by the ascending series, reliable for x < alpha + 1."""
+    return series(alpha, x) * prefactor(alpha, x)
+
+
+def upper_contfrac(alpha, x):
+    """Q(alpha, x) by the Lentz continued fraction, reliable for x >= alpha + 1."""
+    return contfrac(alpha, x) * prefactor(alpha, x)
 
 
 def reg_inc_gamma_lower(alpha, x):

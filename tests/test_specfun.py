@@ -12,6 +12,7 @@ from renewinv import (
     RealShape,
     reg_inc_gamma_lower,
     reg_inc_gamma_upper,
+    specfun,
 )
 
 # high-precision references computed with mpmath at 40 digits
@@ -167,6 +168,93 @@ class TestRegIncGammaArray:
                                    rtol=1e-13)
 
 
+# shapes of the accuracy gate: the table shapes, a seeded-mixture shape
+# (seed 11) and large ones, where the fraction converges slowest near the split
+ACCURACY_ALPHAS = [0.5, 1.0, 1.5, 2.8044950728700724, 7.3, 30.0, 200.0, 1000.0]
+ULP = 2.0**-52
+
+
+def accuracy_points(alpha):
+    split = alpha + 1.0
+    below = split * np.array([1e-6, 0.01, 0.1, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999999])
+    near = [np.nextafter(split, 0.0), split, np.nextafter(split, math.inf)]
+    above = split + np.array([1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    far = split * np.array([1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0])
+    return np.concatenate([below, near, above, far])
+
+
+def rel_err(value, exact):
+    return float(abs((value - exact) / exact))
+
+
+class TestRegIncGammaAccuracy:
+    """The array kernel is no less accurate than the scalar loop, against mpmath."""
+
+    @pytest.mark.parametrize("alpha", ACCURACY_ALPHAS)
+    def test_no_less_accurate_than_scalar_loop(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        x = accuracy_points(alpha)
+        series = x < alpha + 1.0
+        kernel = {
+            "series": specfun._series(alpha, x[series]),
+            "contfrac": specfun._contfrac(alpha, x[~series]),
+        }
+        reference = {"series": scalar_reference.series, "contfrac": scalar_reference.contfrac}
+        publics = [
+            (reg_inc_gamma_lower, reg_inc_gamma_lower(alpha, x), False),
+            (reg_inc_gamma_upper, reg_inc_gamma_upper(alpha, x), True),
+        ]
+        worst = {fn: [0.0, 0.0] for fn, _, _ in publics}
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            for j, v in enumerate(x.tolist()):
+                xv = mpmath.mpf(v)
+                lower = mpmath.gammainc(a, 0, xv)
+                upper = mpmath.gammainc(a, xv, mpmath.inf)
+                # each recurrence has the prefactor exp(-x) x**alpha / Gamma(alpha)
+                # divided out; its rounding, shared by both paths and growing
+                # like |alpha log x| eps, would otherwise swamp theirs
+                path = "series" if series[j] else "contfrac"
+                exact = (lower if series[j] else upper) * mpmath.exp(xv) / xv**a
+                got = kernel[path][np.count_nonzero(series[:j] == series[j])]
+                err, ref_err = rel_err(got, exact), rel_err(reference[path](alpha, v), exact)
+                assert err <= ref_err + 2 * ULP, (path, alpha, v, err, ref_err)
+                for fn, values, up in publics:
+                    exact = (upper if up else lower) / mpmath.gamma(a)
+                    worst[fn][0] = max(worst[fn][0], rel_err(values[j], exact))
+                    worst[fn][1] = max(worst[fn][1], rel_err(SCALAR_REFERENCE[fn](alpha, v), exact))
+        # through the public functions, prefactor included, the worst error
+        # over the points is no larger than the scalar loop's
+        for fn, (err, ref_err) in worst.items():
+            assert err <= ref_err + 2 * ULP, (fn.__name__, alpha, err, ref_err)
+
+
+class TestRegIncGammaIndependence:
+    """A point's value depends on the point alone, not on the array around it."""
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.8044950728700724, 30.0])
+    def test_point_value_is_independent_of_neighbours(self, fn, alpha):
+        rng = np.random.default_rng(12)
+        grid = np.linspace(0.0, 6.0 * (alpha + 1.0), 4096)
+        on_grid = fn(alpha, grid)
+        perm = rng.permutation(grid.size)
+        assert np.array_equal(fn(alpha, grid[perm]), on_grid[perm])
+        # the whole grid again, in 64 random chunks among as many random points
+        cuts = np.sort(rng.choice(np.arange(1, grid.size), 63, replace=False))
+        for chunk in np.split(perm, cuts):
+            others = rng.uniform(0.0, 8.0 * (alpha + 1.0), chunk.size)
+            mixed = fn(alpha, np.concatenate([grid[chunk], others]))
+            assert np.array_equal(mixed[: chunk.size], on_grid[chunk])
+        picks = [*rng.choice(grid.size, 12, replace=False), int(np.searchsorted(grid, alpha + 1.0))]
+        for k in picks:
+            others = rng.uniform(0.0, 8.0 * (alpha + 1.0), 300)
+            at = int(rng.integers(0, others.size + 1))
+            inside = fn(alpha, np.insert(others, at, grid[k]))[at]
+            alone = fn(alpha, float(grid[k]))
+            assert alone == on_grid[k] == inside, (grid[k], alone, on_grid[k], inside)
+
+
 class TestRegIncGammaConvergence:
     """A recurrence that runs out of terms raises; it never answers silently."""
 
@@ -176,6 +264,34 @@ class TestRegIncGammaConvergence:
         # the series at x = alpha = 1e5 needs about 2,700 terms, the limit is 600
         with pytest.raises(DomainError, match="did not converge"):
             fn(1e5, x)
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("x", [2.5 + 1e-6, np.array([1.0, 2.5 + 1e-6, 40.0])])
+    def test_unconverged_contfrac_raises(self, fn, x, monkeypatch):
+        # at alpha = 1.5 just above the split the fraction needs depth ~36;
+        # with an 8-term limit the doubling stops at 8 and the point raises
+        monkeypatch.setattr(specfun, "_MAX_ITER", 8)
+        with pytest.raises(DomainError, match="did not converge.*within 8 terms"):
+            fn(1.5, x)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 7.3, 200.0])
+    def test_depth_doubling_converges(self, alpha, monkeypatch):
+        # every point starts at depth 1 and doubles until its depth-N and
+        # depth-(N-1) values agree, several rounds deep; the answers match
+        # the fitted first depths' to rounding
+        x = (alpha + 1.0) * np.array([1.0, 1.0 + 1e-6, 1.01, 1.3, 2.0, 5.0, 40.0])
+        fitted = reg_inc_gamma_upper(alpha, x)
+        rounds = []
+        tails = specfun._contfrac_tails
+
+        def counted(a, b0, depth):
+            rounds.append(int(depth.max()))
+            return tails(a, b0, depth)
+
+        monkeypatch.setattr(specfun, "_contfrac_depth", lambda a, v, cap: np.ones(v.size, np.int16))
+        monkeypatch.setattr(specfun, "_contfrac_tails", counted)
+        np.testing.assert_allclose(reg_inc_gamma_upper(alpha, x), fitted, rtol=1e-15, atol=0.0)
+        assert rounds[:4] == [1, 2, 4, 8]
 
     @pytest.mark.parametrize("alpha", [0.5, 10.0, 100.0, 1e3])
     def test_large_shapes_against_scipy(self, alpha):

@@ -195,11 +195,9 @@ class TestRegIncGammaAccuracy:
         mpmath = pytest.importorskip("mpmath")
         x = accuracy_points(alpha)
         series = x < alpha + 1.0
-        kernel = {
-            "series": specfun._series(alpha, x[series]),
-            "contfrac": specfun._contfrac(alpha, x[~series]),
-        }
-        reference = {"series": scalar_reference.series, "contfrac": scalar_reference.contfrac}
+        recurrence = np.empty(x.size)
+        recurrence[series] = specfun._series(alpha, x[series])
+        recurrence[~series] = specfun._contfrac(alpha, x[~series])
         publics = [
             (reg_inc_gamma_lower, reg_inc_gamma_lower(alpha, x), False),
             (reg_inc_gamma_upper, reg_inc_gamma_upper(alpha, x), True),
@@ -214,11 +212,10 @@ class TestRegIncGammaAccuracy:
                 # each recurrence has the prefactor exp(-x) x**alpha / Gamma(alpha)
                 # divided out; its rounding, shared by both paths and growing
                 # like |alpha log x| eps, would otherwise swamp theirs
-                path = "series" if series[j] else "contfrac"
                 exact = (lower if series[j] else upper) * mpmath.exp(xv) / xv**a
-                got = kernel[path][np.count_nonzero(series[:j] == series[j])]
-                err, ref_err = rel_err(got, exact), rel_err(reference[path](alpha, v), exact)
-                assert err <= ref_err + 2 * ULP, (path, alpha, v, err, ref_err)
+                loop = scalar_reference.series if series[j] else scalar_reference.contfrac
+                err, ref_err = rel_err(recurrence[j], exact), rel_err(loop(alpha, v), exact)
+                assert err <= ref_err + 2 * ULP, (loop.__name__, alpha, v, err, ref_err)
                 for fn, values, up in publics:
                     exact = (upper if up else lower) / mpmath.gamma(a)
                     worst[fn][0] = max(worst[fn][0], rel_err(values[j], exact))

@@ -7,6 +7,14 @@ built-in transforms), ``bound`` (a-priori error-bound report as JSON) and
 
 Exit codes: 0 success, 1 table check failed, 2 usage or parse error,
 3 admissibility error, 4 numerical failure.
+
+The argument parser is built once, at import, and serves every :func:`main`
+call in the process.  :func:`main` dispatches by command name to the
+module's current ``cmd_<command>`` binding, so a ``cmd_*`` function replaced
+on the module after import is the one that runs.  CSV output (``ruin``,
+``invert``, ``table1 --format csv``) is formatted from float columns a block
+of rows at a time, each cell as ``f"{x:.17g}"``, and each block is written as
+soon as it is formatted.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterator
+
+import numpy as np
 
 from .bounds import ruin_bound_report
 from .errors import AdmissibilityError, DomainError, NegativeWeightError, SingularityError
@@ -36,6 +47,10 @@ TABLE1_U = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 TABLE1_PHI = 0.9
 TABLE1_T = 5.0
 
+# rows per formatted CSV block: large enough that the per-block cost vanishes,
+# small enough that a 2^20-row table never exists as Python floats or text
+_CSV_BLOCK_ROWS = 4096
+
 
 class _UsageError(Exception):
     pass
@@ -45,21 +60,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(chunks, out_path: str | None) -> None:
+    """Write an iterable of text chunks to ``out_path``, or to stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns) -> Iterator[str]:
+    """Yield a CSV of equal-length float columns: the header line, then blocks of rows.
+
+    Every cell reads ``f"{x:.17g}"``.  A block of ``_CSV_BLOCK_ROWS`` rows
+    is formatted by one ``%`` over its values, so a caller that writes each
+    chunk as it comes holds one block of Python floats and text at a time.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _CSV_BLOCK_ROWS] for col in columns])
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def _load_mixture(path: str) -> GammaMixture:
@@ -96,32 +121,29 @@ def cmd_table1(args) -> int:
         "gamma_3_2": GammaMixture((Component(1.0, 1.5, 1.0),)),
         "mixture": GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0))),
     }
-    columns = {}
+    columns = {"u": list(TABLE1_U)}
     for name, mix in models.items():
         approx = approximate_nonruin(RiskModel(mix, TABLE1_PHI), TABLE1_T, max(TABLE1_U))
         columns[name] = _lattice_values(approx, TABLE1_U)
     exact = [exact_nonruin_exponential(TABLE1_PHI, 1.0, u) for u in TABLE1_U]
     dev = [abs(a - b) for a, b in zip(columns["exponential"], exact)]
+    columns["exact_exponential"] = exact
+    columns["abs_dev_exponential"] = dev
 
-    header = ["u", "exponential", "gamma_3_2", "mixture", "exact_exponential", "abs_dev_exponential"]
-    rows = [
-        [u, columns["exponential"][i], columns["gamma_3_2"][i], columns["mixture"][i], exact[i], dev[i]]
-        for i, u in enumerate(TABLE1_U)
-    ]
+    header = list(columns)
     if args.format == "csv":
-        _write(_csv(header, rows), args.out)
+        _write(_csv(header, columns.values()), args.out)
     elif args.format == "json":
-        payload = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        _write((json.dumps(columns, indent=2) + "\n",), args.out)
     else:
         width = 22
         lines = ["| " + " | ".join(h.ljust(width) for h in header) + " |"]
         lines.append("|" + "|".join("-" * (width + 2) for _ in header) + "|")
-        for row in rows:
+        for row in zip(*columns.values()):
             cells = [f"{row[0]:g}".ljust(width)] + [f"{x:.4f}".ljust(width) for x in row[1:-1]]
             cells.append(f"{row[-1]:.2e}".ljust(width))
             lines.append("| " + " | ".join(cells) + " |")
-        _write("\n".join(lines) + "\n", args.out)
+        _write(("\n".join(lines) + "\n",), args.out)
     if max(dev) > 1e-4:
         print(f"exponential column deviates from the exact formula by {max(dev):.3e}", file=sys.stderr)
         return 1
@@ -139,12 +161,9 @@ def cmd_ruin(args) -> int:
     K = approx.lattice.truncation_index
     plain = lstar_nonruin(model, args.t, K)
 
-    rows = []
-    for k in range(K + 1):
-        u = k / args.t
-        nonruin = float(approx.lattice.values[k])
-        rows.append([u, nonruin, 1.0 - nonruin, float(plain.values[k])])
-    _write(_csv(["u", "nonruin_M2", "ruin_M2", "nonruin_L"], rows), args.out)
+    m2 = approx.lattice.values
+    columns = [np.arange(K + 1) / args.t, m2, 1.0 - m2, plain.values]
+    _write(_csv(["u", "nonruin_M2", "ruin_M2", "nonruin_L"], columns), args.out)
     return 0
 
 
@@ -190,11 +209,9 @@ def cmd_invert(args) -> int:
     else:
         raise _UsageError(f"unknown method {args.method!r}")
 
-    rows = [
-        [u, val, exact_fn(u), abs(val - exact_fn(u))]
-        for u, val in zip(u_values, values)
-    ]
-    _write(_csv(["u", args.method, "exact", "abs_error"], rows), args.out)
+    exact = [exact_fn(u) for u in u_values]
+    error = [abs(val - ex) for val, ex in zip(values, exact)]
+    _write(_csv(["u", args.method, "exact", "abs_error"], [u_values, values, exact, error]), args.out)
     return 0
 
 
@@ -211,7 +228,7 @@ def cmd_bound(args) -> int:
         **{f"{name}_bound": value for name, value in dataclasses.asdict(report).items()},
         "total_bound": report.total_bound(args.t),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write((json.dumps(payload, indent=2) + "\n",), args.out)
     return 0
 
 
@@ -253,7 +270,7 @@ def cmd_convergence(args) -> int:
         else:
             order = ""
         lines.append(f"{_fmt(t)},{_fmt(errors[t])},{order}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -267,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="reference non-ruin table for three claim models")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("ruin", help="non-ruin pipeline over a lattice, to CSV")
     p.add_argument("--spec", required=True, help="gamma-mixture JSON file")
@@ -275,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--u-max", type=float, required=True, dest="u_max")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ruin)
 
     p = sub.add_parser("invert", help="evaluate an inversion operator on a built-in transform")
     p.add_argument("--transform", choices=("exp_decay", "test_function", "gamma_mixture"), required=True)
@@ -287,14 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="lattice rate (lstar, m2) or integer order (postwidder, stehfest2)")
     p.add_argument("--u", required=True, help="comma-separated evaluation points")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("bound", help="a-priori error-bound report as JSON")
     p.add_argument("--spec", required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("convergence", help="empirical order study across lattice rates")
     p.add_argument("--spec", required=True)
@@ -302,19 +315,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-list", required=True, dest="t_list")
     p.add_argument("--u-max", type=float, required=True, dest="u_max")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_convergence)
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

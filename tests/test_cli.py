@@ -1,19 +1,44 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from renewinv import BoundReport, GammaMixture, NormLedger, RiskModel, ruin_bound_report
+from renewinv import cli
 from renewinv.cli import main
+from renewinv.ruin import approximate_nonruin, lstar_nonruin
 
 
 def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_csv(header, rows):
+    """The CSV as a per-value join of f"{x:.17g}" cells, the reference for cli._csv."""
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_lines(got, want):
+    """Assert two texts are equal, naming the first differing line.
+
+    pytest's diff of two texts thousands of lines long takes minutes.
+    """
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first}: {got_lines[first]!r} != {want_lines[first]!r}"
+    assert len(got_lines) == len(want_lines)
 
 
 def parse_csv(text):
@@ -445,3 +470,124 @@ class TestOutPath:
         code, _, err = run(argv + spec_args + ["--out", str(out)], capsys)
         assert code == 2
         assert "cannot write" in err and "Traceback" not in err
+
+
+class TestCsvWriter:
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1 - 2**-53, math.inf, math.nan]
+
+    def test_special_values_match_reference(self):
+        values = self.SPECIAL + [-x for x in self.SPECIAL]
+        columns = [values, values[::-1], [3.0 * x for x in values]]
+        text = "".join(cli._csv(["a", "b", "c"], columns))
+        assert text == reference_csv(["a", "b", "c"], zip(*columns))
+
+    @pytest.mark.parametrize(
+        "rows", [1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1]
+    )
+    def test_block_edges_match_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = [
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+            rng.random(rows),
+            np.arange(rows) / 7.0,
+            -rng.random(rows),
+        ]
+        chunks = list(cli._csv(["u", "x", "y", "z"], columns))
+        assert len(chunks) == 1 + math.ceil(rows / cli._CSV_BLOCK_ROWS)
+        assert_same_lines("".join(chunks), reference_csv(["u", "x", "y", "z"], zip(*columns)))
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("t,u_max", [(5.0, 40.0), (50.0, 82.0)])  # K = 200 and 4100 rows
+    def test_ruin_matches_library(self, all_table_mixtures, write_spec, capsys, phi, t, u_max):
+        for name, mix in all_table_mixtures.items():
+            spec = write_spec([(c.p, c.alpha, c.beta) for c in mix.components], name)
+            code, out, _ = run(
+                ["ruin", "--spec", spec, "--phi", repr(phi), "--t", repr(t), "--u-max", repr(u_max)],
+                capsys,
+            )
+            assert code == 0
+            model = RiskModel(mix, phi)
+            m2 = approximate_nonruin(model, t, u_max).lattice.values
+            K = m2.size - 1
+            plain = lstar_nonruin(model, t, K).values
+            rows = [[k / t, float(m2[k]), 1.0 - float(m2[k]), float(plain[k])] for k in range(K + 1)]
+            assert_same_lines(out, reference_csv(["u", "nonruin_M2", "ruin_M2", "nonruin_L"], rows))
+
+
+class TestParserReuse:
+    def ruin_argv(self, write_spec, t="5"):
+        spec = write_spec([(0.5, 1.0, 1.0), (0.5, 1.5, 1.0)], "mixture")
+        return ["ruin", "--spec", spec, "--phi", "0.9", "--t", t, "--u-max", "3"]
+
+    def test_errors_leave_later_calls_unchanged(self, write_spec, tmp_path, capsys):
+        argv = self.ruin_argv(write_spec)
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        alone = subprocess.run([sys.executable, "-m", "renewinv.cli", *argv], env=env,
+                               capture_output=True, check=True, text=True).stdout
+
+        code, out, _ = run(["ruin", "--spec", argv[2], "--phi", "0.9"], capsys)
+        assert (code, out) == (2, "")
+        code, out, err = run(argv + ["--out", str(tmp_path / "nowhere" / "r.csv")], capsys)
+        assert (code, out) == (2, "") and "cannot write" in err
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == alone
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["table1", "--format", "csv"],
+            ["table1", "--format", "json"],
+            ["ruin", "--phi", "0.9", "--t", "5", "--u-max", "4"],
+            ["invert", "--transform", "gamma_mixture", "--method", "m2", "--t", "5",
+             "--u", "0.5,2"],
+            ["bound", "--phi", "0.9", "--t", "5"],
+            ["convergence", "--phi", "0.9", "--t-list", "2,4", "--u-max", "4"],
+        ],
+        ids=["table1-md", "table1-csv", "table1-json", "ruin", "invert", "bound", "convergence"],
+    )
+    def test_each_command_twice_gives_identical_output(self, write_spec, capsys, argv):
+        spec = write_spec([(1.0, 1.5, 1.0)], "g32")
+        spec_args = [] if argv[0] == "table1" else ["--spec", spec]
+        first = run(argv + spec_args, capsys)
+        second = run(argv + spec_args, capsys)
+        assert first[0] == 0 and first[1]
+        assert first == second
+
+    @pytest.mark.parametrize("command", ["table1", "ruin", "invert", "bound", "convergence"])
+    def test_main_calls_current_module_binding(self, monkeypatch, command):
+        argv = {
+            "table1": ["table1"],
+            "ruin": ["ruin", "--spec", "s.json", "--phi", "0.9", "--t", "5", "--u-max", "1"],
+            "invert": ["invert", "--transform", "exp_decay", "--method", "m2", "--t", "5",
+                       "--u", "1"],
+            "bound": ["bound", "--spec", "s.json", "--phi", "0.9", "--t", "5"],
+            "convergence": ["convergence", "--spec", "s.json", "--phi", "0.9", "--t-list", "5",
+                            "--u-max", "1"],
+        }[command]
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert [args.command for args in seen] == [command]
+
+
+def test_invert_evaluates_exact_once_per_point(monkeypatch, capsys):
+    calls = []
+    build = cli._build_transform
+
+    def counting_build(args):
+        oracle, exact_fn, g0 = build(args)
+        return oracle, (lambda u: calls.append(u) or exact_fn(u)), g0
+
+    monkeypatch.setattr(cli, "_build_transform", counting_build)
+    code, out, _ = run(
+        ["invert", "--transform", "exp_decay", "--method", "lstar", "--t", "5", "--u", "0,1,2.5"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [0.0, 1.0, 2.5]
+    _, rows = parse_csv(out)
+    assert [float(r[3]) for r in rows] == [abs(float(r[1]) - float(r[2])) for r in rows]

@@ -515,19 +515,16 @@ class TestCsvWriter:
 
 
 class TestParserReuse:
-    def ruin_argv(self, write_spec, t="5"):
-        spec = write_spec([(0.5, 1.0, 1.0), (0.5, 1.5, 1.0)], "mixture")
-        return ["ruin", "--spec", spec, "--phi", "0.9", "--t", t, "--u-max", "3"]
-
     def test_errors_leave_later_calls_unchanged(self, write_spec, tmp_path, capsys):
-        argv = self.ruin_argv(write_spec)
+        spec = write_spec([(0.5, 1.0, 1.0), (0.5, 1.5, 1.0)], "mixture")
+        argv = ["ruin", "--spec", spec, "--phi", "0.9", "--t", "5", "--u-max", "3"]
         package_root = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         alone = subprocess.run([sys.executable, "-m", "renewinv.cli", *argv], env=env,
                                capture_output=True, check=True, text=True).stdout
 
-        code, out, _ = run(["ruin", "--spec", argv[2], "--phi", "0.9"], capsys)
+        code, out, _ = run(["ruin", "--spec", spec, "--phi", "0.9"], capsys)
         assert (code, out) == (2, "")
         code, out, err = run(argv + ["--out", str(tmp_path / "nowhere" / "r.csv")], capsys)
         assert (code, out) == (2, "") and "cannot write" in err

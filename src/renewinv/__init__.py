@@ -3,14 +3,13 @@
 Approximates functions from the derivatives of their Laplace transforms via
 a gamma-type operator and its order-2 accelerated lattice variant, with a
 complete classical-risk-model ruin pipeline (negative-binomial lattice
-discretization plus a compound geometric series reciprocal) and a rigorous
+discretization plus a compound geometric series reciprocal) and an
 a-priori error-bound calculator.
 """
 
 from .bounds import (
     BoundReport,
-    chain_derivative_bounds,
-    chain_high_order_bounds,
+    chain_bounds,
     equilibrium_moments,
     f_second_integrals,
     NormLedger,
@@ -31,7 +30,6 @@ from .errors import (
     SingularityError,
 )
 from .inversion import l_star, lattice_index, LatticeFunction, m2_lattice, post_widder, stehfest2
-from .oracles import closed_form_lstar_exponential_ruin, convolution_renewal_solve
 from .ruin import (
     approximate_nonruin,
     exact_nonruin_exponential,

@@ -12,15 +12,22 @@ w1 = phi m(0) f + v' and w2 = phi m'(0) f + w1', equilibrium moments, and
 weighted integrals of f''.  Gamma mixtures with every shape >= 1 are the
 admissible claim class.
 
-All chained quantities are upper bounds: validity, not tightness, is the
-contract.
+Every coefficient of the chain (:func:`chain_bounds`) is nonnegative, so
+the chain is monotone in the ledger: the chained norms, and with them the
+constant C of :meth:`BoundReport.total_bound`, are upper bounds whenever
+every ledger entry is one.  The moments, the integrals of f'' and f(0),
+f'(0) are closed forms; the eight sup norms are not certified.  They are
+maxima of samples, a grid search refined around its best points, so each
+is a lower estimate of its sup and can step over a narrow peak: for claims
+mixing Gamma(4000, 4000/42.46) and Gamma(1, 1e-3) half and half at
+phi = 0.5, the ledger's ||w2|| is 2.2e-7 where dense sampling finds 1.4e-4.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +85,7 @@ class NormLedger:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Chained derivative-norm bounds; high-order entries filled in a second pass."""
+    """Chained derivative-norm bounds of the renewal solution (see :func:`chain_bounds`)."""
 
     m1_norm: float
     um1_norm: float
@@ -86,9 +93,9 @@ class BoundReport:
     m2_norm: float
     um2_norm: float
     u2m2_norm: float
-    u2m3_norm: float | None = None
-    u2m4_norm: float | None = None
-    um3_norm: float | None = None
+    u2m3_norm: float
+    u2m4_norm: float
+    um3_norm: float
 
     def total_bound(self, t: float) -> float:
         """Uniform error bound of the order-2 operator at lattice rate t.
@@ -98,8 +105,6 @@ class BoundReport:
         """
         if not 0 < t < math.inf:
             raise DomainError(f"lattice rate t must be positive and finite, got {t}")
-        if self.u2m4_norm is None or self.um3_norm is None:
-            raise DomainError("high-order entries missing; run chain_high_order_bounds first")
         coeff = self.m2_norm / 8.0 + self.um3_norm / 6.0 + 9.0 * self.u2m4_norm / 16.0
         return coeff / (t * t)
 
@@ -341,12 +346,32 @@ def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, floa
     return integrals[0], integrals[1], integrals[2], f0, f1_0
 
 
-def chain_derivative_bounds(ledger: NormLedger, phi: float) -> BoundReport:
-    """First- and second-derivative norm bounds for the renewal solution.
+def chain_bounds(ledger: NormLedger, phi: float) -> BoundReport:
+    """All nine derivative-norm bounds of the renewal solution m, in one pass.
 
-    ||m'|| <= ||w1||/(1-phi) and its u- and u^2-weighted companions, then
-    the same chain with w2 for m''.  Every coefficient is nonnegative, so
-    the chain is monotone in the ledger.
+    With p = 1 - phi, Z the equilibrium variable (E Z = ``ez``,
+    E Z^2 = ``ez2``), I_k = int u^k |f''| du (``i<k>_fpp``) and ||.|| the
+    sup norm on [0, inf), the chain is
+
+        ||m'||         <= ||w1|| / p
+        ||u m'||       <= (phi E Z ||m'|| + ||u w1||) / p
+        ||u^2 m'||     <= (phi (2 E Z ||u m'|| + E Z^2 ||m'||) + ||u^2 w1||) / p
+        ||m''||        <= ||w2|| / p
+        ||u m''||      <= (phi E Z ||m''|| + ||u w2||) / p
+        ||u^2 m''||    <= (phi (2 E Z ||u m''|| + E Z^2 ||m''||) + ||u^2 w2||) / p
+        ||u^2 m'''||   <= phi ((I0 + |f'(0)|) ||u^2 m'|| + 2 I1 ||u m'|| + I2 ||m'||)
+                          + phi f(0) ||u^2 m''|| + ||u^2 w1''||
+        ||u^2 m''''||  <= phi ((I0 + |f'(0)|) ||u^2 m''|| + 2 I1 ||u m''|| + I2 ||m''||)
+                          + phi f(0) ||u^2 m'''|| + ||u^2 w2''||
+        ||u m'''||     <= ||u^2 m''''||
+
+    each right side read from the ledger and the lines above it.  The
+    first six are the weighted renewal equations for m' and m''; the
+    third- and fourth-order lines come from the convolution structure of
+    the differentiated equation; the last holds as m''' vanishes at
+    infinity, so |u m'''(u)| <= u int_u^inf ||u^2 m''''|| / s^2 ds.  Every
+    coefficient is nonnegative, so every entry is nondecreasing in every
+    ledger entry.
     """
     if not 0 <= phi < 1:
         raise DomainError(f"defect phi must be in [0, 1), got {phi}")
@@ -357,39 +382,25 @@ def chain_derivative_bounds(ledger: NormLedger, phi: float) -> BoundReport:
     m2 = ledger.w2_norm / p
     um2 = (phi * ledger.ez * m2 + ledger.uw2_norm) / p
     u2m2 = (phi * (2.0 * ledger.ez * um2 + ledger.ez2 * m2) + ledger.u2w2_norm) / p
-    return BoundReport(
-        m1_norm=m1, um1_norm=um1, u2m1_norm=u2m1,
-        m2_norm=m2, um2_norm=um2, u2m2_norm=u2m2,
-    )
-
-
-def chain_high_order_bounds(report: BoundReport, ledger: NormLedger, phi: float) -> BoundReport:
-    """Third- and fourth-order weighted norms from the populated low orders.
-
-    ||u^2 m'''|| and ||u^2 m''''|| come from the convolution structure of
-    the differentiated equation; ||u m'''|| is dominated by ||u^2 m''''||.
-    """
-    if not 0 <= phi < 1:
-        raise DomainError(f"defect phi must be in [0, 1), got {phi}")
     lead = ledger.i0_fpp + abs(ledger.f1_0)
     u2m3 = (
-        phi * (lead * report.u2m1_norm + 2.0 * ledger.i1_fpp * report.um1_norm
-               + ledger.i2_fpp * report.m1_norm)
-        + phi * ledger.f0 * report.u2m2_norm
+        phi * (lead * u2m1 + 2.0 * ledger.i1_fpp * um1 + ledger.i2_fpp * m1)
+        + phi * ledger.f0 * u2m2
         + ledger.u2w1pp_norm
     )
     u2m4 = (
-        phi * (lead * report.u2m2_norm + 2.0 * ledger.i1_fpp * report.um2_norm
-               + ledger.i2_fpp * report.m2_norm)
+        phi * (lead * u2m2 + 2.0 * ledger.i1_fpp * um2 + ledger.i2_fpp * m2)
         + phi * ledger.f0 * u2m3
         + ledger.u2w2pp_norm
     )
-    return replace(report, u2m3_norm=u2m3, u2m4_norm=u2m4, um3_norm=u2m4)
+    return BoundReport(
+        m1_norm=m1, um1_norm=um1, u2m1_norm=u2m1,
+        m2_norm=m2, um2_norm=um2, u2m2_norm=u2m2,
+        u2m3_norm=u2m3, u2m4_norm=u2m4, um3_norm=u2m4,
+    )
 
 
 def ruin_bound_report(model: RiskModel) -> tuple[NormLedger, BoundReport]:
     """Ledger plus fully chained bound report for a risk model."""
     ledger = ruin_w_functions(model)
-    report = chain_derivative_bounds(ledger, model.phi)
-    report = chain_high_order_bounds(report, ledger, model.phi)
-    return ledger, report
+    return ledger, chain_bounds(ledger, model.phi)

@@ -47,14 +47,12 @@ def _shaped_like(u: np.ndarray, values):
 
 
 class TransformOracle(abc.ABC):
-    """Supplies the normalized derivative weights of a transform at t > gamma_abscissa.
+    """Supplies the normalized derivative weights of a transform at t > 0.
 
-    ``gamma_abscissa`` is the growth bound of the source function
-    (|g(u)| = O(exp(gamma * u))); the transform is defined strictly to the
-    right of it.  Oracles are immutable and safe for concurrent use.
+    Every source function built here grows at most polynomially, so its
+    transform is defined for all t > 0.  Oracles are immutable and safe for
+    concurrent use.
     """
-
-    gamma_abscissa: float = 0.0
 
     @abc.abstractmethod
     def weights(self, t: float, k_max: int) -> np.ndarray:
@@ -65,11 +63,8 @@ class TransformOracle(abc.ABC):
         return float(self.weights(t, 0)[0])
 
     def _require_valid_point(self, t: float, k_max: int) -> None:
-        if not t > 0 or not t > self.gamma_abscissa:
-            raise DomainError(
-                f"transform point t={t} must be positive and exceed the "
-                f"growth abscissa {self.gamma_abscissa}"
-            )
+        if not t > 0:
+            raise DomainError(f"transform point t={t} must be positive")
         if k_max < 0:
             raise DomainError(f"k_max must be >= 0, got {k_max}")
 
@@ -230,7 +225,6 @@ class ExponentialDecayLST(TransformOracle):
         if a < 0:
             raise DomainError(f"decay rate must be >= 0, got {a}")
         self.a = a
-        self.gamma_abscissa = -a
 
     def weights(self, t, k_max):
         self._require_valid_point(t, k_max)
@@ -255,7 +249,6 @@ class ScaledLST(TransformOracle):
     def __init__(self, c: float, inner: TransformOracle):
         self.c = c
         self.inner = inner
-        self.gamma_abscissa = inner.gamma_abscissa
 
     def weights(self, t, k_max):
         return self.c * self.inner.weights(t, k_max)
@@ -268,7 +261,6 @@ class SumLST(TransformOracle):
         if not oracles:
             raise DomainError("SumLST needs at least one oracle")
         self.oracles = oracles
-        self.gamma_abscissa = max(o.gamma_abscissa for o in oracles)
 
     def weights(self, t, k_max):
         total = self.oracles[0].weights(t, k_max).copy()
@@ -285,7 +277,6 @@ class CumulativeLST(TransformOracle):
 
     def __init__(self, inner: TransformOracle):
         self.inner = inner
-        self.gamma_abscissa = inner.gamma_abscissa
 
     def weights(self, t, k_max):
         return np.cumsum(self.inner.weights(t, k_max)) / t
@@ -302,7 +293,6 @@ class SurvivalLST(TransformOracle):
 
     def __init__(self, inner: TransformOracle):
         self.inner = inner
-        self.gamma_abscissa = inner.gamma_abscissa
 
     def weights(self, t, k_max):
         tails = 1.0 - np.cumsum(self.inner.weights(t, k_max))
@@ -398,7 +388,6 @@ class RenewalRatioLST(TransformOracle):
         self.v_oracle = v_oracle
         self.f_oracle = f_oracle
         self.phi = phi
-        self.gamma_abscissa = max(v_oracle.gamma_abscissa, f_oracle.gamma_abscissa)
 
     def weights(self, t, k_max):
         self._require_valid_point(t, k_max)

@@ -1,7 +1,7 @@
-"""Independent verification oracles.
+"""Independent verification oracles for the test suite.
 
-Nothing here feeds the main pipeline: these are slow, simple, or
-closed-form routes used by the test suite to cross-check it.
+Slow, simple or closed-form routes that the tests cross-check the
+package's pipeline against; nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .inversion import lattice_index
+from renewinv import DomainError, lattice_index
 
 
 def convolution_renewal_solve(

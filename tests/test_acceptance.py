@@ -30,11 +30,10 @@ import time
 import numpy as np
 import pytest
 
+from oracles import closed_form_lstar_exponential_ruin, convolution_renewal_solve
 from renewinv import (
     approximate_nonruin,
-    closed_form_lstar_exponential_ruin,
     compound_cdf,
-    convolution_renewal_solve,
     discretize_equilibrium,
     exact_nonruin_exponential,
     GammaMixture,

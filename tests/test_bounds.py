@@ -12,8 +12,7 @@ from renewinv import (
     AdmissibilityError,
     approximate_nonruin,
     BoundReport,
-    chain_derivative_bounds,
-    chain_high_order_bounds,
+    chain_bounds,
     Component,
     DomainError,
     equilibrium_moments,
@@ -492,50 +491,76 @@ class TestFSecondIntegrals:
             f_second_integrals(mix)
 
 
-class TestChainDerivativeBounds:
+# a ledger whose entries all differ, so a misplaced term changes the result
+DISTINCT_LEDGER = NormLedger(
+    w1_norm=0.31, uw1_norm=0.37, u2w1_norm=0.41, w2_norm=0.43, uw2_norm=0.47,
+    u2w2_norm=0.53, u2w1pp_norm=0.59, u2w2pp_norm=0.61, ez=1.3, ez2=2.9,
+    i0_fpp=0.67, i1_fpp=0.71, i2_fpp=0.73, f0=0.79, f1_0=-0.83,
+)
+
+
+class TestChainBounds:
     def test_first_norm_exponential(self):
-        report = chain_derivative_bounds(exp_ledger(0.9), 0.9)
+        report = chain_bounds(exp_ledger(0.9), 0.9)
         assert report.m1_norm == pytest.approx(0.9, rel=1e-9)
 
     def test_chain_arithmetic(self):
         ledger = exp_ledger(0.9)
-        report = chain_derivative_bounds(ledger, 0.9)
+        report = chain_bounds(ledger, 0.9)
         m1 = ledger.w1_norm / 0.1
         um1 = (0.9 * ledger.ez * m1 + ledger.uw1_norm) / 0.1
         u2m1 = (0.9 * (2.0 * ledger.ez * um1 + ledger.ez2 * m1) + ledger.u2w1_norm) / 0.1
         assert report.um1_norm == pytest.approx(um1, rel=1e-14)
         assert report.u2m1_norm == pytest.approx(u2m1, rel=1e-14)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.9])
+    def test_high_order_arithmetic(self, phi):
+        ledger = DISTINCT_LEDGER
+        r = chain_bounds(ledger, phi)
+        lead = ledger.i0_fpp + abs(ledger.f1_0)
+        u2m3 = (
+            phi * (lead * r.u2m1_norm + 2.0 * ledger.i1_fpp * r.um1_norm + ledger.i2_fpp * r.m1_norm)
+            + phi * ledger.f0 * r.u2m2_norm
+            + ledger.u2w1pp_norm
+        )
+        u2m4 = (
+            phi * (lead * r.u2m2_norm + 2.0 * ledger.i1_fpp * r.um2_norm + ledger.i2_fpp * r.m2_norm)
+            + phi * ledger.f0 * u2m3
+            + ledger.u2w2pp_norm
+        )
+        assert r.u2m3_norm == u2m3
+        assert r.u2m4_norm == u2m4
+
     def test_zero_defect_collapses_to_w_norms(self):
         ledger = exp_ledger(0.9)
-        report = chain_derivative_bounds(ledger, 0.0)
+        report = chain_bounds(ledger, 0.0)
         assert report.m1_norm == ledger.w1_norm
         assert report.m2_norm == ledger.w2_norm
 
-    def test_true_derivative_is_dominated(self):
-        # |d/du nonruin| = 0.09 exp(-0.1 u) has sup 0.09, below the bound 0.9
-        report = chain_derivative_bounds(exp_ledger(0.9), 0.9)
-        assert 0.09 <= report.m1_norm
-
-
-class TestChainHighOrderBounds:
     def test_zero_defect(self):
         ledger = exp_ledger(0.9)
-        partial = chain_derivative_bounds(ledger, 0.0)
-        full = chain_high_order_bounds(partial, ledger, 0.0)
+        full = chain_bounds(ledger, 0.0)
         assert full.u2m3_norm == ledger.u2w1pp_norm
+
+    def test_true_derivative_is_dominated(self):
+        # |d/du nonruin| = 0.09 exp(-0.1 u) has sup 0.09, below the bound 0.9
+        report = chain_bounds(exp_ledger(0.9), 0.9)
+        assert 0.09 <= report.m1_norm
 
     def test_dominates_true_third_derivative(self):
         # u^2 |d^3/du^3 ruin| = 0.0009 u^2 exp(-0.1u), sup 0.0009 * 400 e^-2
-        ledger = exp_ledger(0.9)
-        full = chain_high_order_bounds(chain_derivative_bounds(ledger, 0.9), ledger, 0.9)
+        full = chain_bounds(exp_ledger(0.9), 0.9)
         true_sup = 0.0009 * 400.0 * math.exp(-2.0)
         assert full.u2m3_norm >= true_sup
 
     def test_um3_equals_u2m4(self):
-        ledger = exp_ledger(0.9)
-        full = chain_high_order_bounds(chain_derivative_bounds(ledger, 0.9), ledger, 0.9)
+        full = chain_bounds(exp_ledger(0.9), 0.9)
         assert full.um3_norm == full.u2m4_norm
+
+    @pytest.mark.parametrize("phi", [-0.1, 1.0, math.nan])
+    def test_rejects_defect_outside_unit_interval(self, phi):
+        with pytest.raises(DomainError, match="defect phi"):
+            chain_bounds(DISTINCT_LEDGER, phi)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -552,8 +577,8 @@ class TestChainHighOrderBounds:
         # keep the moment pair consistent so validation passes
         bumped_vals["ez2"] = max(bumped_vals["ez2"], bumped_vals["ez"] ** 2)
         bumped = NormLedger(**bumped_vals)
-        lo = chain_high_order_bounds(chain_derivative_bounds(base, phi), base, phi)
-        hi = chain_high_order_bounds(chain_derivative_bounds(bumped, phi), bumped, phi)
+        lo = chain_bounds(base, phi)
+        hi = chain_bounds(bumped, phi)
         for name in ("m1_norm", "um1_norm", "u2m1_norm", "m2_norm", "um2_norm",
                      "u2m2_norm", "u2m3_norm", "u2m4_norm", "um3_norm"):
             assert getattr(hi, name) >= getattr(lo, name) - 1e-12
@@ -580,11 +605,6 @@ class TestTheoremBound:
         _, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))
         with pytest.raises(DomainError, match="finite"):
             report.total_bound(t)
-
-    def test_incomplete_report_rejected(self):
-        partial = chain_derivative_bounds(exp_ledger(0.9), 0.9)
-        with pytest.raises(DomainError):
-            partial.total_bound(5.0)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     @pytest.mark.parametrize("t", [5.0, 10.0])
@@ -635,7 +655,7 @@ class TestTheoremBound:
             for i in range(3)
         )
         upper = dataclasses.replace(ledger, i0_fpp=i0, i1_fpp=i1, i2_fpp=i2)
-        upper_report = chain_high_order_bounds(chain_derivative_bounds(upper, 0.9), upper, 0.9)
+        upper_report = chain_bounds(upper, 0.9)
         assert upper_report.total_bound(5.0) >= exact_report.total_bound(5.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import closed_form_lstar_exponential_ruin
 from renewinv import (
     compound_cdf,
     discretize_equilibrium,
@@ -15,7 +16,6 @@ from renewinv import (
     panjer_geometric,
     RealShape,
 )
-from renewinv.oracles import closed_form_lstar_exponential_ruin
 from renewinv.transforms import Component
 
 

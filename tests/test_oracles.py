@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import closed_form_lstar_exponential_ruin, convolution_renewal_solve
 from renewinv import (
     approximate_nonruin,
-    closed_form_lstar_exponential_ruin,
-    convolution_renewal_solve,
     exact_nonruin_exponential,
     renewal_data_from_model,
     RiskModel,

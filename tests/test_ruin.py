@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import closed_form_lstar_exponential_ruin
 from renewinv import (
     AdmissibilityError,
     approximate_nonruin,
@@ -21,7 +22,6 @@ from renewinv import (
     ScaledLST,
     SumLST,
 )
-from renewinv.oracles import closed_form_lstar_exponential_ruin
 from renewinv.inversion import MAX_FINE_LATTICE
 
 

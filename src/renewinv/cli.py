@@ -111,6 +111,10 @@ def _load_mixture(path: str) -> GammaMixture:
     return GammaMixture(tuple(Component(p / total, a, b) for p, a, b in parsed))
 
 
+def _lattice_values(approx, u_values):
+    return [approx.lattice(u) for u in u_values]
+
+
 def cmd_table1(args) -> int:
     models = {
         "exponential": GammaMixture.exponential(),
@@ -120,7 +124,7 @@ def cmd_table1(args) -> int:
     columns = {"u": list(TABLE1_U)}
     for name, mix in models.items():
         approx = approximate_nonruin(RiskModel(mix, TABLE1_PHI), TABLE1_T, max(TABLE1_U))
-        columns[name] = approx.lattice(np.array(TABLE1_U)).tolist()
+        columns[name] = _lattice_values(approx, TABLE1_U)
     exact = [exact_nonruin_exponential(TABLE1_PHI, 1.0, u) for u in TABLE1_U]
     dev = [abs(a - b) for a, b in zip(columns["exponential"], exact)]
     columns["exact_exponential"] = exact
@@ -201,7 +205,7 @@ def cmd_invert(args) -> int:
         values = [l_star(oracle, args.t, u) for u in u_values]
     elif args.method == "m2":
         lattice = m2_lattice(oracle, args.t, covering_index(args.t, max(u_values)), g0)
-        values = lattice(np.array(u_values))
+        values = [lattice(u) for u in u_values]
     else:
         raise _UsageError(f"unknown method {args.method!r}")
 
@@ -243,9 +247,7 @@ def cmd_convergence(args) -> int:
     comps = mix.components
     if len(comps) == 1 and comps[0].alpha == 1.0:
         beta = comps[0].beta
-
-        def reference(u):
-            return np.array([exact_nonruin_exponential(args.phi, beta, x) for x in u.tolist()])
+        reference = lambda u: exact_nonruin_exponential(args.phi, beta, u)
     else:
         # the coarse lattices end at K/t >= u_max, so the reference must reach the last of them
         u_ref = max(covering_index(t, args.u_max) / t for t in t_list)
@@ -253,8 +255,12 @@ def cmd_convergence(args) -> int:
 
     errors = {}
     for t in t_list:
-        values = approximate_nonruin(model, t, args.u_max).lattice.values
-        errors[t] = float(np.max(np.abs(values - reference(np.arange(values.size) / t))))
+        approx = approximate_nonruin(model, t, args.u_max)
+        K = approx.lattice.truncation_index
+        sup = max(
+            abs(float(approx.lattice.values[k]) - reference(k / t)) for k in range(K + 1)
+        )
+        errors[t] = sup
 
     lines = ["t,sup_error,order_vs_double"]
     for t in t_list:

@@ -96,39 +96,17 @@ class LatticeFunction:
     def u_max(self) -> float:
         return self.truncation_index / self.t
 
-    def __call__(self, u):
-        """Values at a float or an array of points; a float gives a float.
-
-        A negative or NaN point, a non-finite t*u, or a point beyond K/t
-        raises :class:`DomainError`; in an array the first such point, in
-        order, raises what a call at that point alone raises.
-        """
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):  # an infinite t*u is rejected below
-            x = self.t * u
-        finite = np.isfinite(x)
-        # the snapping of lattice_index, point by point
-        x = np.where(finite, x, 0.0)
-        k = np.floor(x)
-        frac = x - k
-        up = frac > 1.0 - _SNAP
-        k = np.where(up, k + 1.0, k)
-        frac = np.where(up | (frac < _SNAP), 0.0, frac)
-        K = self.truncation_index
-        bad = (u < 0) | ~finite | (k > K) | ((k == K) & (frac > 0.0))
-        if bad.any():
-            first = float(u[bad][0])
-            if first < 0:
-                raise DomainError(f"lattice functions are defined on u >= 0, got {first}")
-            lattice_index(self.t, first)  # raises on a non-finite t*u
+    def __call__(self, u: float) -> float:
+        if u < 0:
+            raise DomainError(f"lattice functions are defined on u >= 0, got {u}")
+        k, frac = lattice_index(self.t, u)
+        if k > self.truncation_index or (k == self.truncation_index and frac > 0.0):
             raise DomainError(
-                f"u={first} beyond the lattice truncation {self.u_max}; refusing to extrapolate"
+                f"u={u} beyond the lattice truncation {self.u_max}; refusing to extrapolate"
             )
-        k = k.astype(np.intp)
-        v = self.values
-        upper = v[np.minimum(k + 1, K)]
-        out = np.where(frac == 0.0, v[k], frac * upper + (1.0 - frac) * v[k])
-        return float(out) if out.ndim == 0 else out
+        if frac == 0.0:
+            return float(self.values[k])
+        return frac * float(self.values[k + 1]) + (1.0 - frac) * float(self.values[k])
 
 
 def l_star(oracle: TransformOracle, t: float, u: float) -> float:

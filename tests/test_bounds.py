@@ -515,21 +515,30 @@ class TestChainBounds:
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.9])
     def test_high_order_arithmetic(self, phi):
-        ledger = DISTINCT_LEDGER
-        r = chain_bounds(ledger, phi)
-        lead = ledger.i0_fpp + abs(ledger.f1_0)
+        # every entry written out from the ledger alone, as in the docstring
+        lg = DISTINCT_LEDGER
+        p = 1.0 - phi
+        m1 = lg.w1_norm / p
+        um1 = (phi * lg.ez * m1 + lg.uw1_norm) / p
+        u2m1 = (phi * (2.0 * lg.ez * um1 + lg.ez2 * m1) + lg.u2w1_norm) / p
+        m2 = lg.w2_norm / p
+        um2 = (phi * lg.ez * m2 + lg.uw2_norm) / p
+        u2m2 = (phi * (2.0 * lg.ez * um2 + lg.ez2 * m2) + lg.u2w2_norm) / p
+        lead = lg.i0_fpp + abs(lg.f1_0)
         u2m3 = (
-            phi * (lead * r.u2m1_norm + 2.0 * ledger.i1_fpp * r.um1_norm + ledger.i2_fpp * r.m1_norm)
-            + phi * ledger.f0 * r.u2m2_norm
-            + ledger.u2w1pp_norm
+            phi * (lead * u2m1 + 2.0 * lg.i1_fpp * um1 + lg.i2_fpp * m1)
+            + phi * lg.f0 * u2m2
+            + lg.u2w1pp_norm
         )
         u2m4 = (
-            phi * (lead * r.u2m2_norm + 2.0 * ledger.i1_fpp * r.um2_norm + ledger.i2_fpp * r.m2_norm)
-            + phi * ledger.f0 * u2m3
-            + ledger.u2w2pp_norm
+            phi * (lead * u2m2 + 2.0 * lg.i1_fpp * um2 + lg.i2_fpp * m2)
+            + phi * lg.f0 * u2m3
+            + lg.u2w2pp_norm
         )
-        assert r.u2m3_norm == u2m3
-        assert r.u2m4_norm == u2m4
+        r = chain_bounds(lg, phi)
+        assert (r.m1_norm, r.um1_norm, r.u2m1_norm) == (m1, um1, u2m1)
+        assert (r.m2_norm, r.um2_norm, r.u2m2_norm) == (m2, um2, u2m2)
+        assert (r.u2m3_norm, r.u2m4_norm, r.um3_norm) == (u2m3, u2m4, u2m4)
 
     def test_zero_defect_collapses_to_w_norms(self):
         ledger = exp_ledger(0.9)

@@ -208,59 +208,6 @@ class TestLatticeFunction:
             f(-0.01)
         assert f(0.2) == 2.0
 
-    @staticmethod
-    def ragged():
-        # a rate with no short binary fraction, signed zeros and distinct values
-        values = np.random.default_rng(7).normal(size=41)
-        values[[3, 4, 20]] = [-0.0, 0.0, -0.0]
-        return LatticeFunction(7.3, values)
-
-    @staticmethod
-    def point_value(f, u):
-        """One float point by the interpolation written out: snap, then mix the neighbours."""
-        k, frac = lattice_index(f.t, u)
-        if frac == 0.0:
-            return float(f.values[k])
-        return frac * float(f.values[k + 1]) + (1.0 - frac) * float(f.values[k])
-
-    def test_array_call_matches_point_calls_bit_for_bit(self):
-        f = self.ragged()
-        k = np.arange(f.truncation_index + 1)
-        on = k / f.t
-        points = np.concatenate([
-            on, -0.0 * on[:1], (k[:-1] + 0.37) / f.t, (k[:-1] + 0.5) / f.t,
-            on[1:] - 1e-10, on[:-1] + 1e-10, on[1:] - 1e-8, on[:-1] + 1e-8,
-        ])
-        out = f(points)
-        singles = [f(float(u)) for u in points]
-        assert all(type(v) is float for v in singles)
-        expected = np.array([self.point_value(f, float(u)) for u in points])
-        assert out.shape == points.shape
-        np.testing.assert_array_equal(out.view(np.int64), np.array(singles).view(np.int64))
-        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
-        grid = f(points[:80].reshape(8, 10))
-        np.testing.assert_array_equal(grid.view(np.int64), out[:80].reshape(8, 10).view(np.int64))
-
-    @pytest.mark.parametrize(
-        "bad", [-0.01, -math.inf, math.nan, math.inf, 1e308, 40.0 / 7.3 + 1e-6, 1e300]
-    )
-    def test_array_call_raises_what_the_point_call_raises(self, bad):
-        f = self.ragged()
-        with pytest.raises(DomainError) as alone:
-            f(bad)
-        with pytest.raises(DomainError) as inside:
-            f(np.array([0.1, f.u_max, bad, 0.3]))
-        assert str(inside.value) == str(alone.value)
-
-    def test_array_call_raises_at_the_first_bad_point(self):
-        f = self.ragged()
-        for first, second in [(-1.0, math.nan), (math.nan, f.u_max + 1.0), (f.u_max + 1.0, -1.0)]:
-            with pytest.raises(DomainError) as alone:
-                f(first)
-            with pytest.raises(DomainError) as inside:
-                f(np.array([0.2, first, second]))
-            assert str(inside.value) == str(alone.value)
-
     def test_values_are_immutable(self):
         f = LatticeFunction(1.0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

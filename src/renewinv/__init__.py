@@ -2,9 +2,10 @@
 
 Approximates functions from the derivatives of their Laplace transforms via
 a gamma-type operator and its order-2 accelerated lattice variant, with a
-complete classical-risk-model ruin pipeline (negative-binomial lattice
-discretization plus a compound geometric series reciprocal) and an
-a-priori error-bound calculator.
+classical-risk-model ruin pipeline and an a-priori error-bound calculator.
+The non-ruin probability is one more transform oracle (negative-binomial
+lattice discretization plus a compound geometric series reciprocal, then
+cumulative sums) read by the same operators.
 """
 
 from .bounds import (
@@ -16,12 +17,7 @@ from .bounds import (
     ruin_bound_report,
     ruin_w_functions,
 )
-from .compound import (
-    compound_cdf,
-    discretize_equilibrium,
-    LatticePMF,
-    panjer_geometric,
-)
+from .compound import discretize_equilibrium, LatticePMF, panjer_geometric
 from .errors import (
     AdmissibilityError,
     DomainError,

@@ -16,8 +16,9 @@ O(K^2) of Panjer's recursion.  That series kernel lives in
 :class:`~renewinv.transforms.RenewalRatioLST` that uses it too.  The
 function keeps the name ``panjer_geometric`` because it returns the same
 coefficients and its callers and the benchmark tracer refer to it by that
-name.  Its cumulative sums are exactly the gamma-operator approximation of
-the non-ruin probability.
+name.  The non-ruin oracle of :mod:`renewinv.ruin` reads both functions:
+its weights are the cumulative sums of the compound PMF divided by t, the
+normalized transform-derivative weights of the non-ruin probability.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NegativeWeightError
-from .inversion import LatticeFunction
 from .transforms import _series_reciprocal, GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
@@ -116,9 +116,3 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     a[: f.size] = -phi * f
     a[0] += 1.0
     return _fresh_pmf(severity.t, (1.0 - phi) * _series_reciprocal(a))
-
-
-def compound_cdf(pmf: LatticePMF) -> LatticeFunction:
-    """Cumulative sums of a lattice PMF as an interpolating lattice function."""
-    cdf = np.minimum(np.cumsum(pmf.weights), 1.0)
-    return LatticeFunction(pmf.t, cdf)

@@ -26,7 +26,8 @@ from .transforms import TransformOracle
 _SNAP = 1e-9
 # Most points an order-2 lattice approximation puts on its fine lattice
 # {k/(2t)}: 2K <= 2**20, checked before any oracle call or array.  The
-# single-point operators request at most as many oracle weights.
+# single-point operators and ruin.lstar_nonruin request at most as many
+# oracle weights.
 MAX_FINE_LATTICE = 2**20
 
 

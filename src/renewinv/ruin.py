@@ -1,16 +1,15 @@
 """Classical risk model: end-to-end non-ruin probability approximation.
 
 The non-ruin probability is the CDF of a geometric sum of equilibrium-law
-claims.  :func:`lstar_nonruin` is the one assembly of that sum on a lattice
-{k/t}: it discretizes the equilibrium law at exactly the K+1 points used,
-expands the compound geometric PMF with
-:func:`~renewinv.compound.panjer_geometric` (a Newton series reciprocal in
-O(K log K), the kernel defined in :mod:`renewinv.transforms` that the
-renewal-ratio oracle also divides with), and takes cumulative sums, which is
-the gamma-operator value L*_t.  :func:`approximate_nonruin` runs it at rates
-t and 2t and combines the two curves into the order-2 accelerated lattice
-approximation.  The fine lattice is capped at ``MAX_FINE_LATTICE`` points,
-checked before any array is built.
+claims.  Its transform-derivative weights at t are that CDF on the lattice
+{k/t} divided by t, as the lattice discretization of a sum is the sum of the
+discretized claims.  The private oracle ``_NonruinLST`` computes them: it
+discretizes the equilibrium law at exactly the K+1 points used, expands the
+compound geometric PMF with :func:`~renewinv.compound.panjer_geometric`
+(the Newton series reciprocal of :mod:`renewinv.transforms`) and takes
+cumulative sums.  :func:`lstar_nonruin` (L*_t) and
+:func:`approximate_nonruin` (one :func:`~renewinv.inversion.m2_lattice`
+call) read it like any other oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .compound import compound_cdf, discretize_equilibrium, panjer_geometric
+from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
-from .inversion import covering_index, LatticeFunction, MAX_FINE_LATTICE
+from .inversion import _require_weight_count, covering_index, LatticeFunction, m2_lattice
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -94,55 +93,62 @@ class RenewalIngredients:
     v: Callable
 
 
+class _NonruinLST(TransformOracle):
+    """Transform oracle of the non-ruin probability of a risk model.
+
+    Weights at t: the CDF (clamped at 1) of the geometric compound of the
+    equilibrium law discretized at rate t, to index k_max, divided by t.
+    """
+
+    def __init__(self, model: RiskModel):
+        self.model = model
+
+    def weights(self, t, k_max):
+        self._require_valid_point(t, k_max)
+        severity = discretize_equilibrium(self.model.claims, t, k_max)
+        pmf = panjer_geometric(severity, self.model.phi, k_max)
+        return np.minimum(np.cumsum(pmf.weights), 1.0) / t
+
+
 def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
     """Gamma-operator approximation L*_t of the non-ruin probability on {k/t, k = 0..K}.
 
-    The CDF of the geometric compound of the equilibrium law discretized at
-    rate t; both steps stop at index K.
+    Raises :class:`DomainError` when the K + 1 weights exceed
+    ``MAX_FINE_LATTICE``, before any array is built.
     """
-    severity = discretize_equilibrium(model.claims, t, K)
-    return compound_cdf(panjer_geometric(severity, model.phi, K))
+    _require_weight_count(K + 1, f"lstar_nonruin at K = {K}")
+    return LatticeFunction(t, t * _NonruinLST(model).weights(t, K))
 
 
 def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproximation:
-    """Run the full discretize -> compound -> accelerate pipeline up to u_max.
+    """Order-2 accelerated non-ruin approximation on {k/t} up to u_max.
 
-    Both lattice rates t and 2t are processed; the k = 0 value is pinned to
-    the exact 1 - phi since the accelerated operator is defined to take the
-    true value at the origin.  Raises :class:`DomainError` for a non-finite
+    One :func:`~renewinv.inversion.m2_lattice` call over the non-ruin
+    oracle at rates t and 2t; the k = 0 value is pinned to the exact
+    1 - phi since the accelerated operator is defined to take the true
+    value at the origin.  Raises :class:`DomainError` for a non-finite
     t * u_max and for a lattice beyond ``MAX_FINE_LATTICE``.
     """
     if not t > 0:
         raise DomainError(f"lattice rate t must be positive, got {t}")
     if not u_max > 0:
         raise DomainError(f"u_max must be positive, got {u_max}")
-    K = covering_index(t, u_max)
-    if 2 * K > MAX_FINE_LATTICE:
-        raise DomainError(
-            f"t*u_max = {t * u_max:g} needs {2 * K} points on the fine lattice, "
-            f"more than the limit {MAX_FINE_LATTICE}"
-        )
-    phi = model.phi
-    cdf_coarse = lstar_nonruin(model, t, K - 1)
-    cdf_fine = lstar_nonruin(model, 2.0 * t, 2 * K - 1)
-
-    vals = np.empty(K + 1)
-    vals[0] = 1.0 - phi
-    vals[1:] = 2.0 * cdf_fine.values[1::2] - cdf_coarse.values
-    return RuinApproximation(t=t, phi=phi, lattice=LatticeFunction(t, vals))
+    lattice = m2_lattice(_NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi)
+    return RuinApproximation(t, model.phi, lattice)
 
 
 def exact_nonruin_exponential(phi: float, beta: float, u: float) -> float:
     """Closed-form non-ruin probability for exponential claims with rate beta.
 
     1 - phi * exp(-beta (1-phi) u); reduces to the mean-one formula
-    1 - phi * exp(-(1-phi) u) at beta = 1.
+    1 - phi * exp(-(1-phi) u) at beta = 1, and is 1 at u = inf.  A NaN u
+    or a non-finite beta raises :class:`DomainError`.
     """
     if not 0 < phi < 1:
         raise AdmissibilityError(f"phi must be in (0, 1), got {phi}")
-    if not beta > 0:
-        raise DomainError(f"claim rate beta must be positive, got {beta}")
-    if u < 0:
+    if not 0 < beta < math.inf:
+        raise DomainError(f"claim rate beta must be positive and finite, got {beta}")
+    if not u >= 0:
         raise DomainError(f"initial capital must be >= 0, got {u}")
     return 1.0 - phi * math.exp(-beta * (1.0 - phi) * u)
 

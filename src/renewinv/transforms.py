@@ -47,7 +47,7 @@ def _shaped_like(u: np.ndarray, values):
 
 
 class TransformOracle(abc.ABC):
-    """Supplies the normalized derivative weights of a transform at t > 0.
+    """Supplies the normalized derivative weights of a transform at finite t > 0.
 
     Every source function built here grows at most polynomially, so its
     transform is defined for all t > 0.  Oracles are immutable and safe for
@@ -63,8 +63,8 @@ class TransformOracle(abc.ABC):
         return float(self.weights(t, 0)[0])
 
     def _require_valid_point(self, t: float, k_max: int) -> None:
-        if not t > 0:
-            raise DomainError(f"transform point t={t} must be positive")
+        if not 0 < t < math.inf:
+            raise DomainError(f"transform point t={t} must be positive and finite")
         if k_max < 0:
             raise DomainError(f"k_max must be >= 0, got {k_max}")
 

@@ -33,13 +33,12 @@ import pytest
 from oracles import closed_form_lstar_exponential_ruin, convolution_renewal_solve
 from renewinv import (
     approximate_nonruin,
-    compound_cdf,
     discretize_equilibrium,
     exact_nonruin_exponential,
     GammaMixture,
+    lstar_nonruin,
     negbin_logpmf,
     negbin_pmf_terms,
-    panjer_geometric,
     RealShape,
     renewal_data_from_model,
     RenewalRatioLST,
@@ -167,8 +166,7 @@ def test_criterion_4_two_path_equivalence(all_table_mixtures):
     worst_cdf = 0.0
     for t in (5.0, 10.0):
         K = int(40 * t)
-        sev = discretize_equilibrium(exp_mix, t, K)
-        cdf = compound_cdf(panjer_geometric(sev, 0.9, K))
+        cdf = lstar_nonruin(RiskModel(exp_mix, 0.9), t, K)
         worst_cdf = max(
             worst_cdf,
             max(

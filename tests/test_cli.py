@@ -301,6 +301,19 @@ class TestInvert:
         assert code == 2
         assert "oracle weights" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["postwidder", "stehfest2"])
+    @pytest.mark.parametrize("transform", ["gamma_mixture", "exp_decay"])
+    def test_overflowing_transform_point_exits_2(self, write_spec, capsys, method, transform):
+        # s = n/u overflows to inf at a subnormal u, a point no oracle accepts
+        spec = write_spec([(1.0, 1.5, 1.0)], "gamma")
+        code, out, err = run(
+            ["invert", "--transform", transform, "--spec", spec, "--method", method,
+             "--t", "1", "--u", "5e-324"],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "finite" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["lstar", "m2"])
     @pytest.mark.parametrize("u", ["nan", "inf", "1,nan"])
     def test_non_finite_u_exits_2(self, capsys, method, u):

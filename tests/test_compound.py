@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import closed_form_lstar_exponential_ruin
 from renewinv import (
-    compound_cdf,
     discretize_equilibrium,
     DomainError,
     GammaMixture,
     LatticePMF,
+    lstar_nonruin,
     negbin_logpmf,
     NegativeWeightError,
     panjer_geometric,
     RealShape,
+    RiskModel,
 )
 from renewinv.transforms import Component
 
@@ -194,12 +195,13 @@ class TestPanjerAgainstReference:
 
 class TestCompoundCdf:
     def test_point_mass_gives_constant_one(self):
-        cdf = compound_cdf(LatticePMF(5.0, np.array([1.0, 0.0, 0.0])))
-        assert np.all(cdf.values == 1.0)
+        # claims of size 0: the geometric compound is the point mass at 0, and
+        # its clamped cumulative sum, as the non-ruin oracle takes it, is 1
+        pmf = panjer_geometric(LatticePMF(5.0, np.array([1.0, 0.0, 0.0])), 0.9, 2)
+        assert np.all(np.minimum(np.cumsum(pmf.weights), 1.0) == 1.0)
 
     def test_monotone(self, half_mixture):
-        sev = discretize_equilibrium(half_mixture, 5.0, 300)
-        cdf = compound_cdf(panjer_geometric(sev, 0.9, 300))
+        cdf = lstar_nonruin(RiskModel(half_mixture, 0.9), 5.0, 300)
         assert np.all(np.diff(cdf.values) >= 0.0)
         assert cdf.values[-1] <= 1.0
 
@@ -209,8 +211,7 @@ class TestCompoundCdf:
         # exponential non-ruin function at every lattice point
         phi = 0.9
         K = int(40 * t)
-        sev = discretize_equilibrium(exp_mixture, t, K)
-        cdf = compound_cdf(panjer_geometric(sev, phi, K))
+        cdf = lstar_nonruin(RiskModel(exp_mixture, phi), t, K)
         worst = max(
             abs(float(cdf.values[k]) - closed_form_lstar_exponential_ruin(phi, t, k / t))
             for k in range(K + 1)
@@ -219,6 +220,5 @@ class TestCompoundCdf:
 
     def test_spot_value_at_u_08(self, exp_mixture):
         # closed form 1 - 0.9 (5/5.1)^5 at u = 0.8, t = 5
-        sev = discretize_equilibrium(exp_mixture, 5.0, 50)
-        cdf = compound_cdf(panjer_geometric(sev, 0.9, 50))
+        cdf = lstar_nonruin(RiskModel(exp_mixture, 0.9), 5.0, 50)
         assert cdf(0.8) == pytest.approx(1.0 - 0.9 * (5.0 / 5.1) ** 5, rel=1e-12)

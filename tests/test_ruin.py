@@ -18,11 +18,23 @@ from renewinv import (
     renewal_data_from_model,
     RenewalRatioLST,
     RiskModel,
+    ruin,
     ruin_bound_report,
     ScaledLST,
     SumLST,
 )
+from renewinv.compound import discretize_equilibrium, panjer_geometric
 from renewinv.inversion import MAX_FINE_LATTICE
+
+
+def _must_not_run(*args):
+    raise AssertionError("the lattice cap must refuse before any oracle call")
+
+
+def compound_cdf_reference(mixture, phi, t, K):
+    """Clamped CDF of the geometric compound of the equilibrium law at rate t, to index K."""
+    pmf = panjer_geometric(discretize_equilibrium(mixture, t, K), phi, K)
+    return np.minimum(np.cumsum(pmf.weights), 1.0)
 
 
 class TestRiskModel:
@@ -62,6 +74,15 @@ class TestExactNonruinExponential:
             exact_nonruin_exponential(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             exact_nonruin_exponential(0.9, 0.0, 1.0)
+
+    @pytest.mark.parametrize("beta,u", [(1.0, math.nan), (math.inf, 0.0), (math.inf, 1.0)])
+    def test_nan_capital_or_infinite_rate(self, beta, u):
+        # exp(nan) and, at the origin, inf * 0 would give nan
+        with pytest.raises(DomainError):
+            exact_nonruin_exponential(0.5, beta, u)
+
+    def test_infinite_capital_is_certain_survival(self):
+        assert exact_nonruin_exponential(0.9, 2.0, math.inf) == 1.0
 
 
 class TestApproximateNonruin:
@@ -127,9 +148,38 @@ class TestApproximateNonruin:
             approx.nonruin(math.nan)
 
     @pytest.mark.parametrize("t,u_max", [(1e6, 40.0), (1.0, MAX_FINE_LATTICE / 2 + 1)])
-    def test_lattice_size_cap(self, exp_mixture, t, u_max):
-        with pytest.raises(DomainError, match="fine lattice"):
+    def test_lattice_size_cap(self, monkeypatch, exp_mixture, t, u_max):
+        # refused before the oracle discretizes anything
+        monkeypatch.setattr(ruin, "discretize_equilibrium", _must_not_run)
+        with pytest.raises(DomainError, match=f"fine lattice, more than the limit {MAX_FINE_LATTICE}"):
             approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("t", [5.0, 100.0, 200.0])
+    def test_matches_two_curve_combine(self, all_table_mixtures, phi, t):
+        # the order-2 combine written out on two clamped compound CDFs,
+        # 2 L*_{2t}[1::2] - L*_t; the oracle route divides each CDF by its
+        # rate and multiplies back, which moves a value by a few ulps
+        for mix in all_table_mixtures.values():
+            approx = approximate_nonruin(RiskModel(mix, phi), t, 40.0)
+            K = approx.lattice.truncation_index
+            fine = compound_cdf_reference(mix, phi, 2.0 * t, 2 * K - 1)
+            coarse = compound_cdf_reference(mix, phi, t, K - 1)
+            assert approx.lattice.values[0] == 1.0 - phi
+            assert np.max(np.abs(approx.lattice.values[1:] - (2.0 * fine[1::2] - coarse))) <= 1e-15
+            plain = lstar_nonruin(RiskModel(mix, phi), t, K).values
+            assert np.max(np.abs(plain - compound_cdf_reference(mix, phi, t, K))) <= 1e-15
+
+    def test_two_compound_expansions_per_call(self, monkeypatch, gamma32_mixture):
+        calls = []
+
+        def counting(severity, phi, K):
+            calls.append((severity.t, K))
+            return panjer_geometric(severity, phi, K)
+
+        monkeypatch.setattr(ruin, "panjer_geometric", counting)
+        approximate_nonruin(RiskModel(gamma32_mixture, 0.9), 2.0, 40.0)
+        assert sorted(calls) == [(2.0, 79), (4.0, 159)]
 
     @pytest.mark.parametrize(
         "alpha,t,u_max",
@@ -192,6 +242,17 @@ class TestApproximateNonruin:
 
 
 class TestLstarNonruin:
+    def test_weight_cap(self, monkeypatch, exp_mixture):
+        # 2**20 + 1 weights, one over the cap; refused before any array is built
+        monkeypatch.setattr(ruin, "discretize_equilibrium", _must_not_run)
+        with pytest.raises(DomainError, match=f"more than the limit {MAX_FINE_LATTICE}"):
+            lstar_nonruin(RiskModel(exp_mixture, 0.9), 1.0, MAX_FINE_LATTICE)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+    def test_bad_rate(self, exp_mixture, t):
+        with pytest.raises(DomainError):
+            lstar_nonruin(RiskModel(exp_mixture, 0.9), t, 3)
+
     @pytest.mark.parametrize("t", [5.0, 100.0])
     def test_exponential_closed_form(self, exp_mixture, t):
         K = int(40 * t)

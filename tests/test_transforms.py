@@ -202,6 +202,9 @@ class TestGammaMixtureLST:
             GammaMixtureLST(exp_mixture).weights(0.0, 3)
         with pytest.raises(DomainError):
             GammaMixtureLST(exp_mixture).weights(-1.0, 3)
+        # an overflowed point, e.g. the Post-Widder s = n/u at a subnormal u
+        with pytest.raises(DomainError, match="finite"):
+            GammaMixtureLST(exp_mixture).weights(math.inf, 2)
 
 
 class TestBuildingBlocks:

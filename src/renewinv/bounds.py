@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .ruin import RiskModel
-from .specfun import reg_inc_gamma_lower
+from .specfun import _gamma_kernel, reg_inc_gamma_lower
 from .transforms import GammaMixture
 
 _TAIL_RTOL = 1e-15
@@ -214,17 +214,6 @@ def _sup_norms(law, rows, starts) -> list[float]:
         width *= 2.0 / (_REFINE_POINTS - 1)
 
 
-def _gamma_kernel(alpha: float, power: float, x):
-    """x**power * e^(-x) / Gamma(alpha), formed in log space; 0**0 is 1.
-
-    Large shapes stay finite where x**power and Gamma(alpha) alone overflow.
-    """
-    if power == 0.0:
-        return np.exp(-x - math.lgamma(alpha))
-    with np.errstate(divide="ignore"):
-        return np.exp(power * np.log(x) - x - math.lgamma(alpha))
-
-
 def _u2_cdf_deriv2(mixture: GammaMixture, u):
     """u^2 * F_X''(u) for a gamma mixture at a float or an array of points.
 
@@ -313,7 +302,10 @@ def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
     Splits |F''| at its single sign change u = alpha - 1 and integrates
     each piece by incomplete gamma, P(a, alpha - 1) and P(a + 1, alpha - 1)
     at a = alpha + i - 1.  The a + 1 of one integral is, up to rounding,
-    the a of the next, so each distinct shape is evaluated once per call.
+    the a of the next.  The cache is keyed on exact floats, so it merges
+    only the shapes that round alike: a call evaluates P at four shapes,
+    or at five where a sum such as fl(alpha + 1) - 1 misses alpha by the
+    last bit.
     """
     if alpha == 1.0:
         return 1.0, 1.0, 2.0

@@ -77,8 +77,9 @@ def _fresh_pmf(t: float, weights: np.ndarray) -> LatticePMF:
     if total > 1.0 + _EXCESS_TOL:
         raise DomainError(
             f"lattice weights at t={t} sum to {total!r}, above 1 + {_EXCESS_TOL}: "
-            "terms underflowed, e.g. the negative-binomial seed rho**alpha at a "
-            "large claim shape and lattice rate"
+            "the claims are small against the lattice spacing 1/t, so the rounding "
+            "floor of the equilibrium tail sums, divided by t * mean claim, passes the "
+            "tolerance, and a compound step multiplies that excess by about 1/(1 - phi)"
         )
     deficit = max(0.0, 1.0 - total)
     return LatticePMF(t=t, weights=weights, mass_deficit=deficit)

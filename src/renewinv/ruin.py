@@ -9,14 +9,15 @@ compound geometric PMF with :func:`~renewinv.compound.panjer_geometric`
 (the Newton series reciprocal of :mod:`renewinv.transforms`) and takes
 cumulative sums.  :func:`lstar_nonruin` (L*_t) and
 :func:`approximate_nonruin` (one :func:`~renewinv.inversion.m2_lattice`
-call) read it like any other oracle.
+call) read it like any other oracle.  The renewal ingredients f and v of the
+ruin function come as transform oracles only, from
+:func:`renewal_data_from_model`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
@@ -49,12 +50,6 @@ class RiskModel:
                 f"net-profit condition violated: phi must be in (0, 1), got {self.phi}"
             )
 
-    @classmethod
-    def from_rates(cls, claims: GammaMixture, arrival_rate: float, premium_rate: float) -> "RiskModel":
-        if not arrival_rate > 0 or not premium_rate > 0:
-            raise DomainError("arrival and premium rates must be positive")
-        return cls(claims, arrival_rate * claims.mean / premium_rate)
-
 
 @dataclass(frozen=True)
 class RuinApproximation:
@@ -64,33 +59,24 @@ class RuinApproximation:
     interpolate linearly and queries beyond the truncation raise.
     """
 
-    t: float
-    phi: float
     lattice: LatticeFunction
 
     def nonruin(self, u: float) -> float:
         return self.lattice(u)
 
-    def ruin(self, u: float) -> float:
-        return 1.0 - self.lattice(u)
-
 
 @dataclass(frozen=True)
 class RenewalIngredients:
-    """Defective-renewal data (f, v, phi) carried by a risk model.
+    """Defective-renewal data (f, v, phi) of a risk model, as transform oracles.
 
-    ``f`` is the equilibrium density of the claim law, ``v`` is phi times
-    the equilibrium survival, both at a float or an array of points; the
-    ruin probability solves m(u) = phi * int_0^u m(u-y) f(y) dy + v(u).
-    Oracles expose the transforms for the ratio recursion and the
-    inversion operators.
+    f is the equilibrium density of the claim law and v is phi times the
+    equilibrium survival; the ruin probability solves
+    m(u) = phi * int_0^u m(u-y) f(y) dy + v(u).
     """
 
     phi: float
     f_oracle: TransformOracle
     v_oracle: TransformOracle
-    f: Callable
-    v: Callable
 
 
 class _NonruinLST(TransformOracle):
@@ -134,7 +120,7 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     if not u_max > 0:
         raise DomainError(f"u_max must be positive, got {u_max}")
     lattice = m2_lattice(_NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi)
-    return RuinApproximation(t, model.phi, lattice)
+    return RuinApproximation(lattice)
 
 
 def exact_nonruin_exponential(phi: float, beta: float, u: float) -> float:
@@ -156,17 +142,8 @@ def exact_nonruin_exponential(phi: float, beta: float, u: float) -> float:
 def renewal_data_from_model(model: RiskModel) -> RenewalIngredients:
     """Defective-renewal ingredients of a risk model.
 
-    f is the claim law's equilibrium density, v(u) = phi * (1 - F_eq(u));
-    both come with transform oracles for the ratio recursion and the
-    bound calculators.
+    The oracles of f, the claim law's equilibrium density, and of
+    v(u) = phi * (1 - F_eq(u)), for :class:`~renewinv.transforms.RenewalRatioLST`.
     """
-    mix, phi = model.claims, model.phi
-    f_oracle = survival_to_density_oracle(mix)
-    v_oracle = ScaledLST(phi, SurvivalLST(f_oracle))
-    return RenewalIngredients(
-        phi=phi,
-        f_oracle=f_oracle,
-        v_oracle=v_oracle,
-        f=mix.equilibrium_density,
-        v=lambda u: phi * (1.0 - mix.equilibrium_cdf(u)),
-    )
+    f_oracle = survival_to_density_oracle(model.claims)
+    return RenewalIngredients(model.phi, f_oracle, ScaledLST(model.phi, SurvivalLST(f_oracle)))

@@ -1,7 +1,8 @@
 """Special functions used throughout the package.
 
-The regularized incomplete gamma function and the masses of a negative
-binomial with real (non-integer) shape.
+The regularized incomplete gamma function, its log-space kernel
+x**p e^(-x) / Gamma(alpha), and the masses of a negative binomial with real
+(non-integer) shape.
 
 The incomplete gamma has one elementwise kernel: the ascending series below
 x = alpha + 1 and, above it, the continued fraction evaluated bottom-up to
@@ -46,16 +47,23 @@ class RealShape:
             raise DomainError(f"success probability rho must be in (0, 1], got {self.rho}")
 
 
-def _prefactor(alpha, x):
-    # exp(-x) x**alpha / Gamma(alpha), which scales both recurrences.
-    return np.exp(-x + alpha * np.log(x) - math.lgamma(alpha))
+def _gamma_kernel(alpha: float, power: float, x):
+    """x**power * e^(-x) / Gamma(alpha), formed in log space; 0**0 is 1.
+
+    Large shapes stay finite where x**power and Gamma(alpha) alone
+    overflow.  At power = alpha it scales both recurrences below.
+    """
+    if power == 0.0:
+        return np.exp(-x - math.lgamma(alpha))
+    with np.errstate(divide="ignore"):
+        return np.exp(-x + power * np.log(x) - math.lgamma(alpha))
 
 
 def _series(alpha, x):
-    # P(alpha, x) / prefactor by the ascending series, reliable for
-    # x < alpha + 1.  The terms are positive; convergence is tested once
-    # every _SERIES_BLOCK terms, where converged elements leave the active
-    # set.  Unconverged ones stay NaN.
+    # P(alpha, x) / _gamma_kernel(alpha, alpha, x) by the ascending
+    # series, reliable for x < alpha + 1.  The terms are positive;
+    # convergence is tested once every _SERIES_BLOCK terms, where
+    # converged elements leave the active set.  Unconverged ones stay NaN.
     out = np.full(x.size, math.nan)
     active = np.arange(x.size)
     xa = x
@@ -108,7 +116,7 @@ def _contfrac_tails(alpha, b0, depth):
 
 
 def _contfrac(alpha, x):
-    # Q(alpha, x) / prefactor by the continued fraction
+    # Q(alpha, x) / _gamma_kernel(alpha, alpha, x) by the continued fraction
     # 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_i = x + 1 - alpha + 2i,
     # a_i = -i(i - alpha), reliable for x >= alpha + 1 and evaluated
     # bottom-up.  b_0 is taken as x - (alpha - 1), which is exact near
@@ -148,11 +156,11 @@ def _inc_gamma(name, alpha, x, upper):
     out = np.where(xs == 0.0, 1.0, 0.0) if upper else np.where(xs == math.inf, 1.0, 0.0)
     if series.any():
         xp = xs[series]
-        lower = _series(alpha, xp) * _prefactor(alpha, xp)
+        lower = _series(alpha, xp) * _gamma_kernel(alpha, alpha, xp)
         out[series] = 1.0 - lower if upper else lower
     if contfrac.any():
         xp = xs[contfrac]
-        tail = _contfrac(alpha, xp) * _prefactor(alpha, xp)
+        tail = _contfrac(alpha, xp) * _gamma_kernel(alpha, alpha, xp)
         out[contfrac] = tail if upper else 1.0 - tail
     unconverged = np.isnan(out)
     if unconverged.any():

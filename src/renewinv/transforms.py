@@ -5,10 +5,13 @@ derivative weights
 
     w_k(t) = (-t)**k / k! * g~^(k)(t),   k = 0, 1, ...
 
-where ``g~`` is the Laplace transform of the source function.  For a
-probability density these weights are exactly the lattice masses
-P(X^(t-grid) = k/t), so they live in [0, 1] and never overflow, while the
-raw derivatives grow like k! and die around k ~ 300 in doubles.
+where ``g~`` is the Laplace transform of the source function, so w_0(t) is
+g~(t) itself.  For a probability density these weights are exactly the
+lattice masses P(X^(t-grid) = k/t), so they live in [0, 1] and never
+overflow, while the raw derivatives grow like k! and die around k ~ 300 in
+doubles.  A gamma-mixture claim law (:class:`GammaMixture`) gives its CDF,
+survival and density pointwise; the equilibrium law is reached through its
+transform only (:func:`survival_to_density_oracle`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .specfun import negbin_pmf_terms, RealShape, reg_inc_gamma_lower, reg_inc_gamma_upper
+from .specfun import (
+    _gamma_kernel, negbin_pmf_terms, RealShape, reg_inc_gamma_lower, reg_inc_gamma_upper,
+)
 
 _SINGULARITY_TOL = 1e-12
 # Smallest log seed (beta/(t+beta))**alpha of the negative-binomial weights:
@@ -34,11 +39,6 @@ _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 # ~20 us faster at n = 512 (58 against 36 us), too little in one pass per
 # reciprocal to keep a second threshold.
 _DIRECT_MAX = 512
-
-
-def _require_not_nan(u) -> None:
-    if np.isnan(u).any():
-        raise DomainError("claim-law point u must not be NaN")
 
 
 def _shaped_like(u: np.ndarray, values):
@@ -57,10 +57,6 @@ class TransformOracle(abc.ABC):
     @abc.abstractmethod
     def weights(self, t: float, k_max: int) -> np.ndarray:
         """Normalized weights (-t)**k / k! * g~^(k)(t) for k = 0..k_max."""
-
-    def value(self, t: float) -> float:
-        """The transform g~(t) itself."""
-        return float(self.weights(t, 0)[0])
 
     def _require_valid_point(self, t: float, k_max: int) -> None:
         if not 0 < t < math.inf:
@@ -151,34 +147,16 @@ class GammaMixture:
         require alpha >= 1) and contributes 0.
         """
         u = np.asarray(u, dtype=float)
-        _require_not_nan(u)
+        if np.isnan(u).any():
+            raise DomainError("claim-law point u must not be NaN")
         inside = (u > 0.0) & (u < math.inf)
         x = np.where(inside, u, 1.0)
         inner = sum(
-            p * beta * np.exp(-beta * x + (alpha - 1.0) * np.log(beta * x) - math.lgamma(alpha))
+            p * beta * _gamma_kernel(alpha, alpha - 1.0, beta * x)
             for p, alpha, beta in self.components
         )
         at_zero = sum(p * beta for p, alpha, beta in self.components if alpha == 1.0)
         return _shaped_like(u, np.where(inside, inner, np.where(u == 0.0, at_zero, 0.0)))
-
-    def equilibrium_cdf(self, u):
-        """CDF of the equilibrium distribution, (1/mean) * int_0^u survival.
-
-        At a float or an array of points.  Uses
-        int_0^z (1 - F_a(x)) dx = z (1 - F_a(z)) + a P(a+1, z) per component.
-        """
-        u = np.asarray(u, dtype=float)
-        _require_not_nan(u)
-        x = np.where(u < math.inf, np.maximum(u, 0.0), 0.0)
-        total = 0.0
-        for p, alpha, beta in self.components:
-            z = beta * x
-            partial = z * reg_inc_gamma_upper(alpha, z) + alpha * reg_inc_gamma_lower(alpha + 1.0, z)
-            total = total + p * partial / beta
-        return _shaped_like(u, np.where(u == math.inf, 1.0, np.minimum(1.0, total / self.mean)))
-
-    def equilibrium_density(self, u):
-        return self.survival(u) / self.mean
 
 
 class GammaMixtureLST(TransformOracle):

@@ -12,7 +12,24 @@ from typing import Callable
 
 import numpy as np
 
+import scalar_reference
 from renewinv import DomainError, lattice_index
+
+
+def ruin_renewal_inputs(model) -> tuple[Callable, Callable]:
+    """Pointwise f and v of the ruin function's renewal equation.
+
+    f is the equilibrium density survival / mean of the claim law and
+    v = phi (1 - F_eq) the forcing term, each taking a float or an array of
+    points.  Both come from the scalar loops of ``scalar_reference``, so a
+    solve on them shares no kernel with the package's pipeline.
+    """
+    mix, phi = model.claims, model.phi
+    f = np.vectorize(lambda u: scalar_reference.survival(mix, u) / mix.mean, otypes=[float])
+    v = np.vectorize(
+        lambda u: phi * (1.0 - scalar_reference.equilibrium_cdf(mix, u)), otypes=[float]
+    )
+    return f, v
 
 
 def convolution_renewal_solve(

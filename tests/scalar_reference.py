@@ -5,7 +5,8 @@ arrays, a float being a one-element array.  These run the same recurrences
 and formulas one point at a time in plain floats, with exact (fsum) sums
 over components, so the tests can check the array kernel against them and
 patch them into ``renewinv.transforms`` where a reference must not share
-that kernel.
+that kernel.  ``equilibrium_cdf`` has no package counterpart: with
+``survival`` it gives the Volterra oracle its inputs (``oracles.py``).
 """
 
 import math

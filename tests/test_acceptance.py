@@ -30,7 +30,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import closed_form_lstar_exponential_ruin, convolution_renewal_solve
+from oracles import (
+    closed_form_lstar_exponential_ruin,
+    convolution_renewal_solve,
+    ruin_renewal_inputs,
+)
 from renewinv import (
     approximate_nonruin,
     discretize_equilibrium,
@@ -121,8 +125,8 @@ def test_criterion_2_gamma_and_mixture_columns(table1_csv, all_table_mixtures):
         # an erratum must be confirmed by the Volterra oracle, not by the
         # pipeline under test: the corrected digit within 1e-4 of the
         # oracle, the printed one more than 1e-4 away
-        data = renewal_data_from_model(RiskModel(all_table_mixtures[name], 0.9))
-        _, m = convolution_renewal_solve(data.f, data.v, 0.9, u, h)
+        f, v = ruin_renewal_inputs(RiskModel(all_table_mixtures[name], 0.9))
+        _, m = convolution_renewal_solve(f, v, 0.9, u, h)
         oracle = 1.0 - float(m[-1])
         i = U_POINTS.index(u)
         printed = published[name][i]

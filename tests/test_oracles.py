@@ -3,20 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from oracles import closed_form_lstar_exponential_ruin, convolution_renewal_solve
+from oracles import (
+    closed_form_lstar_exponential_ruin,
+    convolution_renewal_solve,
+    ruin_renewal_inputs,
+)
 from renewinv import (
     approximate_nonruin,
+    Component,
     exact_nonruin_exponential,
-    renewal_data_from_model,
+    GammaMixture,
     RiskModel,
     ruin_bound_report,
 )
 
 
+class TestRuinRenewalInputs:
+    def test_exponential_inputs(self, exp_mixture):
+        f, v = ruin_renewal_inputs(RiskModel(exp_mixture, 0.9))
+        for u in [0.0, 0.5, 2.0]:
+            assert f(u) == pytest.approx(math.exp(-u), rel=1e-12)
+            assert v(u) == pytest.approx(0.9 * math.exp(-u), rel=1e-12)
+
+    def test_v_at_origin_is_phi(self, all_table_mixtures):
+        for mix in all_table_mixtures.values():
+            _, v = ruin_renewal_inputs(RiskModel(mix, 0.7))
+            assert v(0.0) == pytest.approx(0.7, rel=1e-14)
+
+    def test_gamma_2_1_equilibrium_law(self):
+        # equilibrium density (1 + u) e^-u / 2, equilibrium survival (2 + u) e^-u / 2
+        f, v = ruin_renewal_inputs(RiskModel(GammaMixture((Component(1.0, 2.0, 1.0),)), 0.9))
+        for u in [0.0, 1.0, 4.0]:
+            assert f(u) == pytest.approx((1.0 + u) * math.exp(-u) / 2.0, rel=1e-12)
+            assert v(u) == pytest.approx(0.9 * (2.0 + u) * math.exp(-u) / 2.0, rel=1e-12)
+
+
 class TestVolterraSolver:
     def test_exponential_ruin_closed_form(self, exp_mixture):
-        data = renewal_data_from_model(RiskModel(exp_mixture, 0.9))
-        grid, m = convolution_renewal_solve(data.f, data.v, 0.9, 5.0, 1e-3)
+        f, v = ruin_renewal_inputs(RiskModel(exp_mixture, 0.9))
+        grid, m = convolution_renewal_solve(f, v, 0.9, 5.0, 1e-3)
         assert grid[-1] == pytest.approx(5.0, rel=1e-12)
         assert m[-1] == pytest.approx(0.9 * math.exp(-0.5), abs=1e-6)
         exact = 0.9 * np.exp(-0.1 * grid)
@@ -44,9 +69,9 @@ class TestVolterraSolver:
         # sanity envelope: the integral-equation solution and the
         # accelerated pipeline must agree within a few bound-widths
         model = RiskModel(gamma32_mixture, 0.9)
-        data = renewal_data_from_model(model)
+        f, v = ruin_renewal_inputs(model)
         h = 1e-3
-        grid, m = convolution_renewal_solve(data.f, data.v, 0.9, 10.0, h)
+        grid, m = convolution_renewal_solve(f, v, 0.9, 10.0, h)
         approx = approximate_nonruin(model, 5.0, 10.0)
         _, report = ruin_bound_report(model)
         sup = 0.0
@@ -60,8 +85,8 @@ class TestVolterraSolver:
         # two independent routes agree that the non-ruin value at u = 15 is
         # 0.7292, not the 0.7248 printed in the 4-decimal reference table
         model = RiskModel(gamma32_mixture, 0.9)
-        data = renewal_data_from_model(model)
-        grid, m = convolution_renewal_solve(data.f, data.v, 0.9, 15.0, 1e-3)
+        f, v = ruin_renewal_inputs(model)
+        grid, m = convolution_renewal_solve(f, v, 0.9, 15.0, 1e-3)
         volterra_value = 1.0 - m[-1]
         approx = approximate_nonruin(model, 5.0, 15.0)
         assert volterra_value == pytest.approx(0.72922, abs=5e-5)

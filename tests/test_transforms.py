@@ -89,21 +89,9 @@ class TestGammaMixture:
         for u in [0.1, 1.0, 5.0]:
             assert mix.survival(u) == pytest.approx((1.0 + u) * math.exp(-u), rel=1e-12)
 
-    def test_equilibrium_exponential_is_itself(self, exp_mixture):
-        for u in [0.0, 0.3, 2.0, 10.0]:
-            assert exp_mixture.equilibrium_cdf(u) == pytest.approx(-math.expm1(-u), abs=1e-13)
-            assert exp_mixture.equilibrium_density(u) == pytest.approx(math.exp(-u), rel=1e-12)
-
-    def test_equilibrium_density_gamma_2_1(self):
-        mix = GammaMixture((Component(1.0, 2.0, 1.0),))
-        for u in [0.0, 0.5, 3.0]:
-            assert mix.equilibrium_density(u) == pytest.approx(
-                (1.0 + u) * math.exp(-u) / 2.0, rel=1e-12
-            )
-
 
 SKEWED_MIXTURE = GammaMixture((Component(0.3, 2.5, 0.7), Component(0.7, 1.0, 1.9)))
-ARRAY_FUNCTIONS = ["cdf", "survival", "density", "equilibrium_cdf"]
+ARRAY_FUNCTIONS = ["cdf", "survival", "density"]
 
 
 class TestGammaMixtureArrays:
@@ -124,7 +112,7 @@ class TestGammaMixtureArrays:
 
     @pytest.mark.parametrize(
         "name,limit",
-        [("cdf", 1.0), ("survival", 0.0), ("density", 0.0), ("equilibrium_cdf", 1.0)],
+        [("cdf", 1.0), ("survival", 0.0), ("density", 0.0)],
     )
     def test_limit_at_infinity(self, all_table_mixtures, name, limit):
         for mix in all_table_mixtures.values():
@@ -132,9 +120,7 @@ class TestGammaMixtureArrays:
             assert fn(math.inf) == limit
             assert np.array_equal(fn(np.array([math.inf, math.inf])), [limit, limit])
 
-    @pytest.mark.parametrize(
-        "name", ["cdf", "survival", "density", "equilibrium_cdf", "equilibrium_density"]
-    )
+    @pytest.mark.parametrize("name", ARRAY_FUNCTIONS)
     def test_nan_raises(self, half_mixture, name):
         with pytest.raises(DomainError):
             getattr(half_mixture, name)(math.nan)
@@ -163,7 +149,7 @@ class TestGammaMixtureLST:
 
     def test_value_is_probability_transform(self, half_mixture):
         for t in [0.5, 1.0, 5.0, 50.0]:
-            val = GammaMixtureLST(half_mixture).value(t)
+            val = GammaMixtureLST(half_mixture).weights(t, 0)[0]
             assert 0.0 < val < 1.0
 
     def test_closed_form_derivatives(self, gamma32_mixture):
@@ -224,7 +210,7 @@ class TestBuildingBlocks:
         # survival of Exp(1) is exp(-u), with transform 1/(1+t)
         oracle = SurvivalLST(GammaMixtureLST(exp_mixture))
         t = 4.0
-        assert oracle.value(t) == pytest.approx(1.0 / (1.0 + t), rel=1e-13)
+        assert oracle.weights(t, 0)[0] == pytest.approx(1.0 / (1.0 + t), rel=1e-13)
 
     def test_scaled_and_sum(self):
         t = 2.0
@@ -237,17 +223,17 @@ class TestBuildingBlocks:
 class TestEquilibriumOracle:
     def test_exponential_fixed_point(self, exp_mixture):
         oracle = survival_to_density_oracle(exp_mixture)
-        assert oracle.value(5.0) == pytest.approx(1.0 / 6.0, rel=1e-13)
+        assert oracle.weights(5.0, 0)[0] == pytest.approx(1.0 / 6.0, rel=1e-13)
 
     def test_gamma_2_1_value(self):
         mix = GammaMixture((Component(1.0, 2.0, 1.0),))
         oracle = survival_to_density_oracle(mix)
-        assert oracle.value(5.0) == pytest.approx(35.0 / 360.0, rel=1e-13)
+        assert oracle.weights(5.0, 0)[0] == pytest.approx(35.0 / 360.0, rel=1e-13)
 
     def test_is_probability_transform(self, half_mixture):
         oracle = survival_to_density_oracle(half_mixture)
         for t in [0.5, 5.0, 20.0]:
-            assert 0.0 < oracle.value(t) < 1.0
+            assert 0.0 < oracle.weights(t, 0)[0] < 1.0
 
 
 class TestRenewalRatio:
@@ -255,8 +241,8 @@ class TestRenewalRatio:
         data = renewal_data_from_model(RiskModel(exp_mixture, 0.9))
         t = 5.0
         m0 = RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9).weights(t, 0)[0]
-        v0 = data.v_oracle.value(t)
-        f0 = data.f_oracle.value(t)
+        v0 = data.v_oracle.weights(t, 0)[0]
+        f0 = data.f_oracle.weights(t, 0)[0]
         assert m0 == pytest.approx(v0 / (1.0 - 0.9 * f0), rel=1e-14)
 
     def test_exponential_ruin_closed_form(self, exp_mixture):

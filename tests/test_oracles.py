@@ -13,6 +13,7 @@ from renewinv import (
     Component,
     exact_nonruin_exponential,
     GammaMixture,
+    renewal_data_from_model,
     RiskModel,
     ruin_bound_report,
 )
@@ -36,6 +37,44 @@ class TestRuinRenewalInputs:
         for u in [0.0, 1.0, 4.0]:
             assert f(u) == pytest.approx((1.0 + u) * math.exp(-u) / 2.0, rel=1e-12)
             assert v(u) == pytest.approx(0.9 * (2.0 + u) * math.exp(-u) / 2.0, rel=1e-12)
+
+
+    def test_limits_at_infinity(self, all_table_mixtures):
+        for mix in all_table_mixtures.values():
+            for g in ruin_renewal_inputs(RiskModel(mix, 0.9)):
+                assert g(math.inf) == 0.0
+                assert np.array_equal(g(np.array([math.inf, math.inf])), [0.0, 0.0])
+
+    def test_f_matches_package_survival(self, all_table_mixtures):
+        # the scalar loops and the package's array kernel give the same f
+        u = np.concatenate([[0.0, 1e-12], np.linspace(0.01, 60.0, 300)])
+        for mix in all_table_mixtures.values():
+            f, _ = ruin_renewal_inputs(RiskModel(mix, 0.9))
+            np.testing.assert_allclose(f(u), mix.survival(u) / mix.mean, rtol=1e-14, atol=0.0)
+
+    def test_v_integrates_f(self, all_table_mixtures):
+        # v(u) = phi (1 - int_0^u f): the closed-form equilibrium CDF against quadrature
+        integrate = pytest.importorskip("scipy.integrate")
+        for mix in all_table_mixtures.values():
+            f, v = ruin_renewal_inputs(RiskModel(mix, 0.9))
+            for u in [0.5, 3.0, 15.0]:
+                mass, _ = integrate.quad(f, 0.0, u, epsabs=0.0, epsrel=1e-13, limit=200)
+                assert v(u) == pytest.approx(0.9 * (1.0 - mass), rel=1e-11, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["f", "v"])
+    def test_transform_matches_package_oracle(self, all_table_mixtures, name):
+        # int_0^inf e^-tu g(u) du by quadrature is the package oracle's zeroth weight
+        integrate = pytest.importorskip("scipy.integrate")
+        for mix in all_table_mixtures.values():
+            model = RiskModel(mix, 0.9)
+            g = dict(zip("fv", ruin_renewal_inputs(model)))[name]
+            oracle = getattr(renewal_data_from_model(model), f"{name}_oracle")
+            for t in [0.5, 5.0]:
+                value, _ = integrate.quad(
+                    lambda u: math.exp(-t * u) * g(u), 0.0, math.inf, epsabs=0.0, epsrel=1e-13,
+                    limit=200,
+                )
+                assert value == pytest.approx(oracle.weights(t, 0)[0], rel=1e-11)
 
 
 class TestVolterraSolver:

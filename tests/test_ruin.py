@@ -259,3 +259,44 @@ class TestLstarNonruin:
             for k in range(K + 1)
         )
         assert worst < 1e-9
+
+
+class TestRenewalData:
+    """The package's transform oracles of f and v, against closed forms.
+
+    Weights at t are w_k = (-t)^k / k! g~^(k)(t); the transform 1/(1+s)^j
+    of u^(j-1) e^-u / (j-1)! has w_k = C(k+j-1, k) t^k / (1+t)^(k+j).
+    """
+
+    def test_exponential_ingredients(self, exp_mixture):
+        # f = e^-u and v = 0.9 e^-u
+        data = renewal_data_from_model(RiskModel(exp_mixture, 0.9))
+        for t in [1.0, 5.0]:
+            k = np.arange(21)
+            expected = t**k / (1.0 + t) ** (k + 1)
+            np.testing.assert_allclose(data.f_oracle.weights(t, 20), expected, rtol=1e-12)
+            np.testing.assert_allclose(data.v_oracle.weights(t, 20), 0.9 * expected, rtol=1e-12)
+
+    def test_v_at_origin_is_phi(self, all_table_mixtures):
+        # v~(t) = phi (1 - f~(t)) / t, so t v~(t) tends to v(0) = phi
+        for mix in all_table_mixtures.values():
+            data = renewal_data_from_model(RiskModel(mix, 0.7))
+            for t in [10.0, 1e3, 1e6]:
+                f0 = data.f_oracle.weights(t, 0)[0]
+                assert t * data.v_oracle.weights(t, 0)[0] == pytest.approx(
+                    0.7 * (1.0 - f0), rel=1e-14
+                )
+            assert 1e8 * data.v_oracle.weights(1e8, 0)[0] == pytest.approx(0.7, rel=1e-7)
+
+    def test_gamma_2_1_equilibrium_density(self):
+        # f = (1 + u) e^-u / 2 and v = 0.9 (2 + u) e^-u / 2
+        mix = GammaMixture((Component(1.0, 2.0, 1.0),))
+        data = renewal_data_from_model(RiskModel(mix, 0.9))
+        t = 5.0
+        k = np.arange(21)
+        first = t**k / (1.0 + t) ** (k + 1)
+        second = (k + 1) * t**k / (1.0 + t) ** (k + 2)
+        np.testing.assert_allclose(data.f_oracle.weights(t, 20), (first + second) / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(
+            data.v_oracle.weights(t, 20), 0.9 * (2.0 * first + second) / 2.0, rtol=1e-12
+        )

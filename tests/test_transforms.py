@@ -89,6 +89,30 @@ class TestGammaMixture:
         for u in [0.1, 1.0, 5.0]:
             assert mix.survival(u) == pytest.approx((1.0 + u) * math.exp(-u), rel=1e-12)
 
+    def test_equilibrium_exponential_is_itself(self):
+        # survival / mean of Exp(beta) is its density, so the two transforms
+        # agree up to SurvivalLST's absolute floor (a few ulp of 1/t)
+        for beta in [1.0, 2.5]:
+            mix = GammaMixture.exponential(beta)
+            for t in [5.0, 50.0]:
+                np.testing.assert_allclose(
+                    survival_to_density_oracle(mix).weights(t, 20),
+                    GammaMixtureLST(mix).weights(t, 20),
+                    rtol=1e-12,
+                    atol=1e-15,
+                )
+
+    def test_equilibrium_density_gamma_2_1(self):
+        # (1 + u) e^-u / 2 has transform (1/(1+s) + 1/(1+s)^2) / 2; the
+        # tails past k ~ 10 at t = 0.5 sit on SurvivalLST's absolute floor
+        mix = GammaMixture((Component(1.0, 2.0, 1.0),))
+        k = np.arange(21)
+        for t in [0.5, 5.0, 50.0]:
+            expected = (t**k / (1.0 + t) ** (k + 1) + (k + 1) * t**k / (1.0 + t) ** (k + 2)) / 2.0
+            np.testing.assert_allclose(
+                survival_to_density_oracle(mix).weights(t, 20), expected, rtol=1e-12, atol=1e-15
+            )
+
 
 SKEWED_MIXTURE = GammaMixture((Component(0.3, 2.5, 0.7), Component(0.7, 1.0, 1.9)))
 ARRAY_FUNCTIONS = ["cdf", "survival", "density"]

@@ -123,20 +123,25 @@ def _grow_tables(law, tables: dict, ends) -> None:
     ``np.linspace(0, E, 4096)`` and the law's arrays there.  The lower
     half of the grid to 2E is, bit for bit, the even points of the grid to
     E: both are k * fl(2E/4095) = 2k * fl(E/4095), as doubling is exact.
-    So a new end whose half has a table takes its lower half, points and
-    law values, from that table's even entries, and the law sees only the
-    2048 points above; an end with no half table gets a full grid.  One
-    ``law`` call covers the new points of every end, and every table is
-    built from the points the law saw.
+    So a new end whose half has a table, or gets one in this call, takes
+    its lower half, points and law values, from that table's even entries,
+    and the law sees only the 2048 points above; an end with no half table
+    gets a full grid.  The ends ``_sup_norms`` passes are powers of two,
+    so the tables form one nested family; where the first ends lie within
+    one octave of each other, as the ledger's rows do, no grid point
+    reaches the law twice.  One ``law`` call covers the new points of every
+    end, and every table is built from the points the law saw.
     """
     new = sorted(end for end in ends if end not in tables)
+    halves = set(tables).union(new)
     fresh = [
-        np.linspace(0.0, end, _GRID_POINTS)[_HALF if end / 2.0 in tables else 0:] for end in new
+        np.linspace(0.0, end, _GRID_POINTS)[_HALF if end / 2.0 in halves else 0:] for end in new
     ]
     if not fresh:
         return
     at = law(np.concatenate(fresh))
     k = 0
+    # ascending, so a half made in this call has its table before its double
     for end, pts in zip(new, fresh):
         cut = slice(k, k + pts.size)
         k += pts.size
@@ -148,28 +153,37 @@ def _grow_tables(law, tables: dict, ends) -> None:
         tables[end] = pts, values
 
 
+def _first_end(start: float) -> float:
+    """The end of a row's first grid: the least power of two >= max(2 start, 4)."""
+    frac, exp = math.frexp(max(2.0 * start, 4.0))
+    return math.ldexp(1.0, exp - 1 if frac == 0.5 else exp)
+
+
 def _sup_norms(law, rows, starts) -> list[float]:
     """Sup of |row| on [0, inf) for every row, all searched in lockstep.
 
     Each row is a function ``row(u, *law(u))`` of an array of points and
     the claim-law values there, with a gamma-type decaying tail that sets
     in near its ``starts`` entry.  A row's grid has 4096 points over
-    [0, u_hi]; u_hi starts at twice its start and doubles until the
-    endpoint value is negligible against the grid maximum, or u_hi passes
-    1e9.  Then the brackets of the row's four largest interior local
-    maxima and its first grid cell are refined: each round evaluates
-    ``_REFINE_POINTS`` evenly spaced points of every bracket and shrinks
-    each bracket to the two cells around its best point, until the
-    brackets are ``_REFINE_RTOL`` of their starting width (7 rounds with
-    the defaults).
+    [0, u_hi]; u_hi starts at the least power of two >= max(2 start, 4)
+    and doubles until the endpoint value is negligible against the grid
+    maximum, or u_hi passes 1e9.  Then the brackets of the row's four
+    largest interior local maxima and its first grid cell are refined:
+    each round evaluates ``_REFINE_POINTS`` evenly spaced points of every
+    bracket and shrinks each bracket to the two cells around its best
+    point, until the brackets are ``_REFINE_RTOL`` of their starting width
+    (7 rounds with the defaults).
 
-    Every row keeps its own grids, stopping rule and brackets, so its norm
-    is the one a search of that row alone finds.  What the rows share is
-    ``law``: each grid pass calls it once, on the grid points of the rows
-    still doubling that no earlier pass evaluated (see ``_grow_tables``),
-    and each refinement round once, over the brackets of every row.
+    Every row keeps its own stopping rule and brackets, so its norm is the
+    one a search of that row alone finds.  The grids come from one nested
+    family, ``np.linspace(0, 2^k, 4096)``: rows whose starts share an
+    octave share every grid, and a row's doubled grid reuses the lower
+    half of the grid it doubles, whichever row made it.  What the rows
+    share is ``law``: each grid pass calls it once, on the grid points no
+    earlier pass evaluated (see ``_grow_tables``), and each refinement
+    round once, over the brackets of every row.
     """
-    u_hi = [max(2.0 * start, 4.0) for start in starts]
+    u_hi = [_first_end(start) for start in starts]
     tables: dict = {}
     grids: list = [None] * len(rows)
     vals: list = [None] * len(rows)
@@ -252,9 +266,10 @@ def ruin_w_functions(model: RiskModel) -> NormLedger:
     For ruin, w1(u) = -phi (1-phi) survival(u) / mean and
     w2(u) = (phi/mean) w1(u) + phi (1-phi) density(u) / mean.  Their
     six weighted sup norms come from one lockstep grid search with
-    gamma-tail cutoffs, which evaluates the claim law once per round for
-    all six; u^2 w1'' and u^2 F_X''', which read no claim law, come from a
-    second lockstep search.  The norm of u^2 w2'' uses the triangle bound
+    gamma-tail cutoffs.  Its grids all come from one power-of-two family,
+    so the claim law runs once per grid point across all six rows, and
+    once per refinement round for all six; u^2 w1'' and u^2 F_X''', which
+    read no claim law, come from a second lockstep search.  The norm of u^2 w2'' uses the triangle bound
     through ||u^2 w1''|| and ||u^2 F_X'''||.
     """
     mix, phi = model.claims, model.phi

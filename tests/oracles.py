@@ -11,6 +11,7 @@ import warnings
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 import scalar_reference
 from renewinv import DomainError, lattice_index
@@ -30,6 +31,66 @@ def ruin_renewal_inputs(model) -> tuple[Callable, Callable]:
         lambda u: phi * (1.0 - scalar_reference.equilibrium_cdf(mix, u)), otypes=[float]
     )
     return f, v
+
+
+def exact_nonruin_integer_gamma(model) -> Callable:
+    """Exact non-ruin probability for claims mixing integer-shape gammas.
+
+    With Q(s) = prod over distinct rates b of (s + b)^n_b, n_b the largest
+    shape at rate b, the claim transform is N(s)/Q(s) with
+    N = sum_i p_i b_i^n_i Q / (s + b_i)^n_i; sharing Q across equal rates
+    keeps it the least common denominator, so no pole cancels.  The non-ruin
+    probability then has the Laplace transform (1 - phi) mu Q(s) / P(s),
+    P = (mu s - phi) Q + phi N (Asmussen & Albrecher, *Ruin Probabilities*,
+    2nd ed., 2010, ch. IX), and is the finite sum of exponentials over the
+    roots of P.  P(0) = 0, and that root has residue 1, so
+
+        nonruin(u) = 1 + sum_r (1 - phi) mu Q(r) / P'(r) e^(r u)
+
+    over the other roots r, found by numpy as the roots of P(s)/s.  The
+    roots must be simple, must agree with ``mpmath.polyroots`` at 30 digits
+    to 1e-12 relative, and the sum must give nonruin(0) = 1 - phi to 1e-13;
+    otherwise this raises ``AssertionError``.  A shape that is not an
+    integer raises ``DomainError``.
+
+    Returns ``nonruin(u, k=0)``: the k-th derivative in u at a finite float
+    or an array of finite points.
+    """
+    import mpmath
+
+    mix, phi = model.claims, model.phi
+    shapes = {}
+    for _, alpha, beta in mix.components:
+        if alpha != int(alpha):
+            raise DomainError(f"shape {alpha} is not an integer")
+        shapes[beta] = max(shapes.get(beta, 0), int(alpha))
+    factor = {beta: Polynomial([beta, 1.0]) ** n for beta, n in shapes.items()}
+    q = functools.reduce(Polynomial.__mul__, factor.values())
+    n_poly = Polynomial([0.0])
+    for p, alpha, beta in mix.components:
+        others = [f for b, f in factor.items() if b != beta]
+        lift = Polynomial([beta, 1.0]) ** (shapes[beta] - int(alpha))
+        n_poly += p * beta ** int(alpha) * functools.reduce(Polynomial.__mul__, others, lift)
+    mu = mix.mean
+    big_p = Polynomial([-phi, mu]) * q + phi * n_poly
+    roots = Polynomial(big_p.coef[1:]).roots()
+    with mpmath.workdps(30):
+        precise = mpmath.polyroots(big_p.coef[:0:-1].tolist(), maxsteps=200, extraprec=60)
+        for r in roots:
+            gap = min(abs(mpmath.mpc(r) - x) for x in precise)
+            assert gap <= 1e-12 * max(abs(r), 1.0), f"root {r} is {float(gap):.3g} from mpmath's"
+    spread = np.abs(roots[:, None] - roots[None, :]) + np.eye(roots.size)
+    assert spread.min() > 1e-6, f"roots are not simple: {roots}"
+    coeffs = (1.0 - phi) * mu * q(roots) / big_p.deriv()(roots)
+    at_zero = 1.0 + float(coeffs.sum().real)
+    assert abs(at_zero - (1.0 - phi)) <= 1e-13, f"nonruin(0) = {at_zero}, not 1 - phi"
+
+    def nonruin(u, k=0):
+        u = np.asarray(u, dtype=float)
+        terms = coeffs * roots**k * np.exp(np.multiply.outer(u, roots))
+        return float(k == 0) + terms.sum(axis=-1).real
+
+    return nonruin
 
 
 def convolution_renewal_solve(

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_reference
+from oracles import exact_nonruin_integer_gamma
 from renewinv import (
     AdmissibilityError,
     approximate_nonruin,
@@ -65,9 +66,12 @@ def sup_norm_reference(fn, decay_start):
 
     Reference for one row of ``bounds._sup_norms``: same grid, doubling
     rule, stopping test and brackets, refined by golden-section search
-    instead of the batched refinement.
+    instead of the batched refinement.  The first end is found by doubling
+    from 4, not by ``math.frexp``.
     """
-    u_hi = max(2.0 * decay_start, 4.0)
+    u_hi = 4.0
+    while u_hi < 2.0 * decay_start:
+        u_hi *= 2.0
     while True:
         grid = np.linspace(0.0, u_hi, bounds._GRID_POINTS)
         vals = np.array([abs(fn(u)) for u in grid])
@@ -129,6 +133,13 @@ LEDGER_MIXTURES = {
 }
 
 
+INTEGER_SHAPE_MIXTURES = {
+    "erlang_2_2": GammaMixture((Component(1.0, 2.0, 2.0),)),
+    "half_exp_half_erlang_2_1": GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 2.0, 1.0))),
+    "erlang_4_4_exp_0_2": GammaMixture((Component(0.9, 4.0, 4.0), Component(0.1, 1.0, 0.2))),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def exp_ledger(phi=0.9):
     return ruin_w_functions(RiskModel(GammaMixture.exponential(), phi))
@@ -181,11 +192,14 @@ class TestSupNormKernel:
             ), field.name
 
     def test_lockstep_rows_match_rows_searched_alone(self):
-        # the u-weighted exponential row stops doubling two passes before
-        # the u^2-weighted Gamma(4, 0.5) row, its grids always the longer of
-        # the two; each row must see the points and law values it sees
-        # alone, and so keep its norm to the last bit.  After the first
-        # pass the law sees only the upper half of each doubled grid.
+        # starts 6 and 5 both round up to a first end of 16, so the rows
+        # share every grid; the u-weighted exponential row stops doubling at
+        # 64, one pass before the u^2-weighted Gamma(4, 0.5) row.  Each row
+        # must see the points and law values it sees alone, and so keep its
+        # norm to the last bit.  After the first pass the law sees only the
+        # upper half of each doubled grid: 2048 points at 32, 64 and 128,
+        # then the first refinement round's 65 points in each of the four
+        # brackets (one interior maximum and the first cell per row).
         expo = GammaMixture.exponential()
         gamma4 = GammaMixture((Component(1.0, 4.0, 0.5),))
         sizes = []
@@ -209,7 +223,7 @@ class TestSupNormKernel:
         seen_together, seen_alone = ([], []), ([], [])
         together = bounds._sup_norms(law, recording_rows(seen_together), starts)
         grid = bounds._GRID_POINTS
-        assert sizes[:5] == [2 * grid, grid, grid, grid // 2, grid // 2]
+        assert sizes[:5] == [grid, grid // 2, grid // 2, grid // 2, 4 * bounds._REFINE_POINTS]
         alone = [
             bounds._sup_norms(law, [row], [start])[0]
             for row, start in zip(recording_rows(seen_alone), starts)
@@ -236,19 +250,74 @@ class TestSupNormKernel:
             ruin_bound_report(RiskModel(mix, phi))
             assert calls["survival"] == calls["density"] <= 11, name
 
-    @settings(max_examples=200, deadline=None)
-    @given(start=st.floats(1e-3, 1e9))
-    def test_doubled_grid_lower_half_is_even_points(self, start):
-        # every end the search produces is max(2 start, 4) doubled k times;
-        # the lower half of each doubled grid must be the even points of
-        # the grid it doubles, bit for bit
-        end = max(2.0 * start, 4.0)
+    def test_doubled_grid_lower_half_is_even_points(self):
+        # every end the search produces is a power of two from 4 up, and it
+        # doubles an end only while that end is <= 1e9 < 2^30; the lower
+        # half of each doubled grid must be the even points of the grid it
+        # doubles, bit for bit
         half = bounds._GRID_POINTS // 2
-        while end <= 2e9:
+        for end in (2.0**power for power in range(2, 31)):
             low = np.linspace(0.0, end, bounds._GRID_POINTS)[::2]
             doubled = np.linspace(0.0, 2.0 * end, bounds._GRID_POINTS)[:half]
             assert low.tobytes() == doubled.tobytes(), end
-            end *= 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(starts=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=6))
+    @example(starts=[2.0, 8.0, 1e9])
+    def test_grid_ends_are_powers_of_two(self, starts):
+        # every end handed to _grow_tables is an exact power of two, and
+        # each row's first end lies in [b, 2b) for b = max(2 start, 4)
+        calls = []
+        grow = bounds._grow_tables
+
+        def recording(law, tables, ends):
+            calls.append(set(ends))
+            grow(law, tables, ends)
+
+        rows = [lambda u, s=start: np.exp(-u / s) for start in starts]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_grow_tables", recording)
+            bounds._sup_norms(lambda u: (), rows, starts)
+        assert all(math.frexp(end)[0] == 0.5 for ends in calls for end in ends), calls
+        floors = [max(2.0 * start, 4.0) for start in starts]
+        for floor in floors:
+            assert len([end for end in calls[0] if floor <= end < 2.0 * floor]) == 1, floor
+        assert all(any(b <= end < 2.0 * b for b in floors) for end in calls[0]), calls[0]
+
+    def test_rows_straddling_an_octave_share_one_family(self, monkeypatch):
+        # Exp(0.75) claims: the w-row starts 20/3, 8 and 28/3 give first
+        # ends 16, 16 (2 * 8 is already a power of two) and 32, and the
+        # 32-end takes its lower half from the 16 table made in the same
+        # pass: the law sees 4096 + 2048 points there, not 2 * 4096
+        mix = GammaMixture((Component(1.0, 1.0, 0.75),))
+        starts = [bounds._decay_start(mix, j) for j in range(3)]
+        assert [bounds._first_end(start) for start in starts] == [16.0, 16.0, 32.0]
+        passes = []
+        grow = bounds._grow_tables
+
+        def recording(law, tables, ends):
+            sizes = []
+
+            def counted(u):
+                sizes.append(u.size)
+                return law(u)
+
+            grow(counted, tables, ends)
+            passes.append((sorted(set(ends)), sizes, tables))
+
+        monkeypatch.setattr(bounds, "_grow_tables", recording)
+        ruin_w_functions(RiskModel(mix, 0.9))
+        ends, sizes, tables = passes[0]
+        assert ends == [16.0, 32.0]
+        assert sizes == [bounds._GRID_POINTS + bounds._HALF]
+        low, low_at = tables[16.0]
+        high, high_at = tables[32.0]
+        grid = np.linspace(0.0, 32.0, bounds._GRID_POINTS)
+        assert high.tobytes() == grid.tobytes()
+        assert high[: bounds._HALF].tobytes() == low[::2].tobytes()
+        for a_low, a_high, direct in zip(low_at, high_at, (mix.survival(grid), mix.density(grid))):
+            assert a_high[: bounds._HALF].tobytes() == a_low[::2].tobytes()
+            assert a_high.tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     @pytest.mark.parametrize("name", LEDGER_MIXTURES)
@@ -281,9 +350,12 @@ class TestSupNormKernel:
             assert all(a.tobytes() == d.tobytes() for a, d in zip(at, direct))
 
     def test_grid_phase_law_points(self, monkeypatch):
-        # the three Gamma(3/2) w-row ends each take three passes: a fresh
-        # 4096-point grid, then two 2048-point upper halves: 24,576
-        # survival points, where fresh grids on every pass would take 36,864
+        # the Gamma(3/2) w-row starts 5.5, 6.5 and 7.5 give first ends 11,
+        # 13 and 15, each rounded up to 16, so all three rows share one
+        # table per pass: a fresh 4096-point grid at 16, then 2048-point
+        # upper halves at 32 and 64, 4096 + 2 * 2048 = 8,192 survival
+        # points.  Unrounded ends 11, 13 and 15 (and their doublings) never
+        # nest and took 3 * (4096 + 2 * 2048) = 24,576
         mix = LEDGER_MIXTURES["gamma_3_2"]
         grid_phase, points = [False], []
         grow = bounds._grow_tables
@@ -304,7 +376,7 @@ class TestSupNormKernel:
         monkeypatch.setattr(bounds, "_grow_tables", growing)
         monkeypatch.setattr(GammaMixture, "survival", counted)
         ruin_w_functions(RiskModel(mix, 0.9))
-        assert sum(points) == 24_576
+        assert sum(points) == 8_192
 
     @pytest.mark.parametrize("name", LEDGER_MIXTURES)
     def test_claim_law_sees_only_w_row_points(self, monkeypatch, name):
@@ -345,7 +417,8 @@ class TestSupNormKernel:
         strict=True,
         raises=AssertionError,
         reason="sampled sup norms can undershoot: the Exp(1e-3) component puts the "
-        "grid spacing near 2.4, which steps over the Gamma(4000) spike at u ~ 42.5 "
+        "first grid end at 2^14 and its spacing near 4, which steps over the Gamma(4000) "
+        "spike at u ~ 42.5 "
         "(ROADMAP item 6, certified sup norms)",
     )
     def test_known_defect_grid_steps_over_narrow_spike(self):
@@ -651,6 +724,45 @@ class TestTheoremBound:
         for name, chained in entries.items():
             ratio = chained / closed[name]
             assert chained >= closed[name], f"{name}: chained/exact = {ratio:.3g}"
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("name", INTEGER_SHAPE_MIXTURES)
+    def test_bound_covers_exact_error(self, name, phi):
+        # the sup error on u <= 40 against the exact non-ruin probability
+        model = RiskModel(INTEGER_SHAPE_MIXTURES[name], phi)
+        exact = exact_nonruin_integer_gamma(model)
+        _, report = ruin_bound_report(model)
+        for t in (5.0, 10.0, 20.0, 40.0, 80.0):
+            lattice = approximate_nonruin(model, t, 40.0).lattice
+            k = np.arange(lattice.truncation_index + 1)
+            k = k[k / t <= 40.0]
+            observed = float(np.max(np.abs(lattice.values[k] - exact(k / t))))
+            assert report.total_bound(t) >= observed, t
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("name", INTEGER_SHAPE_MIXTURES)
+    def test_chain_covers_exact_integer_gamma_norms(self, name, phi):
+        # the exponential closed-form gate above, on integer-shape mixtures:
+        # the exact solution's norms, sampled densely (a sample maximum is a
+        # lower estimate), out to u = 2000, past every peak of u^2 |m^(k)|
+        model = RiskModel(INTEGER_SHAPE_MIXTURES[name], phi)
+        exact = exact_nonruin_integer_gamma(model)
+        _, report = ruin_bound_report(model)
+        u = np.concatenate([np.linspace(0.0, 20.0, 40_001), np.geomspace(20.0, 2000.0, 40_000)])
+        d = {k: np.abs(exact(u, k)) for k in (1, 2, 3, 4)}
+        sampled = {
+            "m1_norm": d[1], "um1_norm": u * d[1], "u2m1_norm": u * u * d[1],
+            "m2_norm": d[2], "um2_norm": u * d[2], "u2m2_norm": u * u * d[2],
+            "u2m3_norm": u * u * d[3], "u2m4_norm": u * u * d[4], "um3_norm": u * d[3],
+        }
+        assert set(sampled) == {field.name for field in dataclasses.fields(BoundReport)}
+        sampled = {entry: float(values.max()) for entry, values in sampled.items()}
+        entries = {entry: getattr(report, entry) for entry in sampled}
+        sampled["C"] = BoundReport(**sampled).total_bound(1.0)
+        entries["C"] = report.total_bound(1.0)
+        for entry, chained in entries.items():
+            ratio = chained / sampled[entry]
+            assert chained >= sampled[entry], f"{entry}: chained/exact = {ratio:.3g}"
 
     def test_upper_integral_mode_is_looser(self, gamma32_mixture):
         # the chain is monotone in the ledger, so the componentwise upper

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     closed_form_lstar_exponential_ruin,
     convolution_renewal_solve,
+    exact_nonruin_integer_gamma,
     ruin_renewal_inputs,
 )
 from renewinv import (
     approximate_nonruin,
     Component,
+    DomainError,
     exact_nonruin_exponential,
     GammaMixture,
     renewal_data_from_model,
@@ -75,6 +78,72 @@ class TestRuinRenewalInputs:
                     limit=200,
                 )
                 assert value == pytest.approx(oracle.weights(t, 0)[0], rel=1e-11)
+
+
+class TestExactNonruinIntegerGamma:
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("beta", [0.2, 1.0, 3.0])
+    def test_exponential_closed_form(self, beta, phi):
+        model = RiskModel(GammaMixture((Component(1.0, 1.0, beta),)), phi)
+        u = np.linspace(0.0, 60.0, 601)
+        exact = [exact_nonruin_exponential(phi, beta, x) for x in u]
+        assert np.max(np.abs(exact_nonruin_integer_gamma(model)(u) - exact)) <= 1e-15
+
+    def test_erlang_2_2_against_volterra(self):
+        # the trapezoidal solve of the renewal equation gives the ruin
+        # probability to O(h^2) on independent scalar-loop inputs
+        model = RiskModel(GammaMixture((Component(1.0, 2.0, 2.0),)), 0.9)
+        f, v = ruin_renewal_inputs(model)
+        grid, m = convolution_renewal_solve(f, v, 0.9, 10.0, 1e-3)
+        nonruin = exact_nonruin_integer_gamma(model)(grid)
+        assert np.max(np.abs(1.0 - m - nonruin)) < 2e-7
+
+    def test_shared_rate_mixture_against_volterra(self):
+        # 1/2 Exp(1) + 1/2 Erlang(2, 1): the two components share the pole -1
+        model = RiskModel(GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 2.0, 1.0))), 0.5)
+        f, v = ruin_renewal_inputs(model)
+        grid, m = convolution_renewal_solve(f, v, 0.5, 10.0, 1e-3)
+        nonruin = exact_nonruin_integer_gamma(model)(grid)
+        assert np.max(np.abs(1.0 - m - nonruin)) < 1e-8
+
+    def test_split_component_merges(self):
+        # two halves of one Erlang(2, 1) share rate and shape; without the
+        # merge the denominator would square and every root be double
+        whole = RiskModel(GammaMixture((Component(1.0, 2.0, 1.0),)), 0.7)
+        halves = RiskModel(GammaMixture((Component(0.5, 2.0, 1.0), Component(0.5, 2.0, 1.0))), 0.7)
+        u = np.linspace(0.0, 30.0, 301)
+        np.testing.assert_allclose(
+            exact_nonruin_integer_gamma(halves)(u), exact_nonruin_integer_gamma(whole)(u),
+            rtol=0.0, atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    def test_value_at_origin(self, phi):
+        mix = GammaMixture((Component(0.9, 4.0, 4.0), Component(0.1, 1.0, 0.2)))
+        nonruin = exact_nonruin_integer_gamma(RiskModel(mix, phi))
+        assert nonruin(0.0) == pytest.approx(1.0 - phi, abs=1e-13)
+        assert nonruin(2000.0) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_derivatives_match_differences(self, k):
+        # central differences of the (k-1)-th derivative
+        mix = GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 2.0, 1.0)))
+        nonruin = exact_nonruin_integer_gamma(RiskModel(mix, 0.9))
+        u, h = np.linspace(0.5, 20.0, 40), 1e-5
+        slope = (nonruin(u + h, k - 1) - nonruin(u - h, k - 1)) / (2.0 * h)
+        np.testing.assert_allclose(nonruin(u, k), slope, rtol=1e-6, atol=1e-10)
+
+    def test_rejects_non_integer_shape(self, gamma32_mixture):
+        with pytest.raises(DomainError, match="not an integer"):
+            exact_nonruin_integer_gamma(RiskModel(gamma32_mixture, 0.9))
+
+    def test_roots_are_checked_against_mpmath(self, monkeypatch):
+        # a numpy root moved by 1e-9 relative must not pass the 30-digit check
+        roots = oracles.Polynomial.roots
+        monkeypatch.setattr(oracles.Polynomial, "roots", lambda self: roots(self) * (1.0 + 1e-9))
+        model = RiskModel(GammaMixture((Component(1.0, 2.0, 2.0),)), 0.9)
+        with pytest.raises(AssertionError, match="mpmath"):
+            exact_nonruin_integer_gamma(model)
 
 
 class TestVolterraSolver:

@@ -114,6 +114,8 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
         raise DomainError(f"truncation index must be >= 0, got {K}")
     f = severity.weights[: K + 1]
     a = np.zeros(K + 1)
-    a[: f.size] = -phi * f
+    np.multiply(f, -phi, out=a[: f.size])
     a[0] += 1.0
-    return _fresh_pmf(severity.t, (1.0 - phi) * _series_reciprocal(a))
+    pmf = _series_reciprocal(a)
+    pmf *= 1.0 - phi
+    return _fresh_pmf(severity.t, pmf)

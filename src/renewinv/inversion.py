@@ -21,21 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .transforms import TransformOracle
+from .transforms import _require_weight_count, MAX_FINE_LATTICE, TransformOracle
 
 _SNAP = 1e-9
-# Most points an order-2 lattice approximation puts on its fine lattice
-# {k/(2t)}: 2K <= 2**20, checked before any oracle call or array.  The
-# single-point operators and ruin.lstar_nonruin request at most as many
-# oracle weights.
-MAX_FINE_LATTICE = 2**20
-
-
-def _require_weight_count(n: int, what: str) -> None:
-    if n > MAX_FINE_LATTICE:
-        raise DomainError(
-            f"{what} needs {n} oracle weights, more than the limit {MAX_FINE_LATTICE}"
-        )
 
 
 def lattice_index(t: float, u: float) -> tuple[int, float]:
@@ -146,7 +134,8 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
     vals = np.empty(K + 1)
     vals[0] = g0
     # indices 1,3,...,2K-1 on the 2t-lattice pair with 0,...,K-1 on the t-lattice
-    vals[1:] = 4.0 * t * w_fine[1::2] - t * w_coarse
+    np.multiply(4.0 * t, w_fine[1::2], out=vals[1:])
+    vals[1:] -= t * w_coarse
     return LatticeFunction(t, vals)
 
 

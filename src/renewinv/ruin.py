@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
-from .inversion import _require_weight_count, covering_index, LatticeFunction, m2_lattice
+from .inversion import covering_index, LatticeFunction, m2_lattice
 from .transforms import (
+    _require_weight_count,
     GammaMixture,
     ScaledLST,
     SurvivalLST,
@@ -93,7 +94,10 @@ class _NonruinLST(TransformOracle):
         self._require_valid_point(t, k_max)
         severity = discretize_equilibrium(self.model.claims, t, k_max)
         pmf = panjer_geometric(severity, self.model.phi, k_max)
-        return np.minimum(np.cumsum(pmf.weights), 1.0) / t
+        cdf = np.cumsum(pmf.weights)
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf /= t
+        return cdf
 
 
 def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:

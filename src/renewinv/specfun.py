@@ -208,8 +208,12 @@ def negbin_pmf_terms(k_max: int, shape: RealShape) -> np.ndarray:
     j = np.arange(k_max, dtype=float)
     factors = np.empty(k_max + 1)
     factors[0] = math.exp(alpha * math.log(rho))
-    factors[1:] = (alpha + j) / (j + 1.0) * (1.0 - rho)
-    return np.cumprod(factors)
+    # (alpha + j) / (j + 1) * (1 - rho), formed in place
+    ratios = np.add(j, alpha, out=factors[1:])
+    j += 1.0
+    ratios /= j
+    ratios *= 1.0 - rho
+    return np.cumprod(factors, out=factors)
 
 
 def negbin_logpmf(k: int, shape: RealShape) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,12 +34,33 @@ _SINGULARITY_TOL = 1e-12
 # below it the subnormal spacing 2**-1074 exceeds 1e-9 of the seed, and every
 # later term inherits that relative error through the term recursion.
 _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
-# np.convolve and a zero-padded FFT product cost about the same when the
-# shorter operand has ~512 terms (numpy 2.4, one core of a Xeon VM).  A
-# wrap-around Newton pass from n terms ties at n ~ 384 and its FFT form is
-# ~20 us faster at n = 512 (58 against 36 us), too little in one pass per
-# reciprocal to keep a second threshold.
+# np.convolve and a zero-padded FFT product of two n-term series cost about
+# the same at n ~ 512 (48-53 against 42-56 us; numpy 2.4, one core of a
+# shared 2-vCPU Xeon VM, best of 15 repeats).  A Newton pass from n to 2n
+# terms, with its residual taken as a "valid" convolution, ties with the
+# wrap-around FFT pass at n ~ 450-500, and at n = 512 the FFT pass is ~20 us
+# faster (57-70 against 77-89 us): too little in one pass per reciprocal
+# to keep a second threshold.  Moving it moves the results: at 256 the
+# table models' non-ruin values move by up to 8.0e-15.
 _DIRECT_MAX = 512
+# numpy evaluates ``x * y`` in place into y when y is a temporary of at
+# least 256 KiB (temporary elision, NPY_MIN_ELIDE_BYTES), so the complex
+# product h_hat * rfft(...) runs as rfft(...) * h_hat from that size up:
+# from cyclic length 32768 for a half spectrum of doubles.
+_ELIDED_BYTES = 256 * 1024
+# Most weights one oracle call returns, and so the most points an order-2
+# lattice approximation puts on its fine lattice {k/(2t)}: 2K <= 2**20.
+# The operators of renewinv.inversion and ruin.lstar_nonruin check it
+# before any oracle call or array; every oracle checks it again, which also
+# bounds the reciprocal's work arrays.
+MAX_FINE_LATTICE = 2**20
+
+
+def _require_weight_count(n: int, what: str) -> None:
+    if n > MAX_FINE_LATTICE:
+        raise DomainError(
+            f"{what} needs {n} oracle weights, more than the limit {MAX_FINE_LATTICE}"
+        )
 
 
 def _shaped_like(u: np.ndarray, values):
@@ -61,8 +83,11 @@ class TransformOracle(abc.ABC):
     def _require_valid_point(self, t: float, k_max: int) -> None:
         if not 0 < t < math.inf:
             raise DomainError(f"transform point t={t} must be positive and finite")
+        if not isinstance(k_max, numbers.Integral):
+            raise DomainError(f"k_max must be an integer, got {k_max!r}")
         if k_max < 0:
             raise DomainError(f"k_max must be >= 0, got {k_max}")
+        _require_weight_count(k_max + 1, f"an oracle call at k_max = {k_max}")
 
 
 class Component(NamedTuple):
@@ -188,8 +213,15 @@ class GammaMixtureLST(TransformOracle):
                     f"underflows at t={t}, alpha={alpha}, beta={beta}: below "
                     f"exp({_MIN_LOG_SEED:.1f}) its subnormal rounding exceeds 1e-9"
                 )
-            out += p * negbin_pmf_terms(k_max, RealShape(alpha, rho))
+            terms = negbin_pmf_terms(k_max, RealShape(alpha, rho))
+            terms *= p
+            out += terms
         return out
+
+
+def _require_finite_constant(c: float) -> None:
+    if not math.isfinite(c):
+        raise DomainError(f"constant factor must be finite, got {c}")
 
 
 class ExponentialDecayLST(TransformOracle):
@@ -200,8 +232,8 @@ class ExponentialDecayLST(TransformOracle):
     """
 
     def __init__(self, a: float = 0.0):
-        if a < 0:
-            raise DomainError(f"decay rate must be >= 0, got {a}")
+        if not 0 <= a < math.inf:
+            raise DomainError(f"decay rate must be finite and >= 0, got {a}")
         self.a = a
 
     def weights(self, t, k_max):
@@ -214,6 +246,7 @@ class ConstantLST(TransformOracle):
     """Transform oracle for the constant function g == c (g~(t) = c/t)."""
 
     def __init__(self, c: float = 1.0):
+        _require_finite_constant(c)
         self.c = c
 
     def weights(self, t, k_max):
@@ -225,6 +258,7 @@ class ScaledLST(TransformOracle):
     """c * g for an existing oracle of g."""
 
     def __init__(self, c: float, inner: TransformOracle):
+        _require_finite_constant(c)
         self.c = c
         self.inner = inner
 
@@ -273,8 +307,11 @@ class SurvivalLST(TransformOracle):
         self.inner = inner
 
     def weights(self, t, k_max):
-        tails = 1.0 - np.cumsum(self.inner.weights(t, k_max))
-        return np.maximum(tails, 0.0) / t
+        tails = np.cumsum(self.inner.weights(t, k_max))
+        np.subtract(1.0, tails, out=tails)
+        np.maximum(tails, 0.0, out=tails)
+        tails /= t
+        return tails
 
 
 def survival_to_density_oracle(mixture: GammaMixture) -> TransformOracle:
@@ -309,32 +346,63 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
 
     A pass from n to m needs the middle slice [n, m) of a[:m] h, since
     a h = 1 + O(z**n), and then the first m - n terms of h times that
-    slice.  Short passes (n <= ``_DIRECT_MAX``) convolve directly.  Long
-    ones take every transform at one cyclic length L, the smallest power
-    of two >= m, with the wrap-around middle product of Harvey ("Faster
-    algorithms for the square root and reciprocal of power series",
-    Math. Comp. 80, 2011): a[:m] h has degree m + n - 2 < L + n, so its
-    cyclic product folds the terms from L up onto indices below n - 1,
-    which the pass discards, and the slice [n, m) comes out exact.  The
-    correction h * residual has degree m - 2 < L, so it is exact at the
-    same length and reuses the transform of h: five real transforms of
-    length L per pass, where a zero-padded linear product would need
-    three of length about 2L for the first product alone.
+    slice.  Short passes (n <= ``_DIRECT_MAX``) convolve directly, and
+    take the slice as the "valid" convolution of a[1:m] with h: each of
+    its m - n terms is the same full-overlap dot product of n terms that
+    a full a[:m] h would form at that index, so it is bit for bit the
+    same, at about half the multiply-adds.  Long passes take every
+    transform at one cyclic length L, the smallest power of two >= m,
+    with the wrap-around middle product of Harvey ("Faster algorithms
+    for the square root and reciprocal of power series", Math. Comp. 80,
+    2011): a[:m] h has degree m + n - 2 < L + n, so its cyclic product
+    folds the terms from L up onto indices below n - 1, which the pass
+    discards, and the slice [n, m) comes out exact.  The correction
+    h * residual has degree m - 2 < L, so it is exact at the same length
+    and reuses the transform of h: five real transforms of length L per
+    pass, where a zero-padded linear product would need three of length
+    about 2L for the first product alone.
+
+    Memory: every pass writes its new terms into one output array of
+    a.size (no concatenation per pass), and the long passes write their
+    transforms and products through ``out=`` into three work arrays made
+    once per call at the last pass's length: two half spectra and one
+    real array.  The call allocates little beyond what it returns, keeps
+    nothing after it returns, and only reads ``a``, so concurrent calls
+    share no state.  Operand order matters: the vectorized complex
+    product is not bitwise commutative, and swapping a factor pair moves
+    coefficients by about 1e-17.  The residual's spectrum is a^ h^; the
+    correction's is h^ r^ while a half spectrum is below
+    ``_ELIDED_BYTES`` and r^ h^ from there up, the order numpy's
+    temporary elision gave the allocating form ``h_hat * rfft(r)``, so
+    the coefficients are those of that form bit for bit.
     """
     sizes = [a.size]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
-    h = np.array([1.0 / a[0]])
+    h = np.empty(a.size)
+    h[0] = 1.0 / a[0]
+    if a.size > 2 * _DIRECT_MAX:  # the last pass, from ceil(a.size / 2) terms, is long
+        length = 1 << (a.size - 1).bit_length()
+        h_hat_buf = np.empty(length // 2 + 1, dtype=complex)
+        x_hat_buf = np.empty(length // 2 + 1, dtype=complex)
+        real_buf = np.empty(length)
     for n, m in zip(sizes[-1:0:-1], sizes[-2::-1]):
         if n <= _DIRECT_MAX:
-            residual = np.convolve(a[:m], h)[n:m]
-            step = np.convolve(h, residual)[: m - n]
+            residual = np.convolve(a[1:m], h[:n], "valid")
+            step = np.convolve(h[:n], residual)[: m - n]
         else:
             size = 1 << (m - 1).bit_length()
-            h_hat = np.fft.rfft(h, size)
-            residual = np.fft.irfft(np.fft.rfft(a[:m], size) * h_hat, size)[n:m]
-            step = np.fft.irfft(h_hat * np.fft.rfft(residual, size), size)[: m - n]
-        h = np.concatenate((h, -step))
+            h_hat = np.fft.rfft(h[:n], size, out=h_hat_buf[: size // 2 + 1])
+            x_hat = np.fft.rfft(a[:m], size, out=x_hat_buf[: size // 2 + 1])
+            np.multiply(x_hat, h_hat, out=x_hat)
+            residual = np.fft.irfft(x_hat, size, out=real_buf[:size])[n:m]
+            x_hat = np.fft.rfft(residual, size, out=x_hat)
+            if x_hat.nbytes < _ELIDED_BYTES:
+                np.multiply(h_hat, x_hat, out=x_hat)
+            else:
+                np.multiply(x_hat, h_hat, out=x_hat)
+            step = np.fft.irfft(x_hat, size, out=real_buf[:size])[: m - n]
+        np.negative(step, out=h[n:m])
     return h
 
 

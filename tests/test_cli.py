@@ -314,6 +314,18 @@ class TestInvert:
         assert code == 2
         assert out == "" and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["lstar", "m2", "postwidder", "stehfest2"])
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_decay_rate_exits_2(self, capsys, method, a):
+        # a NaN rate once printed NaN rows and exited 0
+        code, out, err = run(
+            ["invert", "--transform", "exp_decay", "--a", a, "--method", method,
+             "--t", "5", "--u", "1,2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "decay rate must be finite" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["lstar", "m2"])
     @pytest.mark.parametrize("u", ["nan", "inf", "1,nan"])
     def test_non_finite_u_exits_2(self, capsys, method, u):

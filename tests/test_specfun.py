@@ -33,6 +33,16 @@ def negbin_cdf(k, shape):
     return math.fsum(negbin_pmf_terms(k, shape))
 
 
+def negbin_terms_allocating(k_max, shape):
+    """The kernel's arithmetic in allocating form: a fresh array per operation."""
+    alpha, rho = shape.alpha, shape.rho
+    j = np.arange(k_max, dtype=float)
+    factors = np.empty(k_max + 1)
+    factors[0] = math.exp(alpha * math.log(rho))
+    factors[1:] = (alpha + j) / (j + 1.0) * (1.0 - rho)
+    return np.cumprod(factors)
+
+
 def negbin_terms_loop(k_max, shape):
     """Scalar term recursion, the reference for the cumulative-product kernel."""
     alpha, rho = shape.alpha, shape.rho
@@ -373,7 +383,9 @@ class TestNegbinCdf:
     )
     def test_terms_bitwise_equal_loop(self, k_max, alpha, rho):
         shape = RealShape(alpha, rho)
-        assert np.array_equal(negbin_pmf_terms(k_max, shape), negbin_terms_loop(k_max, shape))
+        got = negbin_pmf_terms(k_max, shape)
+        assert np.array_equal(got, negbin_terms_loop(k_max, shape))
+        assert np.array_equal(got, negbin_terms_allocating(k_max, shape))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -383,7 +395,9 @@ class TestNegbinCdf:
     )
     def test_terms_bitwise_equal_loop_random(self, alpha, rho, k):
         shape = RealShape(alpha, rho)
-        assert np.array_equal(negbin_pmf_terms(k, shape), negbin_terms_loop(k, shape))
+        got = negbin_pmf_terms(k, shape)
+        assert np.array_equal(got, negbin_terms_loop(k, shape))
+        assert np.array_equal(got, negbin_terms_allocating(k, shape))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -9,6 +9,7 @@ from renewinv import (
     approximate_nonruin,
     Component,
     ConstantLST,
+    CumulativeLST,
     DomainError,
     ExponentialDecayLST,
     GammaMixture,
@@ -22,9 +23,16 @@ from renewinv import (
     SurvivalLST,
     TransformOracle,
 )
-from renewinv.inversion import covering_index
+from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 from renewinv.ruin import renewal_data_from_model, RiskModel
 from renewinv.transforms import _DIRECT_MAX, _series_reciprocal
+
+# every size 1-1100, then 2**k - 1, 2**k and 2**k + 1 up to 2**16 + 1: the
+# Newton passes change from direct to FFT above 512 terms and change the
+# order of the correction's spectral product at cyclic length 32768
+RECIPROCAL_SIZES = sorted(
+    set(range(1, 1101)) | {2**k + d for k in range(1, 17) for d in (-1, 0, 1)}
+)
 
 
 def ratio_reference(v_oracle, f_oracle, phi, t, k_max):
@@ -38,6 +46,53 @@ def ratio_reference(v_oracle, f_oracle, phi, t, k_max):
         inner = math.fsum((out[:k] * fw[k:0:-1]).tolist())
         out[k] = (vw[k] + phi * inner) / denom
     return out
+
+
+def reciprocal_reference(a):
+    """The Newton reciprocal in allocating form, the bit-for-bit reference for the kernel.
+
+    Full-mode convolutions, one concatenation per pass and a fresh array
+    from every transform and product: the expressions whose roundings the
+    kernel reproduces, numpy's temporary elision included.
+    """
+    sizes = [a.size]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    h = np.array([1.0 / a[0]])
+    for n, m in zip(sizes[-1:0:-1], sizes[-2::-1]):
+        if n <= _DIRECT_MAX:
+            residual = np.convolve(a[:m], h)[n:m]
+            step = np.convolve(h, residual)[: m - n]
+        else:
+            size = 1 << (m - 1).bit_length()
+            h_hat = np.fft.rfft(h, size)
+            residual = np.fft.irfft(np.fft.rfft(a[:m], size) * h_hat, size)[n:m]
+            step = np.fft.irfft(h_hat * np.fft.rfft(residual, size), size)[: m - n]
+        h = np.concatenate((h, -step))
+    return h
+
+
+def survival_reference(inner, t, k_max):
+    """SurvivalLST's weights in allocating form, the bit-for-bit reference."""
+    return np.maximum(1.0 - np.cumsum(inner.weights(t, k_max)), 0.0) / t
+
+
+class ReadOnlyLST(TransformOracle):
+    """Hands out one read-only array per (t, k_max), the same object on every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handed_out = {}
+
+    def weights(self, t, k_max):
+        if (t, k_max) not in self.handed_out:
+            w = self.inner.weights(t, k_max)
+            w.flags.writeable = False
+            self.handed_out[(t, k_max)] = (w, w.copy())
+        return self.handed_out[(t, k_max)][0]
+
+    def untouched(self):
+        return all(np.array_equal(w, saved) for w, saved in self.handed_out.values())
 
 
 class ReferenceNonruinLST(TransformOracle):
@@ -236,12 +291,84 @@ class TestBuildingBlocks:
         t = 4.0
         assert oracle.weights(t, 0)[0] == pytest.approx(1.0 / (1.0 + t), rel=1e-13)
 
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    @pytest.mark.parametrize("t", [5.0, 200.0])
+    def test_survival_matches_allocating_form(self, all_table_mixtures, name, t):
+        inner = GammaMixtureLST(all_table_mixtures[name])
+        got = SurvivalLST(inner).weights(t, 5000)
+        assert np.array_equal(got, survival_reference(inner, t, 5000))
+
+    def test_read_only_inner_weights(self, half_mixture):
+        # no wrapper writes into an array another oracle returned; 1500
+        # weights take the reciprocal through FFT passes
+        t, k_max, phi = 20.0, 1500, 0.9
+        density = survival_to_density_oracle(half_mixture)
+        shared = ReadOnlyLST(density)
+
+        def ratio(f):
+            return RenewalRatioLST(ScaledLST(phi, SurvivalLST(f)), f, phi)
+
+        for wrap in (
+            lambda f: ScaledLST(2.0, f),
+            SurvivalLST,
+            CumulativeLST,
+            lambda f: SumLST(f, f, f),
+            ratio,
+        ):
+            assert np.array_equal(wrap(shared).weights(t, k_max), wrap(density).weights(t, k_max))
+        got = m2_lattice(ratio(shared), t, k_max, phi).values
+        assert np.array_equal(got, m2_lattice(ratio(density), t, k_max, phi).values)
+        assert shared.untouched()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ExponentialDecayLST(bad)
+        with pytest.raises(DomainError, match="finite"):
+            ConstantLST(bad)
+        with pytest.raises(DomainError, match="finite"):
+            ScaledLST(bad, ConstantLST(1.0))
+
     def test_scaled_and_sum(self):
         t = 2.0
         combo = SumLST(ConstantLST(1.0), ScaledLST(-0.9, ExponentialDecayLST(0.1)))
         w = combo.weights(t, 10)
         expected = 1.0 / t - 0.9 * (t / (t + 0.1)) ** np.arange(11) / (t + 0.1)
         assert np.allclose(w, expected, rtol=1e-14)
+
+
+class TestOracleCallBounds:
+    @staticmethod
+    def oracle(name, mixture):
+        if name == "ratio":
+            data = renewal_data_from_model(RiskModel(mixture, 0.9))
+            return RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9)
+        return {
+            "gamma_mixture": GammaMixtureLST(mixture),
+            "constant": ConstantLST(1.0),
+            "exp_decay": ExponentialDecayLST(0.5),
+            "equilibrium": survival_to_density_oracle(mixture),
+        }[name]
+
+    NAMES = ["gamma_mixture", "constant", "exp_decay", "equilibrium", "ratio"]
+
+    @pytest.mark.parametrize("k_max", [MAX_FINE_LATTICE, 10**12])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_too_many_weights_refused(self, half_mixture, name, k_max):
+        # 10**12 weights once asked numpy for 7.28 TiB
+        with pytest.raises(DomainError, match=f"more than the limit {MAX_FINE_LATTICE}"):
+            self.oracle(name, half_mixture).weights(1.0, k_max)
+
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_non_integer_k_max_refused(self, half_mixture, name, k_max):
+        with pytest.raises(DomainError, match="must be an integer"):
+            self.oracle(name, half_mixture).weights(1.0, k_max)
+
+    def test_limits_accepted(self, half_mixture):
+        assert ConstantLST(2.0).weights(1.0, MAX_FINE_LATTICE - 1).size == MAX_FINE_LATTICE
+        oracle = GammaMixtureLST(half_mixture)
+        assert np.array_equal(oracle.weights(5.0, np.int64(40)), oracle.weights(5.0, 40))
 
 
 class TestEquilibriumOracle:
@@ -382,3 +509,32 @@ class TestSeriesReciprocalKernel:
         unit = np.zeros(size)
         unit[0] = 1.0
         assert float(np.max(np.abs(np.convolve(a, h)[:size] - unit))) <= 1e-13
+
+    @pytest.mark.parametrize("source", ["random", "severity"])
+    def test_matches_allocating_reference(self, exp_mixture, source):
+        # bit for bit: the buffered transforms, the "valid" residual and the
+        # in-place products round exactly as the allocating form does
+        rng = np.random.default_rng(18)
+        largest = RECIPROCAL_SIZES[-1]
+        if source == "random":
+            a = rng.uniform(-1.0, 1.0, largest) / largest
+            a[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        else:
+            # 1 - phi f for the equilibrium severity; a prefix of its
+            # weights is the weights of the shorter call
+            a = -0.9 * survival_to_density_oracle(exp_mixture).weights(100.0, largest - 1)
+            a[0] += 1.0
+        differ = [
+            size for size in RECIPROCAL_SIZES
+            if not np.array_equal(_series_reciprocal(a[:size]), reciprocal_reference(a[:size]))
+        ]
+        assert differ == []
+
+    def test_read_only_input_is_left_unchanged(self):
+        rng = np.random.default_rng(3000)
+        a = rng.uniform(-1.0, 1.0, 3000) / 3000
+        a[0] = 1.0
+        saved = a.copy()
+        a.flags.writeable = False
+        assert np.array_equal(_series_reciprocal(a), reciprocal_reference(saved))
+        assert np.array_equal(a, saved)

@@ -38,7 +38,6 @@ from .ruin import (
 from .specfun import (
     negbin_logpmf,
     negbin_pmf_terms,
-    RealShape,
     reg_inc_gamma_lower,
     reg_inc_gamma_upper,
 )

@@ -247,20 +247,18 @@ def cmd_convergence(args) -> int:
     comps = mix.components
     if len(comps) == 1 and comps[0].alpha == 1.0:
         beta = comps[0].beta
-        reference = lambda u: exact_nonruin_exponential(args.phi, beta, u)
+        reference = lambda u: [exact_nonruin_exponential(args.phi, beta, x) for x in u]
     else:
-        # the coarse lattices end at K/t >= u_max, so the reference must reach the last of them
+        # the coarse lattices end at K/t >= u_max, so the reference must reach the last of
+        # them; it is read at every coarse point by one linear interpolation per rate
         u_ref = max(covering_index(t, args.u_max) / t for t in t_list)
-        reference = approximate_nonruin(model, 8.0 * max(t_list), u_ref).lattice
+        ref = approximate_nonruin(model, 8.0 * max(t_list), u_ref).lattice
+        reference = lambda u: np.interp(u, np.arange(ref.values.size) / ref.t, ref.values)
 
     errors = {}
     for t in t_list:
-        approx = approximate_nonruin(model, t, args.u_max)
-        K = approx.lattice.truncation_index
-        sup = max(
-            abs(float(approx.lattice.values[k]) - reference(k / t)) for k in range(K + 1)
-        )
-        errors[t] = sup
+        values = approximate_nonruin(model, t, args.u_max).lattice.values
+        errors[t] = float(np.max(np.abs(values - reference(np.arange(values.size) / t))))
 
     lines = ["t,sup_error,order_vs_double"]
     for t in t_list:

@@ -23,6 +23,8 @@ normalized transform-derivative weights of the non-ruin probability.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +51,13 @@ class LatticePMF:
     mass_deficit: float = 0.0
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError(f"lattice rate t must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            raise DomainError(f"lattice rate t must be positive and finite, got {self.t}")
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weights must be a nonempty 1-d array")
+        if not np.isfinite(w).all():
+            raise DomainError("lattice weights must be finite")
         if w.min() < -_NEGATIVE_TOL:
             raise NegativeWeightError(f"weight {w.min()} below -{_NEGATIVE_TOL}")
         w = np.maximum(w, 0.0)
@@ -110,8 +114,8 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     """
     if not 0 < phi < 1:
         raise DomainError(f"compound-geometric parameter phi must be in (0, 1), got {phi}")
-    if K < 0:
-        raise DomainError(f"truncation index must be >= 0, got {K}")
+    if not isinstance(K, numbers.Integral) or K < 0:
+        raise DomainError(f"truncation index must be an integer >= 0, got {K!r}")
     f = severity.weights[: K + 1]
     a = np.zeros(K + 1)
     np.multiply(f, -phi, out=a[: f.size])

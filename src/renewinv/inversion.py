@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .transforms import _require_weight_count, MAX_FINE_LATTICE, TransformOracle
+from .specfun import _require_weight_count, MAX_FINE_LATTICE
+from .transforms import TransformOracle
 
 _SNAP = 1e-9
 
@@ -68,11 +69,13 @@ class LatticeFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError(f"lattice rate t must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            raise DomainError(f"lattice rate t must be positive and finite, got {self.t}")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("lattice values must be a nonempty 1-d array")
+        if not np.isfinite(vals).all():
+            raise DomainError("lattice values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -146,7 +149,7 @@ def post_widder(oracle: TransformOracle, n: int, u: float) -> float:
     Raises :class:`DomainError` when the n weights it reads exceed
     ``MAX_FINE_LATTICE``.
     """
-    if n < 1 or n != int(n):
+    if not 1 <= n < math.inf or n != int(n):
         raise DomainError(f"Post-Widder order must be a positive integer, got {n}")
     if not u > 0:
         raise DomainError(f"post_widder requires u > 0, got {u}")

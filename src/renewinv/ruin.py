@@ -23,7 +23,6 @@ from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
 from .inversion import covering_index, LatticeFunction, m2_lattice
 from .transforms import (
-    _require_weight_count,
     GammaMixture,
     ScaledLST,
     SurvivalLST,
@@ -103,10 +102,9 @@ class _NonruinLST(TransformOracle):
 def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
     """Gamma-operator approximation L*_t of the non-ruin probability on {k/t, k = 0..K}.
 
-    Raises :class:`DomainError` when the K + 1 weights exceed
+    The oracle raises :class:`DomainError` when the K + 1 weights exceed
     ``MAX_FINE_LATTICE``, before any array is built.
     """
-    _require_weight_count(K + 1, f"lstar_nonruin at K = {K}")
     return LatticeFunction(t, t * _NonruinLST(model).weights(t, K))
 
 

@@ -19,7 +19,7 @@ weights are their scaled tail sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -30,21 +30,35 @@ _MAX_ITER = 600
 _SERIES_BLOCK = 4
 
 
-@dataclass(frozen=True)
-class RealShape:
-    """Negative-binomial parameters: ``alpha`` successes with probability ``rho``.
+# Most weights one oracle call returns, and so the most points an order-2
+# lattice approximation puts on its fine lattice {k/(2t)}: 2K <= 2**20.
+# The operators of renewinv.inversion check it before any oracle call;
+# every oracle and negbin_pmf_terms check it again before any array.
+MAX_FINE_LATTICE = 2**20
+# Smallest log seed rho**alpha of the negative-binomial masses: below it the
+# subnormal spacing 2**-1074 exceeds 1e-9 of the seed, and every later term
+# inherits that relative error through the term recursion.
+_MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 
-    ``alpha`` may be any positive real; ``rho`` lies in (0, 1].
-    """
 
-    alpha: float
-    rho: float
+def _require_weight_count(n: int, what: str) -> None:
+    if n > MAX_FINE_LATTICE:
+        raise DomainError(
+            f"{what} needs {n} oracle weights, more than the limit {MAX_FINE_LATTICE}"
+        )
 
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"shape alpha must be positive, got {self.alpha}")
-        if not 0 < self.rho <= 1:
-            raise DomainError(f"success probability rho must be in (0, 1], got {self.rho}")
+
+def _require_weight_index(k_max) -> None:
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    _require_weight_count(k_max + 1, f"k_max = {k_max}")
+
+
+def _require_negbin_parameters(alpha: float, rho: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"shape alpha must be positive and finite, got {alpha}")
+    if not 0 < rho <= 1:
+        raise DomainError(f"success probability rho must be in (0, 1], got {rho}")
 
 
 def _gamma_kernel(alpha: float, power: float, x):
@@ -194,20 +208,28 @@ def reg_inc_gamma_upper(alpha: float, x):
     return _inc_gamma("reg_inc_gamma_upper", alpha, x, upper=True)
 
 
-def negbin_pmf_terms(k_max: int, shape: RealShape) -> np.ndarray:
+def negbin_pmf_terms(k_max: int, alpha: float, rho: float) -> np.ndarray:
     """Probability masses P(N = j), j = 0..k_max, of the negative binomial.
 
     Term recursion term_{j+1} = term_j * (alpha + j) / (j + 1) * (1 - rho),
     seeded with rho**alpha evaluated in log space and run as one cumulative
     product, which multiplies in the same order as the scalar recursion.
-    Avoids cancellation and supports real alpha.
+    Avoids cancellation and supports real alpha.  Raises :class:`DomainError`,
+    before any array, unless alpha > 0 is finite, rho is in (0, 1], ``k_max``
+    is an integer in [0, ``MAX_FINE_LATTICE``) and rho**alpha >= exp(``_MIN_LOG_SEED``).
     """
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
-    alpha, rho = shape.alpha, shape.rho
+    _require_weight_index(k_max)
+    _require_negbin_parameters(alpha, rho)
+    log_seed = alpha * math.log(rho)
+    if log_seed < _MIN_LOG_SEED:
+        raise DomainError(
+            f"negative-binomial seed rho**alpha = exp({log_seed:.1f}) underflows at "
+            f"alpha={alpha}, rho={rho}: below exp({_MIN_LOG_SEED:.1f}) its subnormal "
+            "rounding exceeds 1e-9"
+        )
     j = np.arange(k_max, dtype=float)
     factors = np.empty(k_max + 1)
-    factors[0] = math.exp(alpha * math.log(rho))
+    factors[0] = math.exp(log_seed)
     # (alpha + j) / (j + 1) * (1 - rho), formed in place
     ratios = np.add(j, alpha, out=factors[1:])
     j += 1.0
@@ -216,14 +238,15 @@ def negbin_pmf_terms(k_max: int, shape: RealShape) -> np.ndarray:
     return np.cumprod(factors, out=factors)
 
 
-def negbin_logpmf(k: int, shape: RealShape) -> float:
+def negbin_logpmf(k: int, alpha: float, rho: float) -> float:
     """Log of the negative-binomial mass at ``k``; never overflows.
 
-    Safe for k up to at least 10**6 since everything stays in log space.
+    Safe for k up to at least 10**6 since everything stays in log space;
+    ``alpha`` and ``rho`` are refused as in :func:`negbin_pmf_terms`.
     """
-    if k < 0 or k != int(k):
+    if not 0 <= k < math.inf or k != int(k):
         raise DomainError(f"k must be a nonnegative integer, got {k}")
-    alpha, rho = shape.alpha, shape.rho
+    _require_negbin_parameters(alpha, rho)
     if rho == 1.0:
         return 0.0 if k == 0 else -math.inf
     k = int(k)

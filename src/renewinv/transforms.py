@@ -26,14 +26,11 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .specfun import (
-    _gamma_kernel, negbin_pmf_terms, RealShape, reg_inc_gamma_lower, reg_inc_gamma_upper,
+    _gamma_kernel, _require_weight_index, negbin_pmf_terms, reg_inc_gamma_lower,
+    reg_inc_gamma_upper,
 )
 
 _SINGULARITY_TOL = 1e-12
-# Smallest log seed (beta/(t+beta))**alpha of the negative-binomial weights:
-# below it the subnormal spacing 2**-1074 exceeds 1e-9 of the seed, and every
-# later term inherits that relative error through the term recursion.
-_MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 # np.convolve and a zero-padded FFT product of two n-term series cost about
 # the same at n ~ 512 (48-53 against 42-56 us; numpy 2.4, one core of a
 # shared 2-vCPU Xeon VM, best of 15 repeats).  A Newton pass from n to 2n
@@ -48,19 +45,6 @@ _DIRECT_MAX = 512
 # product h_hat * rfft(...) runs as rfft(...) * h_hat from that size up:
 # from cyclic length 32768 for a half spectrum of doubles.
 _ELIDED_BYTES = 256 * 1024
-# Most weights one oracle call returns, and so the most points an order-2
-# lattice approximation puts on its fine lattice {k/(2t)}: 2K <= 2**20.
-# The operators of renewinv.inversion and ruin.lstar_nonruin check it
-# before any oracle call or array; every oracle checks it again, which also
-# bounds the reciprocal's work arrays.
-MAX_FINE_LATTICE = 2**20
-
-
-def _require_weight_count(n: int, what: str) -> None:
-    if n > MAX_FINE_LATTICE:
-        raise DomainError(
-            f"{what} needs {n} oracle weights, more than the limit {MAX_FINE_LATTICE}"
-        )
 
 
 def _shaped_like(u: np.ndarray, values):
@@ -83,11 +67,7 @@ class TransformOracle(abc.ABC):
     def _require_valid_point(self, t: float, k_max: int) -> None:
         if not 0 < t < math.inf:
             raise DomainError(f"transform point t={t} must be positive and finite")
-        if not isinstance(k_max, numbers.Integral):
-            raise DomainError(f"k_max must be an integer, got {k_max!r}")
-        if k_max < 0:
-            raise DomainError(f"k_max must be >= 0, got {k_max}")
-        _require_weight_count(k_max + 1, f"an oracle call at k_max = {k_max}")
+        _require_weight_index(k_max)
 
 
 class Component(NamedTuple):
@@ -139,8 +119,8 @@ class GammaMixture:
 
     def raw_moment(self, n: int) -> float:
         """E[X**n] = sum_i p_i * alpha_i (alpha_i+1) ... (alpha_i+n-1) / beta_i**n."""
-        if n < 0:
-            raise DomainError(f"moment order must be >= 0, got {n}")
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise DomainError(f"moment order must be an integer >= 0, got {n!r}")
         total = 0.0
         for p, alpha, beta in self.components:
             rising = 1.0
@@ -198,22 +178,13 @@ class GammaMixtureLST(TransformOracle):
     def weights(self, t, k_max):
         """Mixture of the components' negative-binomial masses.
 
-        Raises :class:`DomainError` when a component's seed
-        (beta/(t+beta))**alpha underflows into the subnormal range, where
-        its relative error exceeds 1e-9.
+        :func:`~renewinv.specfun.negbin_pmf_terms` refuses a seed
+        (beta/(t+beta))**alpha in the subnormal range.
         """
         self._require_valid_point(t, k_max)
         out = np.zeros(k_max + 1)
         for p, alpha, beta in self.mixture.components:
-            rho = beta / (t + beta)
-            log_seed = alpha * math.log(rho)
-            if log_seed < _MIN_LOG_SEED:
-                raise DomainError(
-                    f"negative-binomial seed (beta/(t+beta))**alpha = exp({log_seed:.1f}) "
-                    f"underflows at t={t}, alpha={alpha}, beta={beta}: below "
-                    f"exp({_MIN_LOG_SEED:.1f}) its subnormal rounding exceeds 1e-9"
-                )
-            terms = negbin_pmf_terms(k_max, RealShape(alpha, rho))
+            terms = negbin_pmf_terms(k_max, alpha, beta / (t + beta))
             terms *= p
             out += terms
         return out

@@ -43,7 +43,6 @@ from renewinv import (
     lstar_nonruin,
     negbin_logpmf,
     negbin_pmf_terms,
-    RealShape,
     renewal_data_from_model,
     RenewalRatioLST,
     RiskModel,
@@ -186,8 +185,8 @@ def test_criterion_4_two_path_equivalence(all_table_mixtures):
             a = discretize_equilibrium(mix, t, 400)
             b = np.zeros(401)
             for p, alpha, beta in mix.components:
-                shape = RealShape(alpha, beta / (t + beta))
-                masses = np.array([math.exp(negbin_logpmf(k, shape)) for k in range(401)])
+                rho = beta / (t + beta)
+                masses = np.array([math.exp(negbin_logpmf(k, alpha, rho)) for k in range(401)])
                 b += p * (1.0 - np.cumsum(masses))
             b /= t * mix.mean
             worst_pair = max(worst_pair, float(np.max(np.abs(a.weights - b))))
@@ -246,8 +245,7 @@ def test_criterion_7_special_functions():
     worst_log = 0.0
     for alpha in (1, 2, 5):
         for rho in (0.1, 0.5, 0.9):
-            shape = RealShape(float(alpha), rho)
-            terms = negbin_pmf_terms(200, shape)
+            terms = negbin_pmf_terms(200, float(alpha), rho)
             for k in range(0, 201, 8):
                 brute = math.fsum(
                     math.comb(alpha + j - 1, j) * (1.0 - rho) ** j * rho**alpha
@@ -262,7 +260,7 @@ def test_criterion_7_special_functions():
                     + alpha * math.log(rho)
                 )
                 worst_log = max(
-                    worst_log, abs(negbin_logpmf(k, shape) - ref) / max(1.0, abs(ref))
+                    worst_log, abs(negbin_logpmf(k, float(alpha), rho) - ref) / max(1.0, abs(ref))
                 )
     _report(
         "7 (negative-binomial CDF vs brute force within 1e-12; log mass within 1e-13)",

@@ -14,7 +14,6 @@ from renewinv import (
     negbin_logpmf,
     NegativeWeightError,
     panjer_geometric,
-    RealShape,
     RiskModel,
 )
 from renewinv.transforms import Component
@@ -42,8 +41,8 @@ def equilibrium_weights_lgamma(mixture, t, K):
     """
     out = np.zeros(K + 1)
     for p, alpha, beta in mixture.components:
-        shape = RealShape(alpha, beta / (t + beta))
-        masses = np.array([math.exp(negbin_logpmf(k, shape)) for k in range(K + 1)])
+        rho = beta / (t + beta)
+        masses = np.array([math.exp(negbin_logpmf(k, alpha, rho)) for k in range(K + 1)])
         out += p * (1.0 - np.cumsum(masses))
     return out / (t * mixture.mean)
 
@@ -111,8 +110,26 @@ class TestLatticePMF:
         pmf = LatticePMF(1.0, np.array([0.5, -1e-15]))
         assert pmf.weights[1] == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        # a NaN weight used to pass, and panjer_geometric then returned an
+        # all-NaN PMF with mass_deficit 0.0
+        with pytest.raises(DomainError, match="finite"):
+            LatticePMF(1.0, [bad, 0.5])
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+    def test_rejects_bad_rate(self, t):
+        with pytest.raises(DomainError, match="lattice rate"):
+            LatticePMF(t, [0.5, 0.5])
+
 
 class TestPanjerGeometric:
+    @pytest.mark.parametrize("K", [2.5, 2.0, -1, None])
+    def test_rejects_non_integer_truncation(self, K):
+        # K = 2.5 used to raise a raw TypeError from numpy
+        with pytest.raises(DomainError, match="truncation index"):
+            panjer_geometric(LatticePMF(1.0, [0.5, 0.5]), 0.5, K)
+
     def test_base_case(self, exp_mixture):
         sev = discretize_equilibrium(exp_mixture, 5.0, 50)
         comp = panjer_geometric(sev, 0.9, 50)

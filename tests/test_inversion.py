@@ -152,6 +152,12 @@ class TestM2Lattice:
         with pytest.raises(DomainError):
             m2_lattice(ConstantLST(1.0), 5.0, 0, 1.0)
 
+    @pytest.mark.parametrize("g0", [math.nan, math.inf])
+    def test_non_finite_origin_value_refused(self, g0):
+        # g0 = NaN used to give the values [nan, 1, 1, 1]
+        with pytest.raises(DomainError, match="finite"):
+            m2_lattice(ConstantLST(1.0), 5.0, 3, g0)
+
     def test_fine_lattice_cap_before_any_oracle_call(self):
         m2_lattice(ConstantLST(1.0), 5.0, MAX_FINE_LATTICE // 2, 1.0)
         with pytest.raises(DomainError, match="fine lattice"):
@@ -208,6 +214,16 @@ class TestLatticeFunction:
             f(-0.01)
         assert f(0.2) == 2.0
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+    def test_rejects_bad_rate(self, t):
+        with pytest.raises(DomainError, match="lattice rate"):
+            LatticeFunction(t, [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            LatticeFunction(1.0, [1.0, bad])
+
     def test_values_are_immutable(self):
         f = LatticeFunction(1.0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -238,6 +254,12 @@ class TestPostWidder:
             post_widder(ConstantLST(1.0), 0, 1.0)
         with pytest.raises(DomainError):
             post_widder(ConstantLST(1.0), 3, 0.0)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
+    def test_order_must_be_a_finite_integer(self, n):
+        # NaN and inf used to raise raw ValueError and OverflowError from int()
+        with pytest.raises(DomainError, match="positive integer"):
+            post_widder(Untouchable(), n, 1.0)
 
     def test_weight_cap_before_any_oracle_call(self):
         assert post_widder(ConstantLST(1.0), MAX_FINE_LATTICE, 2.0) == pytest.approx(1.0, rel=1e-14)

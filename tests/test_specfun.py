@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference
 from renewinv import (
     DomainError,
     negbin_logpmf,
     negbin_pmf_terms,
-    RealShape,
     reg_inc_gamma_lower,
     reg_inc_gamma_upper,
     specfun,
@@ -28,14 +27,13 @@ REG_GAMMA_REFERENCE = [
 ]
 
 
-def negbin_cdf(k, shape):
+def negbin_cdf(k, alpha, rho):
     """P(N <= k): the masses 0..k summed exactly."""
-    return math.fsum(negbin_pmf_terms(k, shape))
+    return math.fsum(negbin_pmf_terms(k, alpha, rho))
 
 
-def negbin_terms_allocating(k_max, shape):
+def negbin_terms_allocating(k_max, alpha, rho):
     """The kernel's arithmetic in allocating form: a fresh array per operation."""
-    alpha, rho = shape.alpha, shape.rho
     j = np.arange(k_max, dtype=float)
     factors = np.empty(k_max + 1)
     factors[0] = math.exp(alpha * math.log(rho))
@@ -43,9 +41,8 @@ def negbin_terms_allocating(k_max, shape):
     return np.cumprod(factors)
 
 
-def negbin_terms_loop(k_max, shape):
+def negbin_terms_loop(k_max, alpha, rho):
     """Scalar term recursion, the reference for the cumulative-product kernel."""
-    alpha, rho = shape.alpha, shape.rho
     out = np.zeros(k_max + 1)
     out[0] = math.exp(alpha * math.log(rho))
     q = 1.0 - rho
@@ -314,78 +311,107 @@ class TestRegIncGammaConvergence:
 
 class TestNegbinCdf:
     def test_geometric_first_term(self):
-        assert negbin_cdf(0, RealShape(1.0, 1.0 / 6.0)) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert negbin_cdf(0, 1.0, 1.0 / 6.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_degenerate_rho_one(self):
         for k in [0, 1, 5, 50]:
-            assert negbin_cdf(k, RealShape(2.5, 1.0)) == 1.0
+            assert negbin_cdf(k, 2.5, 1.0) == 1.0
 
     def test_real_shape_three_terms(self):
         # direct 3-term sum with real binomial coefficients:
         # rho^a (1 + a(1-rho) + a(a+1)/2 (1-rho)^2) at a=1.5, rho=0.5
         expected = 0.5**1.5 * (1.0 + 1.5 * 0.5 + (1.5 * 2.5 / 2.0) * 0.25)
-        assert negbin_cdf(2, RealShape(1.5, 0.5)) == pytest.approx(expected, rel=1e-13)
+        assert negbin_cdf(2, 1.5, 0.5) == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(0.7844465853788261598822, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [1, 2, 5])
     @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
     def test_brute_force_integer_shape(self, alpha, rho):
-        shape = RealShape(float(alpha), rho)
         for k in range(0, 201, 20):
             brute = math.fsum(
                 math.comb(alpha + j - 1, j) * (1.0 - rho) ** j * rho**alpha
                 for j in range(k + 1)
             )
-            assert abs(negbin_cdf(k, shape) - brute) < 1e-12
+            assert abs(negbin_cdf(k, float(alpha), rho) - brute) < 1e-12
 
     def test_increments_are_nonnegative(self):
-        shape = RealShape(1.5, 0.2)
-        prev = negbin_cdf(0, shape)
+        prev = negbin_cdf(0, 1.5, 0.2)
         for k in range(1, 80):
-            cur = negbin_cdf(k, shape)
+            cur = negbin_cdf(k, 1.5, 0.2)
             assert cur - prev >= 0.0
             prev = cur
 
     def test_tends_to_one(self):
-        shape = RealShape(3.3, 0.3)
-        assert negbin_cdf(400, shape) == pytest.approx(1.0, abs=1e-12)
+        assert negbin_cdf(400, 3.3, 0.3) == pytest.approx(1.0, abs=1e-12)
 
     def test_logpmf_no_overflow_at_huge_k(self):
-        val = negbin_logpmf(10**6, RealShape(1.5, 0.2))
+        val = negbin_logpmf(10**6, 1.5, 0.2)
         assert math.isfinite(val)
         # consistency with the recursion at moderate k
-        terms = negbin_pmf_terms(50, RealShape(1.5, 0.2))
-        assert math.exp(negbin_logpmf(50, RealShape(1.5, 0.2))) == pytest.approx(
+        terms = negbin_pmf_terms(50, 1.5, 0.2)
+        assert math.exp(negbin_logpmf(50, 1.5, 0.2)) == pytest.approx(
             terms[50], rel=1e-12
         )
 
     def test_survival_complement(self):
-        shape = RealShape(2.2, 0.4)
-        terms = negbin_pmf_terms(400, shape)
+        terms = negbin_pmf_terms(400, 2.2, 0.4)
         for k in [0, 3, 17]:
             assert math.fsum(terms[k + 1:]) == pytest.approx(
-                1.0 - negbin_cdf(k, shape), abs=1e-15
+                1.0 - negbin_cdf(k, 2.2, 0.4), abs=1e-15
             )
 
-    def test_invalid_shape(self):
+    @pytest.mark.parametrize(
+        "k_max,alpha,rho,match",
+        [
+            (3, 0.0, 0.5, "alpha"),
+            (3, math.inf, 0.5, "alpha"),
+            (3, math.nan, 0.5, "alpha"),
+            (3, 1.0, 0.0, "rho"),
+            (3, 1.0, 1.5, "rho"),
+            (3, 1.0, math.nan, "rho"),
+            (-1, 1.0, 0.5, ">= 0"),
+            (2.5, 1.0, 0.5, "must be an integer"),
+            (None, 1.0, 0.5, "must be an integer"),
+            (specfun.MAX_FINE_LATTICE, 1.0, 0.5, "more than the limit"),
+            # once asked numpy for 7.28 TiB
+            (10**12, 1.0, 0.5, "more than the limit"),
+            # 101**-200 = exp(-923.0): its terms used to come back all zero
+            (0, 200.0, 1.0 / 101.0, "underflow"),
+            (10000, 400.0, 0.1, "underflow"),
+        ],
+    )
+    def test_invalid_shape(self, monkeypatch, k_max, alpha, rho, match):
+        # refused before the kernel touches numpy, so before any array
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} reached before the refusal")
+
+        monkeypatch.setattr(specfun, "np", NoArrays())
+        with pytest.raises(DomainError, match=match):
+            negbin_pmf_terms(k_max, alpha, rho)
+
+    @pytest.mark.parametrize(
+        "alpha,rho", [(math.inf, 0.5), (math.nan, 0.5), (0.0, 0.5), (1.0, 0.0), (1.0, 1.5)]
+    )
+    def test_logpmf_invalid_shape(self, alpha, rho):
+        # alpha = inf used to give a NaN log mass
         with pytest.raises(DomainError):
-            RealShape(0.0, 0.5)
-        with pytest.raises(DomainError):
-            RealShape(1.0, 0.0)
-        with pytest.raises(DomainError):
-            RealShape(1.0, 1.5)
-        with pytest.raises(DomainError):
-            negbin_pmf_terms(-1, RealShape(1.0, 0.5))
+            negbin_logpmf(3, alpha, rho)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -1, 2.5])
+    def test_logpmf_invalid_index(self, k):
+        # NaN and inf used to raise raw ValueError and OverflowError from int()
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            negbin_logpmf(k, 1.5, 0.5)
 
     @pytest.mark.parametrize(
         "k_max,alpha,rho",
-        [(0, 1.5, 0.2), (0, 200.0, 1.0 / 101.0), (40, 2.5, 1.0), (1, 1.0, 0.5), (5000, 1.5, 1e-3)],
+        [(0, 1.5, 0.2), (40, 2.5, 1.0), (1, 1.0, 0.5), (5000, 1.5, 1e-3)],
     )
     def test_terms_bitwise_equal_loop(self, k_max, alpha, rho):
-        shape = RealShape(alpha, rho)
-        got = negbin_pmf_terms(k_max, shape)
-        assert np.array_equal(got, negbin_terms_loop(k_max, shape))
-        assert np.array_equal(got, negbin_terms_allocating(k_max, shape))
+        got = negbin_pmf_terms(k_max, alpha, rho)
+        assert np.array_equal(got, negbin_terms_loop(k_max, alpha, rho))
+        assert np.array_equal(got, negbin_terms_allocating(k_max, alpha, rho))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -394,10 +420,24 @@ class TestNegbinCdf:
         k=st.integers(0, 3000),
     )
     def test_terms_bitwise_equal_loop_random(self, alpha, rho, k):
-        shape = RealShape(alpha, rho)
-        got = negbin_pmf_terms(k, shape)
-        assert np.array_equal(got, negbin_terms_loop(k, shape))
-        assert np.array_equal(got, negbin_terms_allocating(k, shape))
+        # the seeds the kernel accepts; test_underflowing_seed_refused_random
+        # draws the rest
+        assume(alpha * math.log(rho) >= specfun._MIN_LOG_SEED)
+        got = negbin_pmf_terms(k, alpha, rho)
+        assert np.array_equal(got, negbin_terms_loop(k, alpha, rho))
+        assert np.array_equal(got, negbin_terms_allocating(k, alpha, rho))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.floats(1e-300, 0.999),
+        excess=st.floats(1.0 + 1e-9, 10.0),
+        k=st.integers(0, 3000),
+    )
+    def test_underflowing_seed_refused_random(self, rho, excess, k):
+        # alpha * log(rho) = excess * _MIN_LOG_SEED, below the smallest log seed
+        alpha = excess * specfun._MIN_LOG_SEED / math.log(rho)
+        with pytest.raises(DomainError, match="underflow"):
+            negbin_pmf_terms(k, alpha, rho)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -408,6 +448,6 @@ class TestNegbinCdf:
     def test_cdf_is_a_probability(self, alpha, rho, k):
         # the exact sum of rounded masses may pass 1 by a few ulp (6.4e-15
         # seen over 20,000 random draws in this range)
-        val = negbin_cdf(k, RealShape(alpha, rho))
+        val = negbin_cdf(k, alpha, rho)
         assert 0.0 <= val <= 1.0 + 1e-12
-        assert val >= negbin_cdf(max(k - 1, 0), RealShape(alpha, rho)) - 1e-12
+        assert val >= negbin_cdf(max(k - 1, 0), alpha, rho) - 1e-12

@@ -139,6 +139,12 @@ class TestGammaMixture:
         assert mix.raw_moment(2) == pytest.approx(6.0, rel=1e-15)
         assert mix.raw_moment(3) == pytest.approx(24.0, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, -1, None])
+    def test_moment_order_must_be_a_nonnegative_integer(self, n):
+        # n = 2.5 used to raise a raw TypeError from range()
+        with pytest.raises(DomainError, match="moment order"):
+            GammaMixture.exponential().raw_moment(n)
+
     def test_survival_gamma_2_1(self):
         mix = GammaMixture((Component(1.0, 2.0, 1.0),))
         for u in [0.1, 1.0, 5.0]:

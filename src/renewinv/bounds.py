@@ -25,7 +25,6 @@ phi = 0.5, the ledger's ||w2|| is 2.2e-7 where dense sampling finds 1.4e-4.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -314,25 +313,22 @@ def equilibrium_moments(mixture: GammaMixture) -> tuple[float, float]:
 def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
     """Weighted integrals int u^i |F_a''| du, i = 0, 1, 2, for a unit-rate gamma CDF.
 
-    Splits |F''| at its single sign change u = alpha - 1 and integrates
-    each piece by incomplete gamma, P(a, alpha - 1) and P(a + 1, alpha - 1)
-    at a = alpha + i - 1.  The a + 1 of one integral is, up to rounding,
-    the a of the next.  The cache is keyed on exact floats, so it merges
-    only the shapes that round alike: a call evaluates P at four shapes,
-    or at five where a sum such as fl(alpha + 1) - 1 misses alpha by the
-    last bit.
+    Splits |F''| at its single sign change u = c = alpha - 1 and integrates
+    each piece by incomplete gamma: integral i reads P(s, c) and
+    Gamma(s) / Gamma(alpha) at s = s_i and s_{i+1}, where s_j = c + j.  A
+    call evaluates both once at each of the four shapes s_0, ..., s_3.
     """
     if alpha == 1.0:
         return 1.0, 1.0, 2.0
     c = alpha - 1.0
-    lower = functools.cache(lambda shape: reg_inc_gamma_lower(shape, c))
-    out = []
-    for i in range(3):
-        a = alpha + i - 1.0
-        r_hi = math.exp(math.lgamma(a + 1.0) - math.lgamma(alpha))
-        r_lo = math.exp(math.lgamma(a) - math.lgamma(alpha))
-        out.append(r_hi - c * r_lo + 2.0 * c * r_lo * lower(a) - 2.0 * r_hi * lower(a + 1.0))
-    return tuple(out)
+    shapes = [c + j for j in range(4)]
+    ratio = [math.exp(math.lgamma(s) - math.lgamma(alpha)) for s in shapes]
+    lower = [reg_inc_gamma_lower(s, c) for s in shapes]
+    return tuple(
+        ratio[i + 1] - c * ratio[i]
+        + 2.0 * c * ratio[i] * lower[i] - 2.0 * ratio[i + 1] * lower[i + 1]
+        for i in range(3)
+    )
 
 
 def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, float, float]:

@@ -23,8 +23,8 @@ class SingularityError(RenewinvError, ArithmeticError):
 
 
 class NegativeWeightError(RenewinvError, ArithmeticError):
-    """Cancellation drove a probability weight materially below zero.
+    """A lattice probability weight lies materially below zero.
 
-    Signals that the requested truncation index is too large for double
-    precision along the alternating-sum path.
+    Raised by :class:`~renewinv.compound.LatticePMF` for a weight below
+    -1e-12; negatives above that are rounding and are clamped to zero.
     """

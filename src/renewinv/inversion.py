@@ -16,6 +16,7 @@ so both reduce to a single weight lookup and never touch raw factorials.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,11 +123,12 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
 
     Value at k/t is 2 L*_{2t} g((2k-1)/(2t)) - L*_t g((k-1)/t) for k >= 1
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
-    lattice rate.  Raises :class:`DomainError` when the fine lattice would
-    exceed ``MAX_FINE_LATTICE`` points.
+    lattice rate.  Raises :class:`DomainError`, before any oracle call,
+    when K is not an integer >= 1 or the fine lattice would exceed
+    ``MAX_FINE_LATTICE`` points.
     """
-    if K < 1:
-        raise DomainError(f"truncation index K must be >= 1, got {K}")
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise DomainError(f"truncation index K must be an integer >= 1, got {K!r}")
     if 2 * K > MAX_FINE_LATTICE:
         raise DomainError(
             f"K = {K} needs {2 * K} points on the fine lattice, "

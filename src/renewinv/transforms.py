@@ -40,11 +40,6 @@ _SINGULARITY_TOL = 1e-12
 # to keep a second threshold.  Moving it moves the results: at 256 the
 # table models' non-ruin values move by up to 8.0e-15.
 _DIRECT_MAX = 512
-# numpy evaluates ``x * y`` in place into y when y is a temporary of at
-# least 256 KiB (temporary elision, NPY_MIN_ELIDE_BYTES), so the complex
-# product h_hat * rfft(...) runs as rfft(...) * h_hat from that size up:
-# from cyclic length 32768 for a half spectrum of doubles.
-_ELIDED_BYTES = 256 * 1024
 
 
 def _shaped_like(u: np.ndarray, values):
@@ -341,11 +336,8 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     nothing after it returns, and only reads ``a``, so concurrent calls
     share no state.  Operand order matters: the vectorized complex
     product is not bitwise commutative, and swapping a factor pair moves
-    coefficients by about 1e-17.  The residual's spectrum is a^ h^; the
-    correction's is h^ r^ while a half spectrum is below
-    ``_ELIDED_BYTES`` and r^ h^ from there up, the order numpy's
-    temporary elision gave the allocating form ``h_hat * rfft(r)``, so
-    the coefficients are those of that form bit for bit.
+    coefficients by about 1e-17.  The residual's spectrum is always
+    a^ h^ and the correction's always h^ r^.
     """
     sizes = [a.size]
     while sizes[-1] > 1:
@@ -368,10 +360,7 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
             np.multiply(x_hat, h_hat, out=x_hat)
             residual = np.fft.irfft(x_hat, size, out=real_buf[:size])[n:m]
             x_hat = np.fft.rfft(residual, size, out=x_hat)
-            if x_hat.nbytes < _ELIDED_BYTES:
-                np.multiply(h_hat, x_hat, out=x_hat)
-            else:
-                np.multiply(x_hat, h_hat, out=x_hat)
+            np.multiply(h_hat, x_hat, out=x_hat)
             step = np.fft.irfft(x_hat, size, out=real_buf[:size])[: m - n]
         np.negative(step, out=h[n:m])
     return h

@@ -527,7 +527,9 @@ class TestFSecondIntegrals:
 
     def test_shared_shapes_evaluated_once_per_call(self, monkeypatch, gamma32_mixture):
         # alpha = 1.5 needs P(s, 0.5) at the four shapes 0.5, 1.5, 2.5, 3.5
-        # for its three integrals; a second call evaluates them afresh
+        # for its three integrals; a second call evaluates them afresh.  The
+        # seed-11 shape needs four too, at (alpha - 1) + j, though
+        # fl(alpha + 2) - 1 misses fl(alpha + 1) by the last bit there
         calls = []
         lower = bounds.reg_inc_gamma_lower
 
@@ -540,19 +542,25 @@ class TestFSecondIntegrals:
         assert sorted(calls) == [(0.5, 0.5), (1.5, 0.5), (2.5, 0.5), (3.5, 0.5)]
         f_second_integrals(gamma32_mixture)
         assert len(calls) == 8
+        del calls[:]
+        alpha = 2.8044950728700724
+        _component_i_fpp(alpha)
+        c = alpha - 1.0
+        assert calls == [(c + j, c) for j in range(4)]
 
     @pytest.mark.parametrize("seed", range(100, 106))
     def test_shared_shapes_keep_every_bit(self, seed):
         # against each integral computed on its own, both incomplete gammas
-        # called afresh at the shapes alpha + i - 1 and alpha + i
+        # called afresh at the shapes s_i and s_{i+1}, s_j = (alpha - 1) + j
         def alone(alpha, i):
             if alpha == 1.0:
                 return float(math.factorial(i))
-            c, a = alpha - 1.0, alpha + i - 1.0
-            r_hi = math.exp(math.lgamma(a + 1.0) - math.lgamma(alpha))
-            r_lo = math.exp(math.lgamma(a) - math.lgamma(alpha))
-            return (r_hi - c * r_lo + 2.0 * c * r_lo * bounds.reg_inc_gamma_lower(a, c)
-                    - 2.0 * r_hi * bounds.reg_inc_gamma_lower(a + 1.0, c))
+            c = alpha - 1.0
+            s_lo, s_hi = c + i, c + (i + 1)
+            r_hi = math.exp(math.lgamma(s_hi) - math.lgamma(alpha))
+            r_lo = math.exp(math.lgamma(s_lo) - math.lgamma(alpha))
+            return (r_hi - c * r_lo + 2.0 * c * r_lo * bounds.reg_inc_gamma_lower(s_lo, c)
+                    - 2.0 * r_hi * bounds.reg_inc_gamma_lower(s_hi, c))
 
         mix = seeded_admissible_mixture(seed)
         for alpha in (1.0, 1.5, *(c.alpha for c in mix.components)):

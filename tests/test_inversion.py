@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,13 @@ class TestM2Lattice:
     def test_needs_positive_truncation(self):
         with pytest.raises(DomainError):
             m2_lattice(ConstantLST(1.0), 5.0, 0, 1.0)
+
+    @pytest.mark.parametrize("K", [2.5, np.float64(3.0)])
+    def test_non_integer_truncation_refused_before_any_oracle_call(self, K):
+        # K = 2.5 was refused as "k_max must be an integer >= 0, got 4.0",
+        # a value the caller never passed
+        with pytest.raises(DomainError, match=re.escape(f"K must be an integer >= 1, got {K!r}")):
+            m2_lattice(Untouchable(), 5.0, K, 1.0)
 
     @pytest.mark.parametrize("g0", [math.nan, math.inf])
     def test_non_finite_origin_value_refused(self, g0):

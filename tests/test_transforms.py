@@ -28,8 +28,8 @@ from renewinv.ruin import renewal_data_from_model, RiskModel
 from renewinv.transforms import _DIRECT_MAX, _series_reciprocal
 
 # every size 1-1100, then 2**k - 1, 2**k and 2**k + 1 up to 2**16 + 1: the
-# Newton passes change from direct to FFT above 512 terms and change the
-# order of the correction's spectral product at cyclic length 32768
+# Newton passes change from direct to FFT above 512 terms, and each power
+# of two starts a new cyclic length
 RECIPROCAL_SIZES = sorted(
     set(range(1, 1101)) | {2**k + d for k in range(1, 17) for d in (-1, 0, 1)}
 )
@@ -53,7 +53,9 @@ def reciprocal_reference(a):
 
     Full-mode convolutions, one concatenation per pass and a fresh array
     from every transform and product: the expressions whose roundings the
-    kernel reproduces, numpy's temporary elision included.
+    kernel reproduces.  The correction's product names its operand order,
+    h^ r^, as the kernel does: numpy may evaluate ``h_hat * rfft(r)`` in
+    place into its temporary right operand, as r^ h^.
     """
     sizes = [a.size]
     while sizes[-1] > 1:
@@ -67,7 +69,7 @@ def reciprocal_reference(a):
             size = 1 << (m - 1).bit_length()
             h_hat = np.fft.rfft(h, size)
             residual = np.fft.irfft(np.fft.rfft(a[:m], size) * h_hat, size)[n:m]
-            step = np.fft.irfft(h_hat * np.fft.rfft(residual, size), size)[: m - n]
+            step = np.fft.irfft(np.multiply(h_hat, np.fft.rfft(residual, size)), size)[: m - n]
         h = np.concatenate((h, -step))
     return h
 

@@ -12,8 +12,8 @@ coefficients come from a Newton iteration for the reciprocal power series,
 with products by direct convolution in the short passes and wrap-around
 (cyclic) real FFT products in the long ones, in O(K log K) instead of the
 O(K^2) of Panjer's recursion.  That series kernel lives in
-:mod:`renewinv.transforms`, beside the renewal-ratio division
-:class:`~renewinv.transforms.RenewalRatioLST` that uses it too.  The
+:mod:`renewinv.transforms`; the renewal-ratio division there runs it to
+half the terms and folds its numerator into the last Newton pass.  The
 function keeps the name ``panjer_geometric`` because it returns the same
 coefficients and its callers and the benchmark tracer refer to it by that
 name.  The non-ruin oracle of :mod:`renewinv.ruin` reads both functions:
@@ -107,8 +107,8 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     compound is (1 - phi) / (1 - phi F(z)) with F the severity PGF.  The
     reciprocal series is taken by Newton iteration in O(K log K) (Brent &
     Kung, J. ACM 25, 1978), with F truncated or zero-padded to K+1 terms;
-    the kernel is the one :class:`~renewinv.transforms.RenewalRatioLST`
-    divides with, defined in :mod:`renewinv.transforms`.
+    the kernel, defined in :mod:`renewinv.transforms`, is also the first
+    half of :class:`~renewinv.transforms.RenewalRatioLST`'s division.
     The coefficients are those of Panjer's recursion, whose name the
     function keeps; the O(K^2) recursion is the reference in the tests.
     """

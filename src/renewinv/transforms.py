@@ -289,19 +289,6 @@ def survival_to_density_oracle(mixture: GammaMixture) -> TransformOracle:
     return ScaledLST(1.0 / mixture.mean, SurvivalLST(GammaMixtureLST(mixture)))
 
 
-def _polymul(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """First ``n`` coefficients of the polynomial product x * y.
-
-    Direct convolution while the shorter operand has at most
-    ``_DIRECT_MAX`` terms, zero-padded real FFT above that.
-    """
-    x, y = x[:n], y[:n]
-    if min(x.size, y.size) <= _DIRECT_MAX:
-        return np.convolve(x, y)[:n]
-    size = 1 << (x.size + y.size - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
-
-
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     """1 / a(z) mod z**a.size by Newton iteration, for a[0] != 0.
 
@@ -366,6 +353,34 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     return h
 
 
+def _series_quotient(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """v(z) / a(z) mod z**a.size, for a[0] != 0 and v.size >= a.size.
+
+    The numerator rides in the last Newton pass (Karp & Markstein, ACM
+    TOMS 23, 1997): with h = 1 / a mod z**n, n = ceil(a.size / 2), the low
+    half is q = v h mod z**n and the high half h times the slice [n, a.size)
+    of v - a q, which a long pass takes by the wrap-around middle product of
+    ``_series_reciprocal``: eight real transforms, all at the smallest power
+    of two >= a.size, where a q folds only onto indices below n.
+    """
+    size, n = a.size, (a.size + 1) // 2
+    h = _series_reciprocal(a[:n])
+    if size == 1:
+        return v[:1] * h
+    if n <= _DIRECT_MAX:
+        low = np.convolve(v[:n], h)[:n]
+        residual = v[n:size] - np.convolve(a[1:size], low, "valid")
+        return np.concatenate((low, np.convolve(h[: size - n], residual)[: size - n]))
+    length = 1 << (size - 1).bit_length()
+    h_hat = np.fft.rfft(h, length)
+    low = np.fft.irfft(np.fft.rfft(v[:n], length) * h_hat, length)[:n]
+    x_hat = np.fft.rfft(a[:size], length)
+    np.multiply(x_hat, np.fft.rfft(low, length), out=x_hat)
+    residual = v[n:size] - np.fft.irfft(x_hat, length)[n:size]
+    np.multiply(h_hat, np.fft.rfft(residual, length, out=x_hat), out=x_hat)
+    return np.concatenate((low, np.fft.irfft(x_hat, length)[: size - n]))
+
+
 class RenewalRatioLST(TransformOracle):
     """Transform of the renewal solution, m~(t) = v~(t) / (1 - phi f~(t)).
 
@@ -377,11 +392,13 @@ class RenewalRatioLST(TransformOracle):
     binomial coefficients appear.  Read as power series in z, it is the
     division W(m) = W(v) / (1 - phi W(f)), which the weights take in
     O(K log K): a Newton reciprocal of the denominator (Brent & Kung,
-    J. ACM 25, 1978), then one product.  The division adds an absolute
-    error of about 1e-16 / (1 - phi) of the largest weight for a density
-    f, whose reciprocal series has coefficients summing to up to
-    1 / (1 - phi); the tests check it against ``ratio_reference``, the
-    O(K^2) recursion above with exact (fsum) inner sums.
+    J. ACM 25, 1978) that folds the numerator into its last pass.  The
+    division adds an absolute error of about 1e-16 / (1 - phi) of the
+    largest weight for a density f, whose reciprocal series has
+    coefficients summing to up to 1 / (1 - phi); the tests check it
+    against ``ratio_reference``, the O(K^2) recursion above with exact
+    (fsum) inner sums.  Raises :class:`SingularityError` at or below the
+    singularity, where 1 - phi f~(t) <= 1e-12 (never for a density f).
 
     For ruin the SurvivalLST tail sums in v and f set a larger absolute
     floor, so ruin weights below ~1e-14 are noise: 7.2e-15 is the error
@@ -400,10 +417,10 @@ class RenewalRatioLST(TransformOracle):
         fw = self.f_oracle.weights(t, k_max)
         vw = self.v_oracle.weights(t, k_max)
         denom = 1.0 - self.phi * fw[0]
-        if abs(denom) < _SINGULARITY_TOL:
+        if not denom > _SINGULARITY_TOL:  # also refuses NaN
             raise SingularityError(
                 f"1 - phi*f~(t) = {denom} at t={t}: at or below the defective-equation singularity"
             )
         a = -self.phi * fw
         a[0] = denom
-        return _polymul(vw, _series_reciprocal(a), k_max + 1)
+        return _series_quotient(vw, a)

@@ -25,7 +25,7 @@ from renewinv import (
 )
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 from renewinv.ruin import renewal_data_from_model, RiskModel
-from renewinv.transforms import _DIRECT_MAX, _series_reciprocal
+from renewinv.transforms import _DIRECT_MAX, _series_quotient, _series_reciprocal
 
 # every size 1-1100, then 2**k - 1, 2**k and 2**k + 1 up to 2**16 + 1: the
 # Newton passes change from direct to FFT above 512 terms, and each power
@@ -33,6 +33,10 @@ from renewinv.transforms import _DIRECT_MAX, _series_reciprocal
 RECIPROCAL_SIZES = sorted(
     set(range(1, 1101)) | {2**k + d for k in range(1, 17) for d in (-1, 0, 1)}
 )
+# the quotient's last pass starts from ceil(N / 2) terms, so it turns from
+# direct to FFT products between 1024 and 1025 terms; 2048 -> 2049 moves its
+# cyclic length from 2048 to 4096
+QUOTIENT_SIZES = [1, 2, 3, 1023, 1024, 1025, 2047, 2048, 2049]
 
 
 def ratio_reference(v_oracle, f_oracle, phi, t, k_max):
@@ -46,6 +50,37 @@ def ratio_reference(v_oracle, f_oracle, phi, t, k_max):
         inner = math.fsum((out[:k] * fw[k:0:-1]).tolist())
         out[k] = (vw[k] + phi * inner) / denom
     return out
+
+
+def quotient_reference(v, a):
+    """v / a as power series, by long division with fsum inner sums: the reference."""
+    q = np.empty(a.size)
+    for k in range(a.size):
+        q[k] = math.fsum([v[k], *(-a[k:0:-1] * q[:k]).tolist()]) / a[0]
+    return q
+
+
+def record_fft_lengths(monkeypatch):
+    """The length argument of every np.fft.rfft and irfft call, in call order."""
+    lengths = []
+
+    def recording(fn):
+        def wrapped(x, n=None, *args, **kwargs):
+            lengths.append(n)
+            return fn(x, n, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+    return lengths
+
+
+def density_denominator(rng, size, phi):
+    """1 - phi f for a random lattice density f of ``size`` terms."""
+    f = rng.random(size) ** 3
+    a = -phi * f / f.sum()
+    a[0] += 1.0
+    return a
 
 
 def reciprocal_reference(a):
@@ -425,13 +460,38 @@ class TestRenewalRatio:
         exact = phi * (t / (t + 1.0 - phi)) ** np.arange(1600) / (t + 1.0 - phi)
         assert float(np.max(np.abs(w - exact))) <= 3e-14
 
-    def test_singularity_error(self):
-        # a non-probability "density" with transform 2/(t+1) hits
-        # 1 - phi f~(t) = 0 at t = 0.8 when phi = 0.9
-        fake_density = ScaledLST(2.0, ExponentialDecayLST(1.0))
-        oracle = RenewalRatioLST(ConstantLST(1.0), fake_density, 0.9)
+    # a non-probability "density" with transform 2/(t+1) hits
+    # 1 - phi f~(t) = 0 at t = 0.8 when phi = 0.9, and goes negative below
+    FAKE_DENSITY = ScaledLST(2.0, ExponentialDecayLST(1.0))
+
+    @pytest.mark.parametrize("t", [0.5, 0.79, 0.8])
+    def test_singularity_error(self, t):
+        # below the singularity the series once came back as alternating
+        # weights, [-10, 10, -23.3, 32.2, -60.4] at t = 0.5
+        oracle = RenewalRatioLST(ConstantLST(1.0), self.FAKE_DENSITY, 0.9)
+        with pytest.raises(SingularityError, match="at or below"):
+            oracle.weights(t, 4)
+
+    def test_answers_just_above_singularity(self):
+        # m~(t) = (t + 1) / (t (t - 0.8)): 223.5 at t = 0.81, weights growing like 81**k
+        got = RenewalRatioLST(ConstantLST(1.0), self.FAKE_DENSITY, 0.9).weights(0.81, 4)
+        want = ratio_reference(ConstantLST(1.0), self.FAKE_DENSITY, 0.9, 0.81, 4)
+        assert got[0] == pytest.approx(1.81 / (0.81 * 0.01), rel=1e-12)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_nan_denominator_refused(self):
+        class NanLST(TransformOracle):
+            def weights(self, t, k_max):
+                return np.full(k_max + 1, math.nan)
+
         with pytest.raises(SingularityError):
-            oracle.weights(0.8, 3)
+            RenewalRatioLST(ConstantLST(1.0), NanLST(), 0.9).weights(1.0, 4)
+
+    def test_m2_lattice_below_singularity_refused(self):
+        # the fine rate 2t = 1 lies above the singularity, the coarse rate t = 0.5 below it
+        oracle = RenewalRatioLST(ConstantLST(1.0), self.FAKE_DENSITY, 0.9)
+        with pytest.raises(SingularityError):
+            m2_lattice(oracle, 0.5, 4, 1.0)
 
     def test_weights_stay_positive_for_ruin(self, half_mixture):
         data = renewal_data_from_model(RiskModel(half_mixture, 0.9))
@@ -441,12 +501,13 @@ class TestRenewalRatio:
 
 
 class TestRenewalRatioAgainstReference:
-    @pytest.mark.parametrize("k_max", [0, 1, 511, 512, 513, 1599])
+    @pytest.mark.parametrize("k_max", [0, 1, 511, 512, 513, 1023, 1024, 1025, 1599])
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     @pytest.mark.parametrize("t", [10.0, 20.0, 40.0])
     @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
     def test_table_models(self, all_table_mixtures, name, t, phi, k_max):
-        # k_max = 511, 512, 513 straddle the switch from direct to FFT products
+        # k_max = 1023, 1024, 1025 straddle the quotient's switch from direct
+        # to FFT products, at 512 and 513 terms of the reciprocal
         data = renewal_data_from_model(RiskModel(all_table_mixtures[name], phi))
         got = RenewalRatioLST(data.v_oracle, data.f_oracle, phi).weights(t, k_max)
         want = ratio_reference(data.v_oracle, data.f_oracle, phi, t, k_max)
@@ -488,20 +549,8 @@ class TestSeriesReciprocalKernel:
     def test_fft_passes_stay_cyclic(self, monkeypatch, size):
         # every transform of a Newton pass is taken at one cyclic length,
         # never above the smallest power of two >= a.size, five per pass
-        lengths = []
-
-        def recording(fn):
-            def wrapped(x, n=None, *args, **kwargs):
-                lengths.append(n)
-                return fn(x, n, *args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
-        monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
-        rng = np.random.default_rng(size)
-        f = rng.random(size) ** 3
-        a = -0.9 * f / f.sum()
-        a[0] += 1.0
+        lengths = record_fft_lengths(monkeypatch)
+        a = density_denominator(np.random.default_rng(size), size, 0.9)
         h = _series_reciprocal(a)
 
         sizes = [size]
@@ -546,3 +595,28 @@ class TestSeriesReciprocalKernel:
         a.flags.writeable = False
         assert np.array_equal(_series_reciprocal(a), reciprocal_reference(saved))
         assert np.array_equal(a, saved)
+
+
+class TestSeriesQuotientKernel:
+    @pytest.mark.parametrize("size", QUOTIENT_SIZES)
+    def test_matches_long_division(self, size):
+        # |q_k| <= max|v| / (1 - phi), the sum of the reciprocal's coefficients
+        rng = np.random.default_rng(size)
+        phi = 0.9
+        a = density_denominator(rng, size, phi)
+        v = rng.uniform(-1.0, 1.0, size)
+        got = _series_quotient(v, a)
+        want = quotient_reference(v, a)
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want))) <= 1e-15 * float(np.max(np.abs(v))) / (1.0 - phi)
+
+    @pytest.mark.parametrize("size", QUOTIENT_SIZES)
+    def test_last_pass_stays_cyclic(self, monkeypatch, size):
+        # a long last pass takes eight transforms, all at the smallest power
+        # of two >= size; the reciprocal's passes run at shorter lengths
+        lengths = record_fft_lengths(monkeypatch)
+        _series_quotient(np.ones(size), density_denominator(np.random.default_rng(size), size, 0.9))
+        length = 1 << (size - 1).bit_length()
+        assert None not in lengths
+        assert lengths.count(length) == (8 if (size + 1) // 2 > _DIRECT_MAX else 0)
+        assert all(n < length for n in lengths if n != length)

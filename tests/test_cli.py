@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from renewinv import BoundReport, GammaMixture, NormLedger, RiskModel, ruin_bound_report
-from renewinv import cli
+from renewinv import cli, ruin
 from renewinv.cli import main
 from renewinv.ruin import approximate_nonruin, lstar_nonruin
 
@@ -462,6 +462,26 @@ class TestConvergence:
         assert code == 0, err
         _, rows = parse_csv(out)
         assert 0.0 < float(rows[0][1]) < 1e-3
+
+    @pytest.mark.parametrize("t_list", ["5,10,20", "20,10,5", "10,5,20"])
+    def test_doubling_rates_share_passes_in_any_order(self, write_spec, monkeypatch, capsys, t_list):
+        # 2 compound expansions for the reference at t = 160 and 4 for the rows,
+        # whatever the order; rows print in the order given
+        spec = write_spec([(1.0, 1.5, 1.0)], "g32")
+        argv = ["convergence", "--spec", spec, "--phi", "0.9", "--u-max", "10", "--t-list"]
+        _, ascending, _ = run(argv + ["5,10,20"], capsys)
+        ruin._nonruin_pass.cache_clear()
+        calls = []
+        expand = ruin.panjer_geometric
+        monkeypatch.setattr(
+            ruin, "panjer_geometric", lambda sev, phi, K: calls.append(sev.t) or expand(sev, phi, K)
+        )
+        code, out, err = run(argv + [t_list], capsys)
+        assert code == 0, err
+        assert sorted(calls) == [5.0, 10.0, 20.0, 40.0, 160.0, 320.0]
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == t_list.split(",")
+        assert sorted(rows) == sorted(parse_csv(ascending)[1])
 
     def test_self_reference_for_non_exponential(self, write_spec, capsys):
         spec = write_spec([(1.0, 1.5, 1.0)], "g32")

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -29,6 +32,18 @@ from renewinv.inversion import MAX_FINE_LATTICE
 
 def _must_not_run(*args):
     raise AssertionError("the lattice cap must refuse before any oracle call")
+
+
+def count_compound_expansions(monkeypatch):
+    """List of (rate, K) of every compound expansion the non-ruin oracle runs from now on."""
+    calls = []
+
+    def counting(severity, phi, K):
+        calls.append((severity.t, K))
+        return panjer_geometric(severity, phi, K)
+
+    monkeypatch.setattr(ruin, "panjer_geometric", counting)
+    return calls
 
 
 def compound_cdf_reference(mixture, phi, t, K):
@@ -154,13 +169,7 @@ class TestApproximateNonruin:
             assert np.max(np.abs(plain - compound_cdf_reference(mix, phi, t, K))) <= 1e-15
 
     def test_two_compound_expansions_per_call(self, monkeypatch, gamma32_mixture):
-        calls = []
-
-        def counting(severity, phi, K):
-            calls.append((severity.t, K))
-            return panjer_geometric(severity, phi, K)
-
-        monkeypatch.setattr(ruin, "panjer_geometric", counting)
+        calls = count_compound_expansions(monkeypatch)
         approximate_nonruin(RiskModel(gamma32_mixture, 0.9), 2.0, 40.0)
         assert sorted(calls) == [(2.0, 79), (4.0, 159)]
 
@@ -235,6 +244,89 @@ class TestApproximateNonruin:
         direct = m2_lattice(nonruin_oracle, t, int(t * u_max), 1.0 - phi)
         pipeline = approximate_nonruin(model, t, u_max)
         assert np.allclose(direct.values, pipeline.lattice.values, atol=1e-10)
+
+
+class TestPassMemo:
+    """The non-ruin oracle shares its passes between calls; answers never depend on it."""
+
+    def test_doubling_ladder_shares_passes(self, monkeypatch, gamma32_mixture):
+        # M2 at 2t reads M2-at-t's fine pass (4t, 159) again: 4 passes, not 6
+        model = RiskModel(gamma32_mixture, 0.9)
+        calls = count_compound_expansions(monkeypatch)
+        warm = [approximate_nonruin(model, t, 40.0).lattice.values for t in (2.0, 4.0, 8.0)]
+        assert calls == [(4.0, 159), (2.0, 79), (8.0, 319), (16.0, 639)]
+        assert ruin._nonruin_pass.cache_info().currsize == ruin._nonruin_pass.cache_info().maxsize == 3
+        for t, values in zip((2.0, 4.0, 8.0), warm):
+            ruin._nonruin_pass.cache_clear()
+            assert approximate_nonruin(model, t, 40.0).lattice.values.tobytes() == values.tobytes()
+
+    def test_equal_model_with_int_parameters_hits_the_memo(self, monkeypatch):
+        floats = RiskModel(GammaMixture((Component(1.0, 2.0, 1.0),)), 0.9)
+        ints = RiskModel(GammaMixture((Component(1, 2, 1),)), 0.9)
+        cold_floats = approximate_nonruin(floats, 5.0, 40.0).lattice.values
+        plain_floats = lstar_nonruin(floats, 5.0, 200).values
+        ruin._nonruin_pass.cache_clear()
+        cold_ints = approximate_nonruin(ints, 5, 40).lattice.values
+        plain_ints = lstar_nonruin(ints, 5, 200).values
+        assert cold_ints.tobytes() == cold_floats.tobytes()
+        assert plain_ints.tobytes() == plain_floats.tobytes()
+        calls = count_compound_expansions(monkeypatch)
+        warm = approximate_nonruin(RiskModel(GammaMixture((Component(1.0, 2.0, 1.0),)), 0.9), 5.0, 40.0)
+        assert calls == []
+        assert warm.lattice.values.tobytes() == cold_floats.tobytes()
+
+    def test_refusals_raise_on_every_call(self):
+        model = RiskModel(GammaMixture((Component(1.0, 0.01, 1000.0),)), 0.999)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="the claims are small against the lattice"):
+                approximate_nonruin(model, 5.0, 10.0)
+        assert ruin._nonruin_pass.cache_info().currsize == 0
+
+    def test_weights_are_read_only(self, exp_mixture):
+        model = RiskModel(exp_mixture, 0.9)
+        weights = ruin._NonruinLST(model).weights(5.0, 20)
+        before = weights.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            weights[3] = 0.0
+        assert np.array_equal(ruin._NonruinLST(model).weights(5.0, 20), before)
+
+    def test_concurrent_callers_get_cold_answers(self, all_table_mixtures):
+        # more threads than cores share the memo, each running the ladders in its own order
+        calls = [(RiskModel(mix, 0.9), t) for mix in all_table_mixtures.values() for t in (2.0, 4.0, 8.0)]
+        cold = {}
+        for model, t in calls:
+            ruin._nonruin_pass.cache_clear()
+            cold[model, t] = approximate_nonruin(model, t, 40.0).lattice.values.tobytes()
+        wrong = []
+
+        def work(seed):
+            order = calls * 3
+            random.Random(seed).shuffle(order)
+            try:
+                for model, t in order:
+                    if approximate_nonruin(model, t, 40.0).lattice.values.tobytes() != cold[model, t]:
+                        wrong.append((seed, t))
+            except Exception as exc:  # a raise in a thread must fail the test, not vanish
+                wrong.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_refused_point_is_checked_before_the_memo(self, exp_mixture):
+        oracle = ruin._NonruinLST(RiskModel(exp_mixture, 0.9))
+        oracle.weights(5.0, 20)
+        with pytest.raises(DomainError, match="k_max must be an integer"):
+            oracle.weights(5.0, 20.0)
 
 
 class TestLstarNonruin:

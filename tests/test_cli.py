@@ -473,9 +473,12 @@ class TestConvergence:
         ruin._nonruin_pass.cache_clear()
         calls = []
         expand = ruin.panjer_geometric
-        monkeypatch.setattr(
-            ruin, "panjer_geometric", lambda sev, phi, K: calls.append(sev.t) or expand(sev, phi, K)
-        )
+
+        def counting(severity, phi, K):
+            calls.append(severity.t)
+            return expand(severity, phi, K)
+
+        monkeypatch.setattr(ruin, "panjer_geometric", counting)
         code, out, err = run(argv + [t_list], capsys)
         assert code == 0, err
         assert sorted(calls) == [5.0, 10.0, 20.0, 40.0, 160.0, 320.0]

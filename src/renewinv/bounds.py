@@ -16,11 +16,13 @@ Every coefficient of the chain (:func:`chain_bounds`) is nonnegative, so
 the chain is monotone in the ledger: the chained norms, and with them the
 constant C of :meth:`BoundReport.total_bound`, are upper bounds whenever
 every ledger entry is one.  The moments, the integrals of f'' and f(0),
-f'(0) are closed forms; the eight sup norms are not certified.  They are
-maxima of samples, a grid search refined around its best points, so each
-is a lower estimate of its sup and can step over a narrow peak: for claims
-mixing Gamma(4000, 4000/42.46) and Gamma(1, 1e-3) half and half at
-phi = 0.5, the ledger's ||w2|| is 2.2e-7 where dense sampling finds 1.4e-4.
+f'(0) are closed forms.  The eight sup norms are certified enclosures
+(:func:`_sup_enclosures`): each row is a sum over the mixture's components
+of pieces that are monotone between closed-form breakpoints, so the values
+at the ends of a cell bound the row on the whole cell.  Each entry is at
+least its row's sup, up to the rounding of the special functions, and at
+most ``_SUP_RTOL`` = 1e-3 relative above it, so a narrow peak cannot be
+stepped over.
 """
 
 from __future__ import annotations
@@ -32,14 +34,10 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .ruin import RiskModel
-from .specfun import _gamma_kernel, reg_inc_gamma_lower
+from .specfun import _gamma_kernel, reg_inc_gamma_lower, reg_inc_gamma_upper
 from .transforms import GammaMixture
 
-_TAIL_RTOL = 1e-15
-_GRID_POINTS = 4096
-_HALF = _GRID_POINTS // 2
-_REFINE_POINTS = 65
-_REFINE_RTOL = 1e-9
+_SUP_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -115,184 +113,133 @@ def _require_admissible(mixture: GammaMixture) -> None:
         )
 
 
-def _grow_tables(law, tables: dict, ends) -> None:
-    """Give every grid end in ``ends`` a table (grid, law values on it).
+def _component_pieces(mixture: GammaMixture, kappa: float, u: np.ndarray) -> np.ndarray:
+    """The ledger's monotone pieces of every component at the points ``u``.
 
-    ``tables`` maps each grid end E already evaluated to its grid
-    ``np.linspace(0, E, 4096)`` and the law's arrays there.  The lower
-    half of the grid to 2E is, bit for bit, the even points of the grid to
-    E: both are k * fl(2E/4095) = 2k * fl(E/4095), as doubling is exact.
-    So a new end whose half has a table, or gets one in this call, takes
-    its lower half, points and law values, from that table's even entries,
-    and the law sees only the 2048 points above; an end with no half table
-    gets a full grid.  The ends ``_sup_norms`` passes are powers of two,
-    so the tables form one nested family; where the first ends lie within
-    one octave of each other, as the ledger's rows do, no grid point
-    reaches the law twice.  One ``law`` call covers the new points of every
-    end, and every table is built from the points the law saw.
+    An array of shape (4, components, points): for component i, with
+    weight p_i and x = beta_i u, the rows are p_i times S_i(u), the
+    survival; d_i(u) - kappa S_i(u), d_i the density; u^2 F_i''(u) =
+    u d_i(u) (alpha_i - 1 - x); and u^2 F_i'''(u) = d_i(u) ((alpha_i - 1)
+    (alpha_i - 2) - 2 (alpha_i - 1) x + x^2).  Exact at u = 0.
     """
-    new = sorted(end for end in ends if end not in tables)
-    halves = set(tables).union(new)
-    fresh = [
-        np.linspace(0.0, end, _GRID_POINTS)[_HALF if end / 2.0 in halves else 0:] for end in new
-    ]
-    if not fresh:
-        return
-    at = law(np.concatenate(fresh))
-    k = 0
-    # ascending, so a half made in this call has its table before its double
-    for end, pts in zip(new, fresh):
-        cut = slice(k, k + pts.size)
-        k += pts.size
-        values = [a[cut] for a in at]
-        if pts.size < _GRID_POINTS:
-            low, low_at = tables[end / 2.0]
-            pts = np.concatenate([low[::2], pts])
-            values = [np.concatenate([a_low[::2], a]) for a_low, a in zip(low_at, values)]
-        tables[end] = pts, values
+    out = np.empty((4, len(mixture.components), u.size))
+    for i, (p, alpha, beta) in enumerate(mixture.components):
+        x = beta * u
+        dens = beta * _gamma_kernel(alpha, alpha - 1.0, x)
+        surv = reg_inc_gamma_upper(alpha, x)
+        out[0, i] = p * surv
+        out[1, i] = p * (dens - kappa * surv)
+        out[2, i] = p * u * dens * (alpha - 1.0 - x)
+        out[3, i] = p * dens * ((alpha - 1.0) * (alpha - 2.0) - 2.0 * (alpha - 1.0) * x + x * x)
+    return out
 
 
-def _first_end(start: float) -> float:
-    """The end of a row's first grid: the least power of two >= max(2 start, 4)."""
-    frac, exp = math.frexp(max(2.0 * start, 4.0))
-    return math.ldexp(1.0, exp - 1 if frac == 0.5 else exp)
+def _breakpoints(mixture: GammaMixture, kappa: float) -> list[float]:
+    """Every u > 0 where a piece of :func:`_component_pieces` can turn.
 
-
-def _sup_norms(law, rows, starts) -> list[float]:
-    """Sup of |row| on [0, inf) for every row, all searched in lockstep.
-
-    Each row is a function ``row(u, *law(u))`` of an array of points and
-    the claim-law values there, with a gamma-type decaying tail that sets
-    in near its ``starts`` entry.  A row's grid has 4096 points over
-    [0, u_hi]; u_hi starts at the least power of two >= max(2 start, 4)
-    and doubles until the endpoint value is negligible against the grid
-    maximum, or u_hi passes 1e9.  Then the brackets of the row's four
-    largest interior local maxima and its first grid cell are refined:
-    each round evaluates ``_REFINE_POINTS`` evenly spaced points of every
-    bracket and shrinks each bracket to the two cells around its best
-    point, until the brackets are ``_REFINE_RTOL`` of their starting width
-    (7 rounds with the defaults).
-
-    Every row keeps its own stopping rule and brackets, so its norm is the
-    one a search of that row alone finds.  The grids come from one nested
-    family, ``np.linspace(0, 2^k, 4096)``: rows whose starts share an
-    octave share every grid, and a row's doubled grid reuses the lower
-    half of the grid it doubles, whichever row made it.  What the rows
-    share is ``law``: each grid pass calls it once, on the grid points no
-    earlier pass evaluated (see ``_grow_tables``), and each refinement
-    round once, over the brackets of every row.
+    With x = beta u: S has none; d - kappa S, whose derivative is
+    d ((alpha - 1)/u - beta + kappa), turns only at u = (alpha - 1)/(beta -
+    kappa), and only when beta > kappa; u^2 F'', whose x-derivative is
+    x^(alpha-1) e^(-x) (x^2 - 2 alpha x + alpha (alpha - 1)) / Gamma(alpha),
+    turns at x = alpha -+ sqrt(alpha); u^2 F''', whose x-derivative is a
+    positive multiple of -(x - (alpha - 1)) (x^2 - 2 alpha x + (alpha - 1)
+    (alpha - 2)), turns at x = alpha - 1 and x = alpha -+ sqrt(3 alpha - 2).
     """
-    u_hi = [_first_end(start) for start in starts]
-    tables: dict = {}
-    grids: list = [None] * len(rows)
-    vals: list = [None] * len(rows)
-    doubling = list(range(len(rows)))
-    while doubling:
-        _grow_tables(law, tables, {u_hi[i] for i in doubling})
-        still = []
-        for i in doubling:
-            grids[i], at = tables[u_hi[i]]
-            vals[i] = np.abs(rows[i](grids[i], *at))
-            if vals[i][-1] > _TAIL_RTOL * max(float(vals[i].max()), 1e-300) and u_hi[i] <= 1e9:
-                u_hi[i] *= 2.0
-                still.append(i)
-        doubling = still
+    points = []
+    for _, alpha, beta in mixture.components:
+        root2, root3 = math.sqrt(alpha), math.sqrt(3.0 * alpha - 2.0)
+        for x in (alpha - root2, alpha + root2, alpha - 1.0, alpha - root3, alpha + root3):
+            points.append(x / beta)
+        if beta > kappa:
+            points.append((alpha - 1.0) / (beta - kappa))
+    return [point for point in points if point > 0.0]
 
-    best = [float(v.max()) for v in vals]
-    lo, hi, owned = [], [], []
-    for grid, v in zip(grids, vals):
-        mid = v[1:-1]
-        interior = np.flatnonzero((mid >= v[:-2]) & (mid >= v[2:])) + 1
-        top = interior[np.argsort(-v[interior], kind="stable")][:4]
-        k = sum(a.size for a in lo)
-        owned.append(slice(k, k + top.size + 1))
-        lo.append(np.append(grid[top - 1], grid[0]))
-        hi.append(np.append(grid[top + 1], grid[1]))
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
 
-    steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
-    brackets = np.arange(lo.size)
-    width = 1.0
+def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
+    """A certified upper bound of sup |row| on [0, inf) for every row.
+
+    Each row is a triple (k, j, c) and stands for c u^j sum_i P_ki(u),
+    where P_ki is row k of :func:`_component_pieces` and c >= 0.  Every
+    piece is monotone between consecutive :func:`_breakpoints`, so:
+
+    - Cells.  [0, E] is cut into 256 uniform cells plus every breakpoint,
+      where E = max(2 max breakpoint, max_i (alpha_i + 6)/beta_i).  On a
+      cell [a, b] every piece lies between its values at a and b; with L
+      and H the sums over i of the pieces' smaller and larger end values,
+      |c u^j sum_i P_ki(u)| <= c b^j max(|L|, |H|) for u in [a, b].
+    - Tail.  Past E, every |u^j P_ki| is nonincreasing: u^j d_i from x =
+      alpha_i - 1 + j; u^j S_i from there too, as S_i(u) <= u d_i(u) /
+      (x - alpha_i + 1) for alpha_i >= 1; |u^2 F_i''| from x = alpha_i +
+      sqrt(alpha_i) and |u^2 F_i'''| from x = alpha_i + sqrt(3 alpha_i - 2).
+      So, with |d_i - kappa S_i| <= d_i + kappa S_i,
+      |c u^j sum_i P_ki(u)| <= c E^j sum_i |P_ki(E)| for u >= E, where
+      |P_1i(E)| reads p_i (d_i(E) + kappa S_i(E)).
+    - Refinement.  A cell whose bound for some row exceeds (1 +
+      ``_SUP_RTOL``) times the largest |row| sampled at the points is cut
+      into 16 cells, until no cell is, or no cut falls strictly inside its
+      cell.  A tail bound that exceeds it moves E to 2E, past which the
+      pieces stay monotone: where d_i and kappa S_i nearly cancel, as for
+      exponential claims at phi near 1, the triangle bound at the first E
+      can exceed the sup.  Each round makes one :func:`_component_pieces`
+      call, shared by all rows.
+
+    Each result is the largest bound over the final cells and the tail:
+    at least the row's sup, up to the rounding of the pieces, and at most
+    (1 + ``_SUP_RTOL``) times its largest sampled value.
+    """
+    breaks = _breakpoints(mixture, kappa)
+    end = max([2.0 * point for point in breaks] + [(a + 6.0) / b for _, a, b in mixture.components])
+    pts = np.sort(np.concatenate([np.linspace(0.0, end, 257), breaks]))
+    vals = _component_pieces(mixture, kappa, pts)
+    steps = np.arange(1, 16) / 16.0
     while True:
-        pts = lo[:, None] + (hi - lo)[:, None] * steps
-        at = [a.reshape(pts.shape) for a in law(pts.ravel())]
-        vals = np.empty(pts.shape)
-        for i, cut in enumerate(owned):
-            vals[cut] = np.abs(rows[i](pts[cut], *(a[cut] for a in at)))
-            best[i] = max(best[i], float(vals[cut].max()))
-        if width <= _REFINE_RTOL:
-            return best
-        j = np.clip(vals.argmax(axis=1), 1, _REFINE_POINTS - 2)
-        lo, hi = pts[brackets, j - 1], pts[brackets, j + 1]
-        width *= 2.0 / (_REFINE_POINTS - 1)
-
-
-def _u2_cdf_deriv2(mixture: GammaMixture, u):
-    """u^2 * F_X''(u) for a gamma mixture at a float or an array of points.
-
-    Per component, x^alpha e^(-x) / Gamma(alpha) * (alpha - 1 - x) at
-    x = beta u; exact at u = 0.
-    """
-    total = 0.0
-    for p, alpha, beta in mixture.components:
-        x = beta * u
-        total += p * _gamma_kernel(alpha, alpha, x) * (alpha - 1.0 - x)
-    return total
-
-
-def _u2_cdf_deriv3(mixture: GammaMixture, u):
-    """u^2 * F_X'''(u) for a gamma mixture at a float or an array of points.
-
-    Per component, beta x^(alpha-1) e^(-x) / Gamma(alpha) times
-    (alpha-1)(alpha-2) - 2(alpha-1) x + x^2 at x = beta u; the power is
-    nonnegative for alpha >= 1.
-    """
-    total = 0.0
-    for p, alpha, beta in mixture.components:
-        x = beta * u
-        poly = (alpha - 1.0) * (alpha - 2.0) - 2.0 * (alpha - 1.0) * x + x * x
-        total += p * beta * _gamma_kernel(alpha, alpha - 1.0, x) * poly
-    return total
-
-
-def _decay_start(mixture: GammaMixture, j: int) -> float:
-    return max((c.alpha + j + 4.0) / c.beta for c in mixture.components)
+        sampled = np.abs(vals.sum(axis=1))
+        lo, hi = vals[..., :-1], vals[..., 1:]
+        low, high = np.minimum(lo, hi).sum(axis=1), np.maximum(lo, hi).sum(axis=1)
+        at_end = np.abs(vals[..., -1])
+        at_end[1] = vals[1, :, -1] + 2.0 * kappa * vals[0, :, -1]
+        # per piece kind, max(|L|, |H|) of every cell, then the tail's sum at
+        # E; each is weighted by c u^j at the cell's right end, the tail's at E
+        envelope = np.column_stack([np.maximum(np.abs(low), np.abs(high)), at_end.sum(axis=1)])
+        ends = np.append(pts[1:], pts[-1])
+        cut = np.zeros(pts.size, dtype=bool)
+        found = []
+        for k, j, c in rows:
+            bound = c * ends**j * envelope[k]
+            cut |= bound > (1.0 + _SUP_RTOL) * (c * pts**j * sampled[k]).max()
+            found.append(float(bound.max()))
+        a, b = pts[:-1][cut[:-1], None], pts[1:][cut[:-1], None]
+        new = a + (b - a) * steps
+        new = new[(new > a) & (new < b)]
+        if cut[-1]:
+            new = np.append(new, 2.0 * pts[-1])
+        if new.size == 0:
+            return found
+        pts = np.concatenate([pts, new])
+        order = np.argsort(pts, kind="stable")
+        pts = pts[order]
+        vals = np.concatenate([vals, _component_pieces(mixture, kappa, new)], axis=2)[..., order]
 
 
 def ruin_w_functions(model: RiskModel) -> NormLedger:
     """Complete norm ledger for a risk model's renewal ingredients.
 
-    For ruin, w1(u) = -phi (1-phi) survival(u) / mean and
-    w2(u) = (phi/mean) w1(u) + phi (1-phi) density(u) / mean.  Their
-    six weighted sup norms come from one lockstep grid search with
-    gamma-tail cutoffs.  Its grids all come from one power-of-two family,
-    so the claim law runs once per grid point across all six rows, and
-    once per refinement round for all six; u^2 w1'' and u^2 F_X''', which
-    read no claim law, come from a second lockstep search.  The norm of u^2 w2'' uses the triangle bound
-    through ||u^2 w1''|| and ||u^2 F_X'''||.
+    For ruin, w1(u) = -phi (1-phi) survival(u) / mean,
+    w2(u) = (phi/mean) w1(u) + phi (1-phi) density(u) / mean and
+    u^2 w1''(u) = phi (1-phi) u^2 F_X''(u) / mean.  Their seven sup norms
+    and that of u^2 F_X''' are the eight rows of one certified search
+    (:func:`_sup_enclosures`).  The norm of u^2 w2'' uses the triangle
+    bound through ||u^2 w1''|| and ||u^2 F_X'''||.
     """
     mix, phi = model.claims, model.phi
     _require_admissible(mix)
     mu = mix.mean
     c1 = phi * (1.0 - phi) / mu
-
-    def law(u):
-        return mix.survival(u), mix.density(u)
-
-    def w1_weighted(j):
-        return lambda u, surv, dens: c1 * u**j * surv
-
-    def w2_weighted(j):
-        return lambda u, surv, dens: u**j * c1 * (dens - (phi / mu) * surv)
-
-    rows = [*(w1_weighted(j) for j in range(3)), *(w2_weighted(j) for j in range(3))]
-    starts = [_decay_start(mix, j) for j in range(3)] * 2
-    w1_0, w1_1, w1_2, w2_0, w2_1, w2_2 = _sup_norms(law, rows, starts)
-    # these two rows read no claim law: searched apart, under a law that
-    # returns no arrays, their grids and brackets cost no law points
-    deriv_rows = [lambda u: c1 * _u2_cdf_deriv2(mix, u), lambda u: _u2_cdf_deriv3(mix, u)]
-    u2w1pp, u2_d3 = _sup_norms(lambda u: (), deriv_rows, [_decay_start(mix, 2)] * 2)
-    u2w2pp = (phi / mu) * u2w1pp + c1 * u2_d3
+    kappa = phi / mu
+    rows = [(0, j, c1) for j in range(3)] + [(1, j, c1) for j in range(3)]
+    rows += [(2, 0, c1), (3, 0, 1.0)]
+    w1_0, w1_1, w1_2, w2_0, w2_1, w2_2, u2w1pp, u2_d3 = _sup_enclosures(mix, kappa, rows)
+    u2w2pp = kappa * u2w1pp + c1 * u2_d3
 
     ez, ez2 = equilibrium_moments(mix)
     i0, i1, i2, f0, f1_0 = f_second_integrals(mix)

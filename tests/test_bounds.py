@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import functools
 import math
@@ -25,8 +24,9 @@ from renewinv import (
     ruin_bound_report,
     ruin_w_functions,
 )
-from renewinv import bounds, transforms
+from renewinv import bounds
 from renewinv.bounds import _component_i_fpp
+from renewinv.specfun import _gamma_kernel
 
 
 def component_i_fpp_upper(alpha, i):
@@ -61,27 +61,37 @@ def golden_max(fn, a, b, iters=60):
     return best
 
 
+REFERENCE_GRID_POINTS = 4096
+REFERENCE_TAIL_RTOL = 1e-15
+
+
+def decay_start(mixture, j):
+    """Where u^j times every component's gamma tail has set in: max_i (alpha_i + j + 4)/beta_i."""
+    return max((c.alpha + j + 4.0) / c.beta for c in mixture.components)
+
+
 def sup_norm_reference(fn, decay_start):
     """The loop-based sup-norm search of one function, one scalar ``fn`` call per point.
 
-    Reference for one row of ``bounds._sup_norms``: same grid, doubling
-    rule, stopping test and brackets, refined by golden-section search
-    instead of the batched refinement.  The first end is found by doubling
-    from 4, not by ``math.frexp``.
+    4096-point grids over [0, u_hi], u_hi doubling from the least power of
+    two >= max(2 decay_start, 4) until the endpoint value is 1e-15 of the
+    grid maximum or u_hi passes 1e9; then a golden-section search in the
+    brackets of the four largest interior local maxima and in the first
+    cell.  A sample maximum, so a lower estimate of the sup.
     """
     u_hi = 4.0
     while u_hi < 2.0 * decay_start:
         u_hi *= 2.0
     while True:
-        grid = np.linspace(0.0, u_hi, bounds._GRID_POINTS)
+        grid = np.linspace(0.0, u_hi, REFERENCE_GRID_POINTS)
         vals = np.array([abs(fn(u)) for u in grid])
         peak = float(vals.max())
-        if vals[-1] <= bounds._TAIL_RTOL * max(peak, 1e-300) or u_hi > 1e9:
+        if vals[-1] <= REFERENCE_TAIL_RTOL * max(peak, 1e-300) or u_hi > 1e9:
             break
         u_hi *= 2.0
     interior = [
         i
-        for i in range(1, bounds._GRID_POINTS - 1)
+        for i in range(1, REFERENCE_GRID_POINTS - 1)
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
     ]
     interior.sort(key=lambda i: -vals[i])
@@ -92,16 +102,39 @@ def sup_norm_reference(fn, decay_start):
     return best
 
 
-def sup_norms_reference(law, rows, starts):
-    """``sup_norm_reference`` row by row, the claim law called at one point at a time.
+def u2_cdf_derivs(mixture, u):
+    """(u^2 F'', u^2 F''') of the claim law, summed over components the way the ledger's pieces are.
 
-    The law is memoized by point: rows with a common start share their grids.
+    Per component, with x = beta u and d the density: u d (alpha - 1 - x)
+    and d ((alpha - 1)(alpha - 2) - 2 (alpha - 1) x + x^2).
     """
-    law = functools.lru_cache(maxsize=None)(law)
-    return [
-        sup_norm_reference(lambda u, row=row: row(u, *law(u)), start)
-        for row, start in zip(rows, starts)
-    ]
+    d2 = d3 = 0.0
+    for p, alpha, beta in mixture.components:
+        x = beta * u
+        dens = beta * _gamma_kernel(alpha, alpha - 1.0, x)
+        d2 = d2 + p * u * dens * (alpha - 1.0 - x)
+        d3 = d3 + p * dens * ((alpha - 1.0) * (alpha - 2.0) - 2.0 * (alpha - 1.0) * x + x * x)
+    return d2, d3
+
+
+def dense_ledger_maxima(mixture, phi, u):
+    """Largest |row| over the points ``u`` for each sup norm of the ledger.
+
+    The w rows read the mixture's own survival and density; u^2 w2'' is
+    c1 (kappa u^2 F'' + u^2 F'''), whose sup the ledger's triangle bound
+    must cover.
+    """
+    mu = mixture.mean
+    c1, kappa = phi * (1.0 - phi) / mu, phi / mu
+    surv, dens = mixture.survival(u), mixture.density(u)
+    d2, d3 = u2_cdf_derivs(mixture, u)
+    w2 = dens - kappa * surv
+    rows = {
+        "w1_norm": c1 * surv, "uw1_norm": c1 * u * surv, "u2w1_norm": c1 * u * u * surv,
+        "w2_norm": c1 * w2, "uw2_norm": c1 * u * w2, "u2w2_norm": c1 * u * u * w2,
+        "u2w1pp_norm": c1 * d2, "u2w2pp_norm": c1 * (kappa * d2 + d3),
+    }
+    return {name: float(np.abs(row).max()) for name, row in rows.items()}
 
 
 def seeded_admissible_mixture(seed):
@@ -147,19 +180,23 @@ def exp_ledger(phi=0.9):
 
 class TestWFunctions:
     def test_exponential_closed_form_norms(self):
+        # unit exponential claims at phi = 0.9: w1 = -c1 e^-u and
+        # w2 = c1 (1 - phi) e^-u with c1 = phi (1 - phi), whose u^j-weighted
+        # sups sit at u = j; |u^2 w1''| = c1 u^2 e^-u, |u^2 F'''| = u^2 e^-u,
+        # and the ledger bounds ||u^2 w2''|| by the triangle inequality.  Each
+        # entry encloses its sup from above, within the enclosure's tolerance
         ledger = exp_ledger(0.9)
-        # w1 = -0.09 exp(-u): sup at 0, u-weighted sup at 1, u^2-weighted at 2
-        assert ledger.w1_norm == pytest.approx(0.09, rel=1e-10)
-        assert ledger.uw1_norm == pytest.approx(0.09 / math.e, rel=1e-9)
-        assert ledger.u2w1_norm == pytest.approx(0.09 * 4.0 * math.exp(-2.0), rel=1e-9)
-        # w2 = 0.009 exp(-u) for unit-rate exponential claims
-        assert ledger.w2_norm == pytest.approx(0.009, rel=1e-10)
-        assert ledger.uw2_norm == pytest.approx(0.009 / math.e, rel=1e-9)
-        assert ledger.u2w2_norm == pytest.approx(0.009 * 4.0 * math.exp(-2.0), rel=1e-9)
-        # second derivatives: |u^2 w1''| = 0.09 u^2 e^-u; triangle bound for w2''
-        assert ledger.u2w1pp_norm == pytest.approx(0.09 * 4.0 * math.exp(-2.0), rel=1e-9)
-        expected_w2pp = 0.9 * 0.09 * 4.0 * math.exp(-2.0) + 0.09 * 4.0 * math.exp(-2.0)
-        assert ledger.u2w2pp_norm == pytest.approx(expected_w2pp, rel=1e-9)
+        c1, phi = 0.9 * (1.0 - 0.9), 0.9
+        peak = [1.0, 1.0 / math.e, 4.0 * math.exp(-2.0)]
+        exact = {
+            "w1_norm": c1 * peak[0], "uw1_norm": c1 * peak[1], "u2w1_norm": c1 * peak[2],
+            "w2_norm": c1 * (1.0 - phi) * peak[0], "uw2_norm": c1 * (1.0 - phi) * peak[1],
+            "u2w2_norm": c1 * (1.0 - phi) * peak[2],
+            "u2w1pp_norm": c1 * peak[2], "u2w2pp_norm": phi * c1 * peak[2] + c1 * peak[2],
+        }
+        for name, value in exact.items():
+            entry = getattr(ledger, name)
+            assert value <= entry <= value * (1.0 + bounds._SUP_RTOL), name
 
     def test_admissibility(self):
         mix = GammaMixture((Component(1.0, 0.5, 1.0),))
@@ -177,281 +214,138 @@ class TestWFunctions:
 
 class TestSupNormKernel:
     @pytest.mark.parametrize("name", LEDGER_MIXTURES)
-    def test_ledger_matches_loop_reference(self, monkeypatch, name):
-        # the reference evaluates the claim law one float at a time through
-        # the scalar incomplete-gamma loops, independent of the array kernel
-        model = RiskModel(LEDGER_MIXTURES[name], 0.9)
-        ledger, _ = ruin_bound_report(model)
-        monkeypatch.setattr(bounds, "_sup_norms", sup_norms_reference)
-        monkeypatch.setattr(transforms, "reg_inc_gamma_lower", scalar_reference.reg_inc_gamma_lower)
-        monkeypatch.setattr(transforms, "reg_inc_gamma_upper", scalar_reference.reg_inc_gamma_upper)
-        reference, _ = ruin_bound_report(model)
-        for field in dataclasses.fields(NormLedger):
-            assert getattr(ledger, field.name) == pytest.approx(
-                getattr(reference, field.name), rel=1e-12, abs=0.0
-            ), field.name
-
-    def test_lockstep_rows_match_rows_searched_alone(self):
-        # starts 6 and 5 both round up to a first end of 16, so the rows
-        # share every grid; the u-weighted exponential row stops doubling at
-        # 64, one pass before the u^2-weighted Gamma(4, 0.5) row.  Each row
-        # must see the points and law values it sees alone, and so keep its
-        # norm to the last bit.  After the first pass the law sees only the
-        # upper half of each doubled grid: 2048 points at 32, 64 and 128,
-        # then the first refinement round's 65 points in each of the four
-        # brackets (one interior maximum and the first cell per row).
-        expo = GammaMixture.exponential()
-        gamma4 = GammaMixture((Component(1.0, 4.0, 0.5),))
-        sizes = []
-
-        def law(u):
-            sizes.append(u.size)
-            return expo.survival(u), gamma4.density(u)
-
-        def recording_rows(seen):
-            def expo_row(u, surv, dens):
-                seen[0].append((u.copy(), surv.copy()))
-                return u * surv
-
-            def gamma_row(u, surv, dens):
-                seen[1].append((u.copy(), dens.copy()))
-                return u**2 * dens
-
-            return [expo_row, gamma_row]
-
-        starts = [6.0, 5.0]
-        seen_together, seen_alone = ([], []), ([], [])
-        together = bounds._sup_norms(law, recording_rows(seen_together), starts)
-        grid = bounds._GRID_POINTS
-        assert sizes[:5] == [grid, grid // 2, grid // 2, grid // 2, 4 * bounds._REFINE_POINTS]
-        alone = [
-            bounds._sup_norms(law, [row], [start])[0]
-            for row, start in zip(recording_rows(seen_alone), starts)
-        ]
-        assert together == alone
-        for calls_together, calls_alone in zip(seen_together, seen_alone):
-            assert len(calls_together) == len(calls_alone)
-            for (u, value), (u_alone, value_alone) in zip(calls_together, calls_alone):
-                assert np.array_equal(u, u_alone) and np.array_equal(value, value_alone)
-
-    @pytest.mark.parametrize("phi", [0.5, 0.9])
-    def test_claim_law_runs_once_per_round(self, monkeypatch, phi):
-        # one survival and one density call per grid pass and refinement
-        # round, shared by all eight rows
-        calls = collections.Counter()
-        for name in ("survival", "density"):
-            def counted(self, u, _name=name, _method=getattr(GammaMixture, name)):
-                calls[_name] += 1
-                return _method(self, u)
-
-            monkeypatch.setattr(GammaMixture, name, counted)
-        for name, mix in LEDGER_MIXTURES.items():
-            calls.clear()
-            ruin_bound_report(RiskModel(mix, phi))
-            assert calls["survival"] == calls["density"] <= 11, name
-
-    def test_doubled_grid_lower_half_is_even_points(self):
-        # every end the search produces is a power of two from 4 up, and it
-        # doubles an end only while that end is <= 1e9 < 2^30; the lower
-        # half of each doubled grid must be the even points of the grid it
-        # doubles, bit for bit
-        half = bounds._GRID_POINTS // 2
-        for end in (2.0**power for power in range(2, 31)):
-            low = np.linspace(0.0, end, bounds._GRID_POINTS)[::2]
-            doubled = np.linspace(0.0, 2.0 * end, bounds._GRID_POINTS)[:half]
-            assert low.tobytes() == doubled.tobytes(), end
-
-    @settings(max_examples=100, deadline=None)
-    @given(starts=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=6))
-    @example(starts=[2.0, 8.0, 1e9])
-    def test_grid_ends_are_powers_of_two(self, starts):
-        # every end handed to _grow_tables is an exact power of two, and
-        # each row's first end lies in [b, 2b) for b = max(2 start, 4)
-        calls = []
-        grow = bounds._grow_tables
-
-        def recording(law, tables, ends):
-            calls.append(set(ends))
-            grow(law, tables, ends)
-
-        rows = [lambda u, s=start: np.exp(-u / s) for start in starts]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bounds, "_grow_tables", recording)
-            bounds._sup_norms(lambda u: (), rows, starts)
-        assert all(math.frexp(end)[0] == 0.5 for ends in calls for end in ends), calls
-        floors = [max(2.0 * start, 4.0) for start in starts]
-        for floor in floors:
-            assert len([end for end in calls[0] if floor <= end < 2.0 * floor]) == 1, floor
-        assert all(any(b <= end < 2.0 * b for b in floors) for end in calls[0]), calls[0]
-
-    def test_rows_straddling_an_octave_share_one_family(self, monkeypatch):
-        # Exp(0.75) claims: the w-row starts 20/3, 8 and 28/3 give first
-        # ends 16, 16 (2 * 8 is already a power of two) and 32, and the
-        # 32-end takes its lower half from the 16 table made in the same
-        # pass: the law sees 4096 + 2048 points there, not 2 * 4096
-        mix = GammaMixture((Component(1.0, 1.0, 0.75),))
-        starts = [bounds._decay_start(mix, j) for j in range(3)]
-        assert [bounds._first_end(start) for start in starts] == [16.0, 16.0, 32.0]
-        passes = []
-        grow = bounds._grow_tables
-
-        def recording(law, tables, ends):
-            sizes = []
-
-            def counted(u):
-                sizes.append(u.size)
-                return law(u)
-
-            grow(counted, tables, ends)
-            passes.append((sorted(set(ends)), sizes, tables))
-
-        monkeypatch.setattr(bounds, "_grow_tables", recording)
-        ruin_w_functions(RiskModel(mix, 0.9))
-        ends, sizes, tables = passes[0]
-        assert ends == [16.0, 32.0]
-        assert sizes == [bounds._GRID_POINTS + bounds._HALF]
-        low, low_at = tables[16.0]
-        high, high_at = tables[32.0]
-        grid = np.linspace(0.0, 32.0, bounds._GRID_POINTS)
-        assert high.tobytes() == grid.tobytes()
-        assert high[: bounds._HALF].tobytes() == low[::2].tobytes()
-        for a_low, a_high, direct in zip(low_at, high_at, (mix.survival(grid), mix.density(grid))):
-            assert a_high[: bounds._HALF].tobytes() == a_low[::2].tobytes()
-            assert a_high.tobytes() == direct.tobytes()
-
-    @pytest.mark.parametrize("phi", [0.5, 0.9])
-    @pytest.mark.parametrize("name", LEDGER_MIXTURES)
-    def test_row_grids_match_direct_law(self, monkeypatch, name, phi):
-        # each row's grid, and the law values it reads there, are what a
-        # fresh law(np.linspace(0, u_hi, 4096)) gives, bit for bit, although
-        # doubled grids take their lower half from an earlier pass
-        seen = []
-        search = bounds._sup_norms
-
-        def recording(law, rows, starts):
-            def watched(row):
-                def recorded(u, *at):
-                    if u.ndim == 1:
-                        seen.append((law, u.copy(), [a.copy() for a in at]))
-                    return row(u, *at)
-
-                return recorded
-
-            return search(law, [watched(row) for row in rows], starts)
-
-        monkeypatch.setattr(bounds, "_sup_norms", recording)
-        ruin_w_functions(RiskModel(LEDGER_MIXTURES[name], phi))
-        assert seen
-        for law, u, at in seen:
-            grid = np.linspace(0.0, u[-1], bounds._GRID_POINTS)
-            assert u.tobytes() == grid.tobytes()
-            direct = law(grid)
-            assert len(at) == len(direct)
-            assert all(a.tobytes() == d.tobytes() for a, d in zip(at, direct))
-
-    def test_grid_phase_law_points(self, monkeypatch):
-        # the Gamma(3/2) w-row starts 5.5, 6.5 and 7.5 give first ends 11,
-        # 13 and 15, each rounded up to 16, so all three rows share one
-        # table per pass: a fresh 4096-point grid at 16, then 2048-point
-        # upper halves at 32 and 64, 4096 + 2 * 2048 = 8,192 survival
-        # points.  Unrounded ends 11, 13 and 15 (and their doublings) never
-        # nest and took 3 * (4096 + 2 * 2048) = 24,576
-        mix = LEDGER_MIXTURES["gamma_3_2"]
-        grid_phase, points = [False], []
-        grow = bounds._grow_tables
-        survival = GammaMixture.survival
-
-        def growing(*args):
-            grid_phase[0] = True
-            try:
-                grow(*args)
-            finally:
-                grid_phase[0] = False
-
-        def counted(self, u):
-            if grid_phase[0]:
-                points.append(np.size(u))
-            return survival(self, u)
-
-        monkeypatch.setattr(bounds, "_grow_tables", growing)
-        monkeypatch.setattr(GammaMixture, "survival", counted)
-        ruin_w_functions(RiskModel(mix, 0.9))
-        assert sum(points) == 8_192
-
-    @pytest.mark.parametrize("name", LEDGER_MIXTURES)
-    def test_claim_law_sees_only_w_row_points(self, monkeypatch, name):
-        # the u^2 F'' and u^2 F''' rows read no claim law, so a report must
-        # evaluate it at exactly the points a search of the six w-rows
-        # alone needs, grids and brackets alike
+    def test_ledger_matches_loop_reference(self, name):
+        # the reference runs the scalar claim law, one float at a time
+        # through the scalar incomplete-gamma loops, under the loop search:
+        # a sample maximum, which no entry may undershoot beyond rounding
+        # and none may exceed by more than the enclosure's tolerance
         mix, phi = LEDGER_MIXTURES[name], 0.9
         mu = mix.mean
-        c1 = phi * (1.0 - phi) / mu
-        alone = []
+        c1, kappa = phi * (1.0 - phi) / mu, phi / mu
 
+        @functools.lru_cache(maxsize=None)
         def law(u):
-            alone.append(u.size)
-            return mix.survival(u), mix.density(u)
+            return scalar_reference.survival(mix, u), scalar_reference.density(mix, u)
 
-        rows = [
-            *(lambda u, surv, dens, j=j: c1 * u**j * surv for j in range(3)),
-            *(lambda u, surv, dens, j=j: u**j * c1 * (dens - (phi / mu) * surv) for j in range(3)),
-        ]
-        starts = [bounds._decay_start(mix, j) for j in range(3)] * 2
-        norms = bounds._sup_norms(law, rows, starts)
-        seen = []
-        survival = GammaMixture.survival
+        def u2_cdf_deriv(u, order):
+            total = 0.0
+            for p, alpha, beta in mix.components:
+                x = beta * u
+                if x == 0.0:
+                    continue
+                if order == 2:
+                    kernel = math.exp(-x + alpha * math.log(x) - math.lgamma(alpha))
+                    total += p * kernel * (alpha - 1.0 - x)
+                else:
+                    kernel = math.exp(-x + (alpha - 1.0) * math.log(x) - math.lgamma(alpha))
+                    poly = (alpha - 1.0) * (alpha - 2.0) - 2.0 * (alpha - 1.0) * x + x * x
+                    total += p * beta * kernel * poly
+            return total
 
-        def counted(self, u):
-            seen.append(np.size(u))
-            return survival(self, u)
-
-        monkeypatch.setattr(GammaMixture, "survival", counted)
+        rows = {
+            **{
+                field: (lambda u, j=j: c1 * u**j * law(u)[0], j)
+                for j, field in enumerate(("w1_norm", "uw1_norm", "u2w1_norm"))
+            },
+            **{
+                field: (lambda u, j=j: c1 * u**j * (law(u)[1] - kappa * law(u)[0]), j)
+                for j, field in enumerate(("w2_norm", "uw2_norm", "u2w2_norm"))
+            },
+            "u2w1pp_norm": (lambda u: c1 * u2_cdf_deriv(u, 2), 2),
+            "u2_cdf_deriv3": (lambda u: u2_cdf_deriv(u, 3), 2),
+        }
+        reference = {
+            field: sup_norm_reference(fn, decay_start(mix, j)) for field, (fn, j) in rows.items()
+        }
+        reference["u2w2pp_norm"] = (
+            kappa * reference["u2w1pp_norm"] + c1 * reference.pop("u2_cdf_deriv3")
+        )
         ledger = ruin_w_functions(RiskModel(mix, phi))
-        assert sum(seen) == sum(alone)
-        assert norms == [
-            ledger.w1_norm, ledger.uw1_norm, ledger.u2w1_norm,
-            ledger.w2_norm, ledger.uw2_norm, ledger.u2w2_norm,
-        ]
+        for field, ref in reference.items():
+            entry = getattr(ledger, field)
+            assert ref * (1.0 - 1e-12) <= entry <= ref * (1.0 + bounds._SUP_RTOL), field
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="sampled sup norms can undershoot: the Exp(1e-3) component puts the "
-        "first grid end at 2^14 and its spacing near 4, which steps over the Gamma(4000) "
-        "spike at u ~ 42.5 "
-        "(ROADMAP item 6, certified sup norms)",
-    )
-    def test_known_defect_grid_steps_over_narrow_spike(self):
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    def test_piece_evaluations_per_report_are_capped(self, monkeypatch, phi):
+        # the first cells and every refinement round take one evaluation of
+        # the pieces, shared by all eight rows; these models need 3 rounds
+        # and 2,419 to 4,328 points
+        sizes = []
+        pieces = bounds._component_pieces
+
+        def counted(mixture, kappa, u):
+            sizes.append(u.size)
+            return pieces(mixture, kappa, u)
+
+        monkeypatch.setattr(bounds, "_component_pieces", counted)
+        for name, mix in LEDGER_MIXTURES.items():
+            sizes.clear()
+            ruin_bound_report(RiskModel(mix, phi))
+            assert len(sizes) <= 4 and sum(sizes) <= 5_000, (name, sizes)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    def test_narrow_spike_is_enclosed(self, phi):
+        # the Exp(1e-3) component stretches [0, E] to 7000, and 256 uniform
+        # cells of width 27 would step over the Gamma(4000) spike at u ~ 42.5,
+        # of width 0.67; its breakpoints and the refinement must catch it
         mix = GammaMixture((Component(0.5, 4000.0, 4000.0 / 42.46), Component(0.5, 1.0, 1e-3)))
-        phi = 0.5
-        mu = mix.mean
         ledger = ruin_w_functions(RiskModel(mix, phi))
-        u = np.linspace(30.0, 55.0, 200_001)
-        w2 = phi * (1.0 - phi) / mu * (mix.density(u) - (phi / mu) * mix.survival(u))
-        dense = float(np.abs(w2).max())
-        assert ledger.w2_norm >= dense, f"w2_norm {ledger.w2_norm:.5g} < dense max {dense:.5g}"
+        u = np.concatenate([np.linspace(30.0, 55.0, 200_001), np.linspace(0.0, 2e4, 200_001)])
+        for field, dense in dense_ledger_maxima(mix, phi, u).items():
+            entry = getattr(ledger, field)
+            assert entry >= dense * (1.0 - 1e-12), f"{field} {entry:.5g} < dense max {dense:.5g}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        components=st.lists(
+            st.tuples(st.floats(0.05, 1.0), st.floats(1.0, 4000.0), st.floats(-3.0, 3.0)),
+            min_size=1, max_size=3,
+        ),
+        phi=st.floats(0.05, 0.99),
+    )
+    @example(components=[(0.5, 4000.0, math.log10(4000.0 / 42.46)), (0.5, 1.0, -3.0)], phi=0.9)
+    def test_entries_dominate_dense_samples(self, components, phi):
+        # shapes up to 4000 and rates 1e-3 to 1e3 mix narrow spikes with
+        # long tails; each row is sampled densely around every component's
+        # bulk and geometrically out to 1e7
+        total = math.fsum(w for w, _, _ in components)
+        mix = GammaMixture(tuple(
+            Component(w / total, alpha, 10.0**rate) for w, alpha, rate in components
+        ))
+        ledger = ruin_w_functions(RiskModel(mix, phi))
+        u = np.concatenate([np.geomspace(1e-9, 1e7, 20_001), [0.0]] + [
+            np.linspace(max(alpha - 12.0 * math.sqrt(alpha) - 5.0, 0.0) / beta,
+                        (alpha + 12.0 * math.sqrt(alpha) + 40.0) / beta, 20_001)
+            for _, alpha, beta in mix.components
+        ])
+        for field, dense in dense_ledger_maxima(mix, phi, u).items():
+            entry = getattr(ledger, field)
+            assert entry >= dense * (1.0 - 1e-12), f"{field} {entry:.5g} < dense max {dense:.5g}"
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.7, 140.0])
     def test_derivative_terms_match_density_differences(self, alpha):
-        # u^2 F'' = u^2 f' and u^2 F''' = u^2 f'' by central differences of
-        # the density, a route independent of the log-space kernel
+        # the u^2 F'' and u^2 F''' pieces are u^2 f' and u^2 f'' by central
+        # differences of the density, a route independent of the pieces
         mix = GammaMixture((Component(1.0, alpha, 2.0),))
         u = np.linspace(0.25, 4.0 * (alpha + 4.0) / 2.0, 200)
         h = 1e-4 * u
         f_lo, f_mid, f_hi = mix.density(u - h), mix.density(u), mix.density(u + h)
-        d2 = bounds._u2_cdf_deriv2(mix, u)
-        d3 = bounds._u2_cdf_deriv3(mix, u)
+        pieces = bounds._component_pieces(mix, 0.0, u)
+        d2, d3 = pieces[2, 0], pieces[3, 0]
         first = u**2 * (f_hi - f_lo) / (2.0 * h)
         second = u**2 * (f_hi - 2.0 * f_mid + f_lo) / h**2
         np.testing.assert_allclose(d2, first, rtol=0, atol=1e-6 * np.abs(d2).max())
         np.testing.assert_allclose(d3, second, rtol=0, atol=1e-4 * np.abs(d3).max())
 
-    @pytest.mark.parametrize("deriv", [bounds._u2_cdf_deriv2, bounds._u2_cdf_deriv3])
-    def test_derivative_terms_take_arrays(self, deriv):
+    def test_pieces_depend_on_each_point_alone(self):
+        # a refinement round merges the pieces of its new points with those
+        # of earlier rounds, so a point's pieces must not depend on the rest
+        # of the array it is evaluated in
         u = np.linspace(0.0, 30.0, 301)
         for mix in LEDGER_MIXTURES.values():
-            scalar = np.array([deriv(mix, float(v)) for v in u])
-            np.testing.assert_allclose(deriv(mix, u), scalar, rtol=1e-14, atol=1e-300)
+            together = bounds._component_pieces(mix, 0.3, u)
+            alone = [bounds._component_pieces(mix, 0.3, u[k:k + 1]) for k in range(u.size)]
+            assert together.tobytes() == np.concatenate(alone, axis=2).tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(mix=admissible_mixtures(), phi=st.floats(0.5, 0.95))

@@ -337,6 +337,18 @@ class TestSupNormKernel:
         np.testing.assert_allclose(d2, first, rtol=0, atol=1e-6 * np.abs(d2).max())
         np.testing.assert_allclose(d3, second, rtol=0, atol=1e-4 * np.abs(d3).max())
 
+    @pytest.mark.parametrize("row", [2, 3], ids=["_u2_cdf_deriv2", "_u2_cdf_deriv3"])
+    def test_derivative_terms_take_arrays(self, row):
+        # the u^2 F'' and u^2 F''' terms, summed over the components, are the
+        # same whether the points come as one array or one at a time
+        u = np.linspace(0.0, 30.0, 301)
+        for mix in LEDGER_MIXTURES.values():
+            term = bounds._component_pieces(mix, 0.0, u)[row].sum(axis=0)
+            scalar = np.array([
+                bounds._component_pieces(mix, 0.0, np.array([v]))[row].sum() for v in u
+            ])
+            np.testing.assert_allclose(term, scalar, rtol=1e-14, atol=1e-300)
+
     def test_pieces_depend_on_each_point_alone(self):
         # a refinement round merges the pieces of its new points with those
         # of earlier rounds, so a point's pieces must not depend on the rest

@@ -19,7 +19,11 @@ every ledger entry is one.  The moments, the integrals of f'' and f(0),
 f'(0) are closed forms.  The eight sup norms are certified enclosures
 (:func:`_sup_enclosures`): each row is a sum over the mixture's components
 of pieces that are monotone between closed-form breakpoints, so the values
-at the ends of a cell bound the row on the whole cell.  Each entry is at
+at the ends of a cell bound the row on the whole cell.  A cell whose bound
+is too far above the samples is cut into n equal parts: its excess over
+its end samples is first order in its width, so n is set by that excess
+over the room left below the tolerance, n = clamp(ceil(2 excess / room),
+2, 256), and the table models need one such round.  Each entry is at
 least its row's sup, up to the rounding of the special functions, and at
 most ``_SUP_RTOL`` = 1e-3 relative above it, so a narrow peak cannot be
 stepped over.
@@ -176,12 +180,20 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
       |P_1i(E)| reads p_i (d_i(E) + kappa S_i(E)).
     - Refinement.  A cell whose bound for some row exceeds (1 +
       ``_SUP_RTOL``) times the largest |row| sampled at the points is cut
-      into 16 cells, until no cell is, or no cut falls strictly inside its
-      cell.  A tail bound that exceeds it moves E to 2E, past which the
-      pieces stay monotone: where d_i and kappa S_i nearly cancel, as for
-      exponential claims at phi near 1, the triangle bound at the first E
-      can exceed the sup.  Each round makes one :func:`_component_pieces`
-      call, shared by all rows.
+      into n equal cells, until no cell is, or no cut falls strictly inside
+      its cell.  The bound exceeds the cell's larger weighted end sample by
+      an excess e that is first order in the cell's width, as the pieces'
+      end values differ by their slope times the width; cutting into n
+      leaves about e/n to each part.  So n = clamp(ceil(2 e / s), 2, 256),
+      with s the room (1 + ``_SUP_RTOL``) times the best sample minus that
+      end sample, the factor 2 covering what the linear estimate misses;
+      the largest n over the rows is taken.  A tail bound that exceeds the
+      tolerance moves E to 2E, past which the pieces stay monotone: where
+      d_i and kappa S_i nearly cancel, as for exponential claims at phi
+      near 1, the triangle bound at the first E can exceed the sup.  Each
+      round makes one :func:`_component_pieces` call, shared by all rows.
+      Any subdivision leaves every cell's bound valid, so the cut count
+      only decides how soon the rounds stop.
 
     Each result is the largest bound over the final cells and the tail:
     at least the row's sup, up to the rounding of the pieces, and at most
@@ -191,7 +203,6 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
     end = max([2.0 * point for point in breaks] + [(a + 6.0) / b for _, a, b in mixture.components])
     pts = np.sort(np.concatenate([np.linspace(0.0, end, 257), breaks]))
     vals = _component_pieces(mixture, kappa, pts)
-    steps = np.arange(1, 16) / 16.0
     while True:
         sampled = np.abs(vals.sum(axis=1))
         lo, hi = vals[..., :-1], vals[..., 1:]
@@ -202,16 +213,32 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
         # E; each is weighted by c u^j at the cell's right end, the tail's at E
         envelope = np.column_stack([np.maximum(np.abs(low), np.abs(high)), at_end.sum(axis=1)])
         ends = np.append(pts[1:], pts[-1])
-        cut = np.zeros(pts.size, dtype=bool)
+        parts = np.zeros(pts.size)
         found = []
         for k, j, c in rows:
             bound = c * ends**j * envelope[k]
-            cut |= bound > (1.0 + _SUP_RTOL) * (c * pts**j * sampled[k]).max()
+            weighted = c * pts**j * sampled[k]
+            allowed = (1.0 + _SUP_RTOL) * weighted.max()
+            flagged = np.flatnonzero(bound > allowed)
+            near = np.maximum(weighted, np.append(weighted[1:], 0.0))[flagged]
+            excess, room = bound[flagged] - near, allowed - near
+            # a flagged cell has excess > room >= 0, so the count is at least
+            # 3; the floor excess/128 guards the division and caps it at 256
+            # (fmax leaves a cell whose bound is infinite uncut)
+            parts[flagged] = np.fmax(
+                parts[flagged], np.ceil(2.0 * excess / np.maximum(room, excess / 128.0))
+            )
             found.append(float(bound.max()))
-        a, b = pts[:-1][cut[:-1], None], pts[1:][cut[:-1], None]
-        new = a + (b - a) * steps
+        cells = np.flatnonzero(parts[:-1])
+        count = parts[cells].astype(np.intp)
+        inner = count - 1
+        # point m of the inner points of cell i is a_i + (b_i - a_i) m / n_i
+        cell = np.repeat(cells, inner)
+        step = np.arange(inner.sum()) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+        a, b = pts[cell], pts[cell + 1]
+        new = a + (b - a) * (step / np.repeat(count, inner))
         new = new[(new > a) & (new < b)]
-        if cut[-1]:
+        if parts[-1]:
             new = np.append(new, 2.0 * pts[-1])
         if new.size == 0:
             return found
@@ -238,10 +265,10 @@ def ruin_w_functions(model: RiskModel) -> NormLedger:
     kappa = phi / mu
     rows = [(0, j, c1) for j in range(3)] + [(1, j, c1) for j in range(3)]
     rows += [(2, 0, c1), (3, 0, 1.0)]
+    # first, so that a moment no float can hold refuses before the search
+    ez, ez2 = equilibrium_moments(mix)
     w1_0, w1_1, w1_2, w2_0, w2_1, w2_2, u2w1pp, u2_d3 = _sup_enclosures(mix, kappa, rows)
     u2w2pp = kappa * u2w1pp + c1 * u2_d3
-
-    ez, ez2 = equilibrium_moments(mix)
     i0, i1, i2, f0, f1_0 = f_second_integrals(mix)
     return NormLedger(
         w1_norm=w1_0, uw1_norm=w1_1, u2w1_norm=w1_2,
@@ -262,15 +289,20 @@ def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
 
     Splits |F''| at its single sign change u = c = alpha - 1 and integrates
     each piece by incomplete gamma: integral i reads P(s, c) and
-    Gamma(s) / Gamma(alpha) at s = s_i and s_{i+1}, where s_j = c + j.  A
-    call evaluates both once at each of the four shapes s_0, ..., s_3.
+    Gamma(s) / Gamma(alpha) at s = s_i and s_{i+1}, where s_j = c + j.  One
+    incomplete gamma, P(s_3, c), gives the other three by the downward
+    recurrence P(s, c) = P(s + 1, c) + c^s e^(-c) / Gamma(s + 1) (DLMF
+    8.8.5), whose terms are all positive.
     """
     if alpha == 1.0:
         return 1.0, 1.0, 2.0
     c = alpha - 1.0
     shapes = [c + j for j in range(4)]
-    ratio = [math.exp(math.lgamma(s) - math.lgamma(alpha)) for s in shapes]
-    lower = [reg_inc_gamma_lower(s, c) for s in shapes]
+    log_gamma = [math.lgamma(s) for s in shapes]
+    ratio = [math.exp(lg - math.lgamma(alpha)) for lg in log_gamma]
+    lower = [reg_inc_gamma_lower(shapes[3], c)]
+    for j in (2, 1, 0):
+        lower.insert(0, lower[0] + math.exp(shapes[j] * math.log(c) - c - log_gamma[j + 1]))
     return tuple(
         ratio[i + 1] - c * ratio[i]
         + 2.0 * c * ratio[i] * lower[i] - 2.0 * ratio[i + 1] * lower[i + 1]

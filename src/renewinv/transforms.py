@@ -113,15 +113,26 @@ class GammaMixture:
         return math.fsum(p * alpha / beta for p, alpha, beta in self.components)
 
     def raw_moment(self, n: int) -> float:
-        """E[X**n] = sum_i p_i * alpha_i (alpha_i+1) ... (alpha_i+n-1) / beta_i**n."""
+        """E[X**n] = sum_i p_i * alpha_i (alpha_i+1) ... (alpha_i+n-1) / beta_i**n.
+
+        Each factor (alpha_i + j) / beta_i is taken on its own, so no power
+        of a rate overflows or underflows on the way; a moment that is not
+        a finite positive float raises ``DomainError``.
+        """
         if not isinstance(n, numbers.Integral) or n < 0:
             raise DomainError(f"moment order must be an integer >= 0, got {n!r}")
         total = 0.0
         for p, alpha, beta in self.components:
-            rising = 1.0
+            term = p
             for j in range(n):
-                rising *= alpha + j
-            total += p * rising / beta**n
+                term *= (alpha + j) / beta
+            total += term
+        if not 0.0 < total < math.inf:
+            rates = ", ".join(f"{beta:g}" for _, _, beta in self.components)
+            raise DomainError(
+                f"moment E[X**{n}] = {total!r} is not a finite positive float"
+                f" for claim rates {rates}"
+            )
         return total
 
     def cdf(self, u):

@@ -268,8 +268,9 @@ class TestSupNormKernel:
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     def test_piece_evaluations_per_report_are_capped(self, monkeypatch, phi):
         # the first cells and every refinement round take one evaluation of
-        # the pieces, shared by all eight rows; these models need 3 rounds
-        # and 2,419 to 4,328 points
+        # the pieces, shared by all eight rows; a flagged cell is cut by its
+        # own excess, so these models need 2 evaluations and 943 to 1,465
+        # points (3 and up to 4,329 when every cut was 16-fold)
         sizes = []
         pieces = bounds._component_pieces
 
@@ -281,7 +282,7 @@ class TestSupNormKernel:
         for name, mix in LEDGER_MIXTURES.items():
             sizes.clear()
             ruin_bound_report(RiskModel(mix, phi))
-            assert len(sizes) <= 4 and sum(sizes) <= 5_000, (name, sizes)
+            assert len(sizes) <= 2 and sum(sizes) <= 1_600, (name, sizes)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     def test_narrow_spike_is_enclosed(self, phi):
@@ -431,11 +432,9 @@ class TestFSecondIntegrals:
         integral = np.trapezoid(integrand, s)
         assert _component_i_fpp(alpha)[i] == pytest.approx(integral, rel=1e-5)
 
-    def test_shared_shapes_evaluated_once_per_call(self, monkeypatch, gamma32_mixture):
-        # alpha = 1.5 needs P(s, 0.5) at the four shapes 0.5, 1.5, 2.5, 3.5
-        # for its three integrals; a second call evaluates them afresh.  The
-        # seed-11 shape needs four too, at (alpha - 1) + j, though
-        # fl(alpha + 2) - 1 misses fl(alpha + 1) by the last bit there
+    def test_one_incomplete_gamma_per_shape(self, monkeypatch, gamma32_mixture):
+        # P(s_3, c) is the only incomplete gamma; the recurrence gives the
+        # other three shapes, and a second call evaluates it afresh
         calls = []
         lower = bounds.reg_inc_gamma_lower
 
@@ -445,32 +444,37 @@ class TestFSecondIntegrals:
 
         monkeypatch.setattr(bounds, "reg_inc_gamma_lower", counted)
         f_second_integrals(gamma32_mixture)
-        assert sorted(calls) == [(0.5, 0.5), (1.5, 0.5), (2.5, 0.5), (3.5, 0.5)]
+        assert calls == [(3.5, 0.5)]
         f_second_integrals(gamma32_mixture)
-        assert len(calls) == 8
+        assert len(calls) == 2
         del calls[:]
-        alpha = 2.8044950728700724
-        _component_i_fpp(alpha)
-        c = alpha - 1.0
-        assert calls == [(c + j, c) for j in range(4)]
+        f_second_integrals(GammaMixture.exponential())
+        assert calls == []
+        for seed in range(100, 106):
+            del calls[:]
+            mix = seeded_admissible_mixture(seed)
+            f_second_integrals(mix)
+            assert len(calls) == sum(c.alpha != 1.0 for c in mix.components)
 
-    @pytest.mark.parametrize("seed", range(100, 106))
-    def test_shared_shapes_keep_every_bit(self, seed):
-        # against each integral computed on its own, both incomplete gammas
-        # called afresh at the shapes s_i and s_{i+1}, s_j = (alpha - 1) + j
-        def alone(alpha, i):
-            if alpha == 1.0:
-                return float(math.factorial(i))
-            c = alpha - 1.0
-            s_lo, s_hi = c + i, c + (i + 1)
-            r_hi = math.exp(math.lgamma(s_hi) - math.lgamma(alpha))
-            r_lo = math.exp(math.lgamma(s_lo) - math.lgamma(alpha))
-            return (r_hi - c * r_lo + 2.0 * c * r_lo * bounds.reg_inc_gamma_lower(s_lo, c)
-                    - 2.0 * r_hi * bounds.reg_inc_gamma_lower(s_hi, c))
-
-        mix = seeded_admissible_mixture(seed)
-        for alpha in (1.0, 1.5, *(c.alpha for c in mix.components)):
-            assert _component_i_fpp(alpha) == tuple(alone(alpha, i) for i in range(3))
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 3.0, 40.0, 1000.0, 4000.0] + [
+        c.alpha for seed in range(100, 106) for c in seeded_admissible_mixture(seed).components
+    ])
+    def test_against_mpmath_closed_form(self, alpha):
+        # int_0^c u^(s-1) (c - u) e^-u du + int_c^inf u^(s-1) (u - c) e^-u du
+        # over Gamma(alpha), s = c + i, by incomplete gammas at 50 digits;
+        # shapes 1000 and 4000 held the four-call route, which subtracted two
+        # values of P near 1/2, to 5e-11 and 6e-10
+        mpmath = pytest.importorskip("mpmath")
+        got = _component_i_fpp(alpha)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            c = a - 1
+            for i in range(3):
+                s = c + i
+                below = c * mpmath.gammainc(s, 0, c) - mpmath.gammainc(s + 1, 0, c)
+                above = mpmath.gammainc(s + 1, c) - c * mpmath.gammainc(s, c)
+                exact = (below + above) / mpmath.gamma(a)
+                assert abs(got[i] - exact) <= 1e-11 * exact, i
 
     def test_admissibility(self):
         mix = GammaMixture((Component(0.5, 0.9, 1.0), Component(0.5, 2.0, 1.0)))

@@ -406,6 +406,16 @@ class TestBound:
         assert all(math.isfinite(v) for v in payload.values())
         assert payload["u2w1pp_norm"] > 0 and payload["total_bound"] > 0
 
+    @pytest.mark.parametrize("beta", [1e-150, 1e-120, 1e110, 1e150])
+    def test_unrepresentable_moment_exits_2(self, write_spec, capsys, beta):
+        # E[X^3] = 6 / beta^3 overflows or underflows; beta**3 alone used to
+        # raise a raw ZeroDivisionError or OverflowError
+        spec = write_spec([(1.0, 1.0, beta)], "extreme")
+        code, out, err = run(["bound", "--spec", spec, "--phi", "0.5", "--t", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "E[X**3]" in err and f"{beta:g}" in err and "Traceback" not in err
+
     def test_inadmissible_shape_exits_3(self, write_spec, capsys):
         spec = write_spec([(1.0, 0.5, 1.0)], "heavy")
         code, _, err = run(["bound", "--spec", spec, "--phi", "0.9", "--t", "5"], capsys)

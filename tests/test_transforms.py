@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,35 @@ class TestGammaMixture:
         assert mix.mean == pytest.approx(2.0, rel=1e-15)
         assert mix.raw_moment(2) == pytest.approx(6.0, rel=1e-15)
         assert mix.raw_moment(3) == pytest.approx(24.0, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_table_moments_keep_every_bit(self, all_table_mixtures, name):
+        # against the rising factorial over beta**n that the moments used to take
+        mix = all_table_mixtures[name]
+        for n in range(5):
+            old = 0.0
+            for p, alpha, beta in mix.components:
+                rising = 1.0
+                for j in range(n):
+                    rising *= alpha + j
+                old += p * rising / beta**n
+            assert mix.raw_moment(n) == old
+
+    def test_moments_of_extreme_rates_stay_finite(self):
+        # each factor (alpha + j) / beta is near 1, where beta**3 is not
+        mix = GammaMixture((Component(1.0, 1e200, 1e200),))
+        assert mix.raw_moment(3) == pytest.approx(1.0, rel=1e-12)
+        assert GammaMixture.exponential(1e-150).raw_moment(2) == pytest.approx(2e300, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta, n", [(1e-150, 3), (1e-120, 3), (1e110, 3), (1e150, 3), (1e-300, 2)]
+    )
+    def test_unrepresentable_moment_is_a_domain_error(self, beta, n):
+        # E[X**n] = n! / beta**n overflows or underflows; beta**n used to
+        # raise a raw ZeroDivisionError or OverflowError
+        rate = re.escape(f"{beta:g}")
+        with pytest.raises(DomainError, match=rf"E\[X\*\*{n}\].*{rate}"):
+            GammaMixture.exponential(beta).raw_moment(n)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, -1, None])
     def test_moment_order_must_be_a_nonnegative_integer(self, n):

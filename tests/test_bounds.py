@@ -270,7 +270,7 @@ class TestSupNormKernel:
         # the first cells and every refinement round take one evaluation of
         # the pieces, shared by all eight rows; a flagged cell is cut by its
         # own excess, so these models need 2 evaluations and 943 to 1,465
-        # points (3 and up to 4,329 when every cut was 16-fold)
+        # points
         sizes = []
         pieces = bounds._component_pieces
 

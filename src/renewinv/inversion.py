@@ -11,10 +11,23 @@ In terms of the normalized oracle weights w_k(t) = (-t)**k/k! g~^(k)(t):
     W_n g(u)   = s * w_{n-1}(s),   s = n/u
 
 so both reduce to a single weight lookup and never touch raw factorials.
+
+``m2_lattice`` reads both of its passes through one memo, keyed by
+(oracle, t, k_max).  Oracles compare and hash by value (see
+:class:`~renewinv.transforms.TransformOracle`), so a freshly built equal
+oracle hits the same entry, and an oracle that cannot be hashed is refused
+with :class:`DomainError` before any oracle call.  M2 at rate s reads the
+pass at (2s, 2K - 1) that M2 at 2s reads again, so calls at t, 2t, ...,
+2^L t run L + 2 passes, not 2(L + 1).  The memo holds the 3 most recently
+used passes, at most 3 x 8 MiB at ``MAX_FINE_LATTICE`` weights.  Its arrays
+are only read, and never handed to a caller; refusals are not memoized and
+raise on every call.  It is safe for concurrent use: two threads that miss
+on one key both compute it and get equal arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -118,14 +131,24 @@ def l_star(oracle: TransformOracle, t: float, u: float) -> float:
     return t * float(w[k])
 
 
+# M2 at rate s reads the passes (2s, 2K - 1) and then (s, K - 1); M2 at 2s
+# reads (4s, 4K - 1) before (2s, 2K - 1).  Run after M2 at s, it inserts one
+# pass before it reads the shared one again, so 3 is the smallest size that
+# still holds the shared pass then.
+@functools.lru_cache(maxsize=3)
+def _memoized_pass(oracle: TransformOracle, t: float, k_max: int) -> np.ndarray:
+    return oracle.weights(t, k_max)
+
+
 def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeFunction:
     """Order-2 accelerated approximation on the lattice {k/t, k = 0..K}.
 
     Value at k/t is 2 L*_{2t} g((2k-1)/(2t)) - L*_t g((k-1)/t) for k >= 1
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
-    lattice rate.  Raises :class:`DomainError`, before any oracle call,
-    when K is not an integer >= 1 or the fine lattice would exceed
-    ``MAX_FINE_LATTICE`` points.
+    lattice rate and memoized (module docstring).  Raises
+    :class:`DomainError`, before any oracle call, when K is not an integer
+    >= 1, the fine lattice would exceed ``MAX_FINE_LATTICE`` points or the
+    oracle is not hashable.
     """
     if not isinstance(K, numbers.Integral) or K < 1:
         raise DomainError(f"truncation index K must be an integer >= 1, got {K!r}")
@@ -134,8 +157,15 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
             f"K = {K} needs {2 * K} points on the fine lattice, "
             f"more than the limit {MAX_FINE_LATTICE}"
         )
-    w_fine = oracle.weights(2.0 * t, 2 * K - 1)
-    w_coarse = oracle.weights(t, K - 1)
+    try:
+        hash(oracle)
+    except TypeError as exc:
+        raise DomainError(
+            f"m2_lattice memoizes passes by oracle value, and {type(oracle).__name__} "
+            f"is not hashable: {exc}"
+        ) from None
+    w_fine = _memoized_pass(oracle, 2.0 * t, 2 * K - 1)
+    w_coarse = _memoized_pass(oracle, t, K - 1)
     vals = np.empty(K + 1)
     vals[0] = g0
     # indices 1,3,...,2K-1 on the 2t-lattice pair with 0,...,K-1 on the t-lattice

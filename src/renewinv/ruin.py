@@ -13,20 +13,15 @@ call) read it like any other oracle.  The renewal ingredients f and v of the
 ruin function come as transform oracles only, from
 :func:`renewal_data_from_model`.
 
-The oracle's passes are memoized by value: the key is (model, t, k_max),
-and a fresh :class:`RiskModel` with equal numbers (int or float) hits the
-same entry, since models and claim laws are frozen and hash by value.  M2
-at rate s reads the pass at (2s, 2K - 1) that M2 at 2s reads again, so
-calls at t, 2t, ..., 2^L t run L + 2 passes, not 2(L + 1).  The memo holds
-the 3 most recently used passes, at most 3 x 8 MiB at ``MAX_FINE_LATTICE``
-weights.  Its arrays are read-only and shared by every caller; refusals are
-not memoized and raise on every call.  It is safe for concurrent use: two
-threads that miss on one key both compute it and get equal arrays.
+The oracle is a frozen value holding its :class:`RiskModel`, and models and
+claim laws hash by value, so the pass memo of
+:func:`~renewinv.inversion.m2_lattice` serves a fresh model with equal
+numbers (int or float): :func:`approximate_nonruin` at t, 2t, ..., 2^L t
+runs L + 2 passes, not 2(L + 1).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -90,37 +85,24 @@ class RenewalIngredients:
     v_oracle: TransformOracle
 
 
-# M2 at rate s reads the passes (2s, 2K - 1) and then (s, K - 1); M2 at 2s
-# reads (4s, 4K - 1) before (2s, 2K - 1).  Run after M2 at s, it inserts one
-# pass before it reads the shared one again, so 3 is the smallest size that
-# still holds the shared pass then.
-@functools.lru_cache(maxsize=3)
-def _nonruin_pass(model: RiskModel, t: float, k_max: int) -> np.ndarray:
-    severity = discretize_equilibrium(model.claims, t, k_max)
-    pmf = panjer_geometric(severity, model.phi, k_max)
-    cdf = np.cumsum(pmf.weights)
-    np.minimum(cdf, 1.0, out=cdf)
-    cdf /= t
-    cdf.flags.writeable = False
-    return cdf
-
-
+@dataclass(frozen=True)
 class _NonruinLST(TransformOracle):
     """Transform oracle of the non-ruin probability of a risk model.
 
     Weights at t: the CDF (clamped at 1) of the geometric compound of the
     equilibrium law discretized at rate t, to index k_max, divided by t.
-    They are read-only arrays from the memo of passes (module docstring),
-    which holds at most 3 of them: 3 x 8 MiB at ``MAX_FINE_LATTICE``
-    weights, under 400 KiB at t = 200 on u <= 40.
     """
 
-    def __init__(self, model: RiskModel):
-        self.model = model
+    model: RiskModel
 
     def weights(self, t, k_max):
         self._require_valid_point(t, k_max)
-        return _nonruin_pass(self.model, t, k_max)
+        severity = discretize_equilibrium(self.model.claims, t, k_max)
+        pmf = panjer_geometric(severity, self.model.phi, k_max)
+        cdf = np.cumsum(pmf.weights)
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf /= t
+        return cdf
 
 
 def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
@@ -129,7 +111,9 @@ def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
     The oracle raises :class:`DomainError` when the K + 1 weights exceed
     ``MAX_FINE_LATTICE``, before any array is built.
     """
-    return LatticeFunction(t, t * _NonruinLST(model).weights(t, K))
+    weights = _NonruinLST(model).weights(t, K)
+    weights *= t
+    return LatticeFunction(t, weights)
 
 
 def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproximation:

@@ -53,6 +53,13 @@ class TransformOracle(abc.ABC):
     Every source function built here grows at most polynomially, so its
     transform is defined for all t > 0.  Oracles are immutable and safe for
     concurrent use.
+
+    The weights depend only on the oracle's value and on (t, k_max), and an
+    oracle is hashable: :func:`~renewinv.inversion.m2_lattice` memoizes
+    passes under the key (oracle, t, k_max).  The built-in oracles are
+    frozen dataclasses that compare and hash by value, so a freshly built
+    equal oracle hits the same entry; a subclass that defines neither
+    ``__eq__`` nor ``__hash__`` compares by identity.
     """
 
     @abc.abstractmethod
@@ -170,6 +177,7 @@ class GammaMixture:
         return _shaped_like(u, np.where(inside, inner, np.where(u == 0.0, at_zero, 0.0)))
 
 
+@dataclass(frozen=True)
 class GammaMixtureLST(TransformOracle):
     """Laplace-Stieltjes transform of a gamma mixture.
 
@@ -178,8 +186,7 @@ class GammaMixtureLST(TransformOracle):
     probability beta_i / (t + beta_i).
     """
 
-    def __init__(self, mixture: GammaMixture):
-        self.mixture = mixture
+    mixture: GammaMixture
 
     def weights(self, t, k_max):
         """Mixture of the components' negative-binomial masses.
@@ -196,11 +203,15 @@ class GammaMixtureLST(TransformOracle):
         return out
 
 
-def _require_finite_constant(c: float) -> None:
+def _finite_constant(c: float) -> float:
+    # -0.0 equals and hashes as 0.0 but gives -0.0 weights, so equal oracles
+    # would not give equal bits; a zero of either sign is kept as 0.0
     if not math.isfinite(c):
         raise DomainError(f"constant factor must be finite, got {c}")
+    return 0.0 if c == 0 else c
 
 
+@dataclass(frozen=True)
 class ExponentialDecayLST(TransformOracle):
     """Transform oracle for g(u) = exp(-a u), a >= 0 (a = 0 gives g == 1).
 
@@ -208,10 +219,11 @@ class ExponentialDecayLST(TransformOracle):
     t**k / (t+a)**(k+1).
     """
 
-    def __init__(self, a: float = 0.0):
-        if not 0 <= a < math.inf:
-            raise DomainError(f"decay rate must be finite and >= 0, got {a}")
-        self.a = a
+    a: float = 0.0
+
+    def __post_init__(self):
+        if not 0 <= self.a < math.inf:
+            raise DomainError(f"decay rate must be finite and >= 0, got {self.a}")
 
     def weights(self, t, k_max):
         self._require_valid_point(t, k_max)
@@ -219,37 +231,44 @@ class ExponentialDecayLST(TransformOracle):
         return ratio ** np.arange(k_max + 1) / (t + self.a)
 
 
+@dataclass(frozen=True)
 class ConstantLST(TransformOracle):
     """Transform oracle for the constant function g == c (g~(t) = c/t)."""
 
-    def __init__(self, c: float = 1.0):
-        _require_finite_constant(c)
-        self.c = c
+    c: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", _finite_constant(self.c))
 
     def weights(self, t, k_max):
         self._require_valid_point(t, k_max)
         return np.full(k_max + 1, self.c / t)
 
 
+@dataclass(frozen=True)
 class ScaledLST(TransformOracle):
     """c * g for an existing oracle of g."""
 
-    def __init__(self, c: float, inner: TransformOracle):
-        _require_finite_constant(c)
-        self.c = c
-        self.inner = inner
+    c: float
+    inner: TransformOracle
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", _finite_constant(self.c))
 
     def weights(self, t, k_max):
         return self.c * self.inner.weights(t, k_max)
 
 
+@dataclass(frozen=True, init=False)
 class SumLST(TransformOracle):
-    """Pointwise sum of several source functions."""
+    """Pointwise sum of several source functions, built as ``SumLST(*oracles)``."""
+
+    oracles: tuple[TransformOracle, ...]
 
     def __init__(self, *oracles: TransformOracle):
         if not oracles:
             raise DomainError("SumLST needs at least one oracle")
-        self.oracles = oracles
+        object.__setattr__(self, "oracles", oracles)
 
     def weights(self, t, k_max):
         total = self.oracles[0].weights(t, k_max).copy()
@@ -258,19 +277,20 @@ class SumLST(TransformOracle):
         return total
 
 
+@dataclass(frozen=True)
 class CumulativeLST(TransformOracle):
     """Transform of G(u) = int_0^u g, i.e. g~(t)/t, from the oracle of g.
 
     Normalized weights are the scaled partial sums of the inner weights.
     """
 
-    def __init__(self, inner: TransformOracle):
-        self.inner = inner
+    inner: TransformOracle
 
     def weights(self, t, k_max):
         return np.cumsum(self.inner.weights(t, k_max)) / t
 
 
+@dataclass(frozen=True)
 class SurvivalLST(TransformOracle):
     """Transform of 1 - int_0^u g, i.e. (1 - g~(t))/t, for a density oracle g.
 
@@ -280,8 +300,7 @@ class SurvivalLST(TransformOracle):
     absolute floor, so tails below ~1e-14 are noise (see RenewalRatioLST).
     """
 
-    def __init__(self, inner: TransformOracle):
-        self.inner = inner
+    inner: TransformOracle
 
     def weights(self, t, k_max):
         tails = np.cumsum(self.inner.weights(t, k_max))
@@ -392,6 +411,7 @@ def _series_quotient(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.concatenate((low, np.fft.irfft(x_hat, length)[: size - n]))
 
 
+@dataclass(frozen=True)
 class RenewalRatioLST(TransformOracle):
     """Transform of the renewal solution, m~(t) = v~(t) / (1 - phi f~(t)).
 
@@ -416,12 +436,13 @@ class RenewalRatioLST(TransformOracle):
     against the exact exponential-claims weights at phi = 0.9, t = 10.
     """
 
-    def __init__(self, v_oracle: TransformOracle, f_oracle: TransformOracle, phi: float):
-        if not 0 < phi < 1:
-            raise DomainError(f"defect phi must be in (0, 1), got {phi}")
-        self.v_oracle = v_oracle
-        self.f_oracle = f_oracle
-        self.phi = phi
+    v_oracle: TransformOracle
+    f_oracle: TransformOracle
+    phi: float
+
+    def __post_init__(self):
+        if not 0 < self.phi < 1:
+            raise DomainError(f"defect phi must be in (0, 1), got {self.phi}")
 
     def weights(self, t, k_max):
         self._require_valid_point(t, k_max)

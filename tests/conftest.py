@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from renewinv import Component, GammaMixture, ruin
+from renewinv import Component, GammaMixture, inversion
 
 
 @pytest.fixture(autouse=True)
-def _cold_nonruin_memo():
-    # the non-ruin oracle memoizes its last passes across calls; a cold memo
-    # keeps pass counts and monkeypatched pipelines independent of test order
-    ruin._nonruin_pass.cache_clear()
+def _cold_pass_memo():
+    # m2_lattice memoizes its last passes across calls; a cold memo keeps
+    # pass counts and monkeypatched pipelines independent of test order
+    inversion._memoized_pass.cache_clear()
 
 
 @pytest.fixture

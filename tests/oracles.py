@@ -1,7 +1,8 @@
 """Independent verification oracles for the test suite.
 
 Slow, simple or closed-form routes that the tests cross-check the
-package's pipeline against; nothing in the package uses them.
+package's pipeline against, and a transform oracle that catches writes
+into the arrays it hands out; nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,25 @@ from numpy.polynomial import Polynomial
 
 import scalar_reference
 from renewinv import DomainError, lattice_index
+from renewinv.transforms import TransformOracle
+
+
+class ReadOnlyLST(TransformOracle):
+    """Hands out one read-only array per (t, k_max), the same object on every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handed_out = {}
+
+    def weights(self, t, k_max):
+        if (t, k_max) not in self.handed_out:
+            w = self.inner.weights(t, k_max)
+            w.flags.writeable = False
+            self.handed_out[(t, k_max)] = (w, w.copy())
+        return self.handed_out[(t, k_max)][0]
+
+    def untouched(self):
+        return all(np.array_equal(w, saved) for w, saved in self.handed_out.values())
 
 
 def ruin_renewal_inputs(model) -> tuple[Callable, Callable]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from renewinv import BoundReport, GammaMixture, NormLedger, RiskModel, ruin_bound_report
-from renewinv import cli, ruin
+from renewinv import cli, inversion, ruin
 from renewinv.cli import main
 from renewinv.ruin import approximate_nonruin, lstar_nonruin
 
@@ -480,7 +480,7 @@ class TestConvergence:
         spec = write_spec([(1.0, 1.5, 1.0)], "g32")
         argv = ["convergence", "--spec", spec, "--phi", "0.9", "--u-max", "10", "--t-list"]
         _, ascending, _ = run(argv + ["5,10,20"], capsys)
-        ruin._nonruin_pass.cache_clear()
+        inversion._memoized_pass.cache_clear()
         calls = []
         expand = ruin.panjer_geometric
 

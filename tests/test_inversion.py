@@ -5,19 +5,27 @@ import numpy as np
 import pytest
 
 from renewinv import (
+    Component,
     ConstantLST,
     DomainError,
     ExponentialDecayLST,
+    GammaMixture,
+    inversion,
     l_star,
     lattice_index,
     LatticeFunction,
     m2_lattice,
     post_widder,
+    renewal_data_from_model,
+    RenewalRatioLST,
+    RiskModel,
     ScaledLST,
+    SingularityError,
     stehfest2,
     SumLST,
 )
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
+from renewinv import transforms
 from renewinv.transforms import TransformOracle
 
 
@@ -194,6 +202,90 @@ class TestM2Lattice:
                 abs(lattice.values[k] - tf_exact(0.1, k / t)) for k in range(K + 1)
             )
         assert 1.6 <= math.log2(errs[5.0] / errs[10.0]) <= 2.6
+
+
+def ratio_nonruin_oracle(mixture, phi):
+    """1 - m for the ruin function m, built afresh from the renewal ratio."""
+    data = renewal_data_from_model(RiskModel(mixture, phi))
+    return SumLST(ConstantLST(1.0), ScaledLST(-1.0, RenewalRatioLST(data.v_oracle, data.f_oracle, phi)))
+
+
+def count_series_quotients(monkeypatch):
+    """List of the denominator sizes of every series division run from now on."""
+    calls = []
+    divide = transforms._series_quotient
+
+    def counting(v, a):
+        calls.append(a.size)
+        return divide(v, a)
+
+    monkeypatch.setattr(transforms, "_series_quotient", counting)
+    return calls
+
+
+class TestPassMemo:
+    """m2_lattice memoizes passes by oracle value; answers never depend on it."""
+
+    MIXTURE = GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0)))
+
+    def test_ratio_ladder_shares_passes(self, monkeypatch):
+        # M2 at 2t reads M2-at-t's fine pass again: 4 divisions, not 6
+        oracle = ratio_nonruin_oracle(self.MIXTURE, 0.9)
+        calls = count_series_quotients(monkeypatch)
+        warm = [m2_lattice(oracle, t, covering_index(t, 10.0), 0.1).values for t in (10.0, 20.0, 40.0)]
+        assert calls == [200, 100, 400, 800]
+        for t, values in zip((10.0, 20.0, 40.0), warm):
+            inversion._memoized_pass.cache_clear()
+            cold = m2_lattice(oracle, t, covering_index(t, 10.0), 0.1).values
+            assert cold.tobytes() == values.tobytes()
+
+    def test_fresh_equal_oracle_hits(self, monkeypatch):
+        cold = m2_lattice(ratio_nonruin_oracle(self.MIXTURE, 0.9), 10.0, 100, 0.1).values
+        calls = count_series_quotients(monkeypatch)
+        warm = m2_lattice(ratio_nonruin_oracle(GammaMixture(self.MIXTURE.components), 0.9), 10.0, 100, 0.1)
+        assert calls == []
+        assert warm.values.tobytes() == cold.tobytes()
+
+    def test_user_oracle_hits_only_on_the_same_instance(self):
+        ramp = LinearRampLST()
+        first = m2_lattice(ramp, 5.0, 10, 0.0).values
+        assert m2_lattice(ramp, 5.0, 10, 0.0).values.tobytes() == first.tobytes()
+        assert inversion._memoized_pass.cache_info()[:2] == (2, 2)  # hits, misses
+        m2_lattice(LinearRampLST(), 5.0, 10, 0.0)
+        assert inversion._memoized_pass.cache_info()[:2] == (2, 4)
+
+    def test_singularity_is_refused_on_every_call(self):
+        # the fine rate 2t = 1 lies above the singularity at t = 0.8, the coarse
+        # rate 0.5 below it; only the fine pass is memoized
+        oracle = RenewalRatioLST(ConstantLST(1.0), ScaledLST(2.0, ExponentialDecayLST(1.0)), 0.9)
+        for _ in range(2):
+            with pytest.raises(SingularityError):
+                m2_lattice(oracle, 0.5, 4, 1.0)
+        memo = inversion._memoized_pass.cache_info()
+        assert (memo.hits, memo.misses, memo.currsize) == (1, 3, 1)
+
+    def test_unhashable_oracle_refused_before_any_oracle_call(self):
+        class UnhashableLST(Untouchable):
+            def __eq__(self, other):
+                return self is other
+
+        with pytest.raises(DomainError, match="UnhashableLST is not hashable"):
+            m2_lattice(UnhashableLST(), 5.0, 10, 1.0)
+        with pytest.raises(DomainError, match="ConstantLST is not hashable"):
+            m2_lattice(ConstantLST(np.array(1.0)), 5.0, 10, 1.0)
+        assert inversion._memoized_pass.cache_info().misses == 0
+
+    @pytest.mark.parametrize(
+        "make", [ConstantLST, lambda c: ScaledLST(c, ExponentialDecayLST(1.0))], ids=["constant", "scaled"]
+    )
+    def test_signed_zero_twins_give_the_same_bytes(self, make):
+        positive = m2_lattice(make(0.0), 5.0, 10, 0.0).values
+        assert not np.signbit(positive).any()
+        for warm_with, read_with in ((make(-0.0), make(0.0)), (make(0.0), make(-0.0))):
+            inversion._memoized_pass.cache_clear()
+            assert m2_lattice(warm_with, 5.0, 10, 0.0).values.tobytes() == positive.tobytes()
+            assert m2_lattice(read_with, 5.0, 10, 0.0).values.tobytes() == positive.tobytes()
+            assert inversion._memoized_pass.cache_info().hits == 2
 
 
 class TestLatticeFunction:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import closed_form_lstar_exponential_ruin
+from oracles import closed_form_lstar_exponential_ruin, ReadOnlyLST
 from renewinv import (
     AdmissibilityError,
     approximate_nonruin,
@@ -16,6 +16,7 @@ from renewinv import (
     DomainError,
     exact_nonruin_exponential,
     GammaMixture,
+    inversion,
     lstar_nonruin,
     m2_lattice,
     renewal_data_from_model,
@@ -27,7 +28,7 @@ from renewinv import (
     SumLST,
 )
 from renewinv.compound import discretize_equilibrium, panjer_geometric
-from renewinv.inversion import MAX_FINE_LATTICE
+from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 
 
 def _must_not_run(*args):
@@ -247,7 +248,7 @@ class TestApproximateNonruin:
 
 
 class TestPassMemo:
-    """The non-ruin oracle shares its passes between calls; answers never depend on it."""
+    """m2_lattice shares the non-ruin oracle's passes between calls; answers never depend on it."""
 
     def test_doubling_ladder_shares_passes(self, monkeypatch, gamma32_mixture):
         # M2 at 2t reads M2-at-t's fine pass (4t, 159) again: 4 passes, not 6
@@ -255,9 +256,10 @@ class TestPassMemo:
         calls = count_compound_expansions(monkeypatch)
         warm = [approximate_nonruin(model, t, 40.0).lattice.values for t in (2.0, 4.0, 8.0)]
         assert calls == [(4.0, 159), (2.0, 79), (8.0, 319), (16.0, 639)]
-        assert ruin._nonruin_pass.cache_info().currsize == ruin._nonruin_pass.cache_info().maxsize == 3
+        memo = inversion._memoized_pass.cache_info()
+        assert memo.currsize == memo.maxsize == 3
         for t, values in zip((2.0, 4.0, 8.0), warm):
-            ruin._nonruin_pass.cache_clear()
+            inversion._memoized_pass.cache_clear()
             assert approximate_nonruin(model, t, 40.0).lattice.values.tobytes() == values.tobytes()
 
     def test_equal_model_with_int_parameters_hits_the_memo(self, monkeypatch):
@@ -265,7 +267,7 @@ class TestPassMemo:
         ints = RiskModel(GammaMixture((Component(1, 2, 1),)), 0.9)
         cold_floats = approximate_nonruin(floats, 5.0, 40.0).lattice.values
         plain_floats = lstar_nonruin(floats, 5.0, 200).values
-        ruin._nonruin_pass.cache_clear()
+        inversion._memoized_pass.cache_clear()
         cold_ints = approximate_nonruin(ints, 5, 40).lattice.values
         plain_ints = lstar_nonruin(ints, 5, 200).values
         assert cold_ints.tobytes() == cold_floats.tobytes()
@@ -280,22 +282,26 @@ class TestPassMemo:
         for _ in range(2):
             with pytest.raises(DomainError, match="the claims are small against the lattice"):
                 approximate_nonruin(model, 5.0, 10.0)
-        assert ruin._nonruin_pass.cache_info().currsize == 0
+        assert inversion._memoized_pass.cache_info().currsize == 0
 
-    def test_weights_are_read_only(self, exp_mixture):
+    def test_m2_lattice_never_writes_memoized_weights(self, exp_mixture):
+        # the oracle hands out read-only arrays, so any write into a memoized
+        # pass would raise; M2 at 5 reads M2-at-2.5's fine pass from the memo
         model = RiskModel(exp_mixture, 0.9)
-        weights = ruin._NonruinLST(model).weights(5.0, 20)
-        before = weights.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            weights[3] = 0.0
-        assert np.array_equal(ruin._NonruinLST(model).weights(5.0, 20), before)
+        shared = ReadOnlyLST(ruin._NonruinLST(model))
+        got = [m2_lattice(shared, t, covering_index(t, 8.0), 1.0 - model.phi).values for t in (2.5, 5.0)]
+        assert inversion._memoized_pass.cache_info().hits == 1
+        assert sorted(shared.handed_out) == [(2.5, 19), (5.0, 39), (10.0, 79)]
+        assert shared.untouched()
+        for t, values in zip((2.5, 5.0), got):
+            assert values.tobytes() == approximate_nonruin(model, t, 8.0).lattice.values.tobytes()
 
     def test_concurrent_callers_get_cold_answers(self, all_table_mixtures):
         # more threads than cores share the memo, each running the ladders in its own order
         calls = [(RiskModel(mix, 0.9), t) for mix in all_table_mixtures.values() for t in (2.0, 4.0, 8.0)]
         cold = {}
         for model, t in calls:
-            ruin._nonruin_pass.cache_clear()
+            inversion._memoized_pass.cache_clear()
             cold[model, t] = approximate_nonruin(model, t, 40.0).lattice.values.tobytes()
         wrong = []
 
@@ -324,7 +330,9 @@ class TestPassMemo:
 
     def test_refused_point_is_checked_before_the_memo(self, exp_mixture):
         oracle = ruin._NonruinLST(RiskModel(exp_mixture, 0.9))
-        oracle.weights(5.0, 20)
+        m2_lattice(oracle, 5.0, 21, 0.1)
+        with pytest.raises(DomainError, match="truncation index K must be an integer"):
+            m2_lattice(oracle, 5.0, 21.0, 0.1)
         with pytest.raises(DomainError, match="k_max must be an integer"):
             oracle.weights(5.0, 20.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
+from oracles import ReadOnlyLST
 from renewinv import (
     approximate_nonruin,
     Component,
@@ -25,6 +27,7 @@ from renewinv import (
     TransformOracle,
 )
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
+from renewinv import ruin
 from renewinv.ruin import renewal_data_from_model, RiskModel
 from renewinv.transforms import _DIRECT_MAX, _series_quotient, _series_reciprocal
 
@@ -113,24 +116,6 @@ def reciprocal_reference(a):
 def survival_reference(inner, t, k_max):
     """SurvivalLST's weights in allocating form, the bit-for-bit reference."""
     return np.maximum(1.0 - np.cumsum(inner.weights(t, k_max)), 0.0) / t
-
-
-class ReadOnlyLST(TransformOracle):
-    """Hands out one read-only array per (t, k_max), the same object on every call."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.handed_out = {}
-
-    def weights(self, t, k_max):
-        if (t, k_max) not in self.handed_out:
-            w = self.inner.weights(t, k_max)
-            w.flags.writeable = False
-            self.handed_out[(t, k_max)] = (w, w.copy())
-        return self.handed_out[(t, k_max)][0]
-
-    def untouched(self):
-        return all(np.array_equal(w, saved) for w, saved in self.handed_out.values())
 
 
 class ReferenceNonruinLST(TransformOracle):
@@ -343,6 +328,46 @@ class TestGammaMixtureLST:
         # an overflowed point, e.g. the Post-Widder s = n/u at a subnormal u
         with pytest.raises(DomainError, match="finite"):
             GammaMixtureLST(exp_mixture).weights(math.inf, 2)
+
+
+class TestValueOracles:
+    """The built-in oracles are frozen values: equal numbers give equal, equally hashed oracles."""
+
+    @staticmethod
+    def builds(mixture):
+        data = renewal_data_from_model(RiskModel(mixture, 0.9))
+        return [
+            GammaMixtureLST(mixture),
+            ExponentialDecayLST(0.5),
+            ConstantLST(2.0),
+            ScaledLST(3.0, ConstantLST()),
+            SumLST(ConstantLST(), ExponentialDecayLST()),
+            CumulativeLST(GammaMixtureLST(mixture)),
+            SurvivalLST(GammaMixtureLST(mixture)),
+            RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9),
+            ruin._NonruinLST(RiskModel(mixture, 0.9)),
+        ]
+
+    def test_fresh_builds_compare_and_hash_equal(self):
+        floats = self.builds(GammaMixture((Component(1.0, 2.0, 1.0),)))
+        ints = self.builds(GammaMixture((Component(1, 2, 1),)))
+        for a, b in zip(floats, ints):
+            assert a == b and hash(a) == hash(b)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.extra = 1
+        others = self.builds(GammaMixture((Component(1.0, 2.0, 2.0),)))
+        assert [a == b for a, b in zip(floats, others)] == [False] + [True] * 4 + [False] * 4
+
+    def test_sum_keeps_its_call_form(self):
+        parts = (ConstantLST(1.0), ExponentialDecayLST(0.5), ConstantLST(2.0))
+        assert SumLST(*parts).oracles == parts
+        assert SumLST(*parts) != SumLST(*parts[:2])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_zero_constant_is_stored_as_positive_zero(self, zero):
+        for oracle in (ConstantLST(zero), ScaledLST(zero, ConstantLST())):
+            assert oracle.c == 0.0 and math.copysign(1.0, oracle.c) == 1.0
+            assert not np.signbit(oracle.weights(2.0, 3)).any()
 
 
 class TestBuildingBlocks:

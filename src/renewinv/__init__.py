@@ -11,8 +11,6 @@ cumulative sums) read by the same operators.
 from .bounds import (
     BoundReport,
     chain_bounds,
-    equilibrium_moments,
-    f_second_integrals,
     NormLedger,
     ruin_bound_report,
     ruin_w_functions,

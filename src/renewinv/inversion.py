@@ -60,6 +60,16 @@ def lattice_index(t: float, u: float) -> tuple[int, float]:
     return k, frac
 
 
+def _real_rate(t) -> float:
+    """t as a float, so a float32 rate gives float64 bits; a non-real t raises DomainError."""
+    if not isinstance(t, numbers.Real):
+        raise DomainError(f"lattice rate t must be a real number, got {t!r}")
+    try:
+        return float(t)
+    except OverflowError:
+        raise DomainError("lattice rate t overflows a float") from None
+
+
 def covering_index(t: float, u: float) -> int:
     """Smallest lattice index K >= 1 whose point K/t reaches u.
 
@@ -145,11 +155,12 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
 
     Value at k/t is 2 L*_{2t} g((2k-1)/(2t)) - L*_t g((k-1)/t) for k >= 1
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
-    lattice rate and memoized (module docstring).  Raises
-    :class:`DomainError`, before any oracle call, when K is not an integer
-    >= 1, the fine lattice would exceed ``MAX_FINE_LATTICE`` points or the
-    oracle is not hashable.
+    lattice rate and memoized (module docstring), with t taken as a float.
+    Raises :class:`DomainError`, before any oracle call, when t is not a
+    real number, K is not an integer >= 1, the fine lattice would exceed
+    ``MAX_FINE_LATTICE`` points or the oracle is not hashable.
     """
+    t = _real_rate(t)
     if not isinstance(K, numbers.Integral) or K < 1:
         raise DomainError(f"truncation index K must be an integer >= 1, got {K!r}")
     if 2 * K > MAX_FINE_LATTICE:

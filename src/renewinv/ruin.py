@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
-from .inversion import covering_index, LatticeFunction, m2_lattice
+from .inversion import _real_rate, covering_index, LatticeFunction, m2_lattice
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -108,9 +108,11 @@ class _NonruinLST(TransformOracle):
 def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
     """Gamma-operator approximation L*_t of the non-ruin probability on {k/t, k = 0..K}.
 
-    The oracle raises :class:`DomainError` when the K + 1 weights exceed
+    t is taken as a float.  Raises :class:`DomainError` when t is not a
+    real number, and the oracle when the K + 1 weights exceed
     ``MAX_FINE_LATTICE``, before any array is built.
     """
+    t = _real_rate(t)
     weights = _NonruinLST(model).weights(t, K)
     weights *= t
     return LatticeFunction(t, weights)
@@ -122,9 +124,11 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     One :func:`~renewinv.inversion.m2_lattice` call over the non-ruin
     oracle at rates t and 2t; the k = 0 value is pinned to the exact
     1 - phi since the accelerated operator is defined to take the true
-    value at the origin.  Raises :class:`DomainError` for a non-finite
-    t * u_max and for a lattice beyond ``MAX_FINE_LATTICE``.
+    value at the origin.  t is taken as a float before the lattice is
+    sized.  Raises :class:`DomainError` for t that is not a real number, a
+    non-finite t * u_max and a lattice beyond ``MAX_FINE_LATTICE``.
     """
+    t = _real_rate(t)
     if not t > 0:
         raise DomainError(f"lattice rate t must be positive, got {t}")
     if not u_max > 0:

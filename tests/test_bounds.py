@@ -15,9 +15,7 @@ from renewinv import (
     chain_bounds,
     Component,
     DomainError,
-    equilibrium_moments,
     exact_nonruin_exponential,
-    f_second_integrals,
     GammaMixture,
     NormLedger,
     RiskModel,
@@ -25,7 +23,7 @@ from renewinv import (
     ruin_w_functions,
 )
 from renewinv import bounds
-from renewinv.bounds import _component_i_fpp
+from renewinv.bounds import _component_i_fpp, equilibrium_moments, f_second_integrals
 from renewinv.specfun import _gamma_kernel
 
 
@@ -117,16 +115,33 @@ def u2_cdf_derivs(mixture, u):
     return d2, d3
 
 
+def claim_density(mixture, u):
+    """The claim density at an array of points u >= 0, ``scalar_reference.density`` over arrays.
+
+    Each component adds p beta exp(-x + (alpha - 1) log x - lgamma(alpha)),
+    x = beta u, written out here so that the reference shares no code with
+    the ledger's ``_gamma_kernel``; at u = 0 an alpha = 1 component adds
+    p beta and a larger shape 0.
+    """
+    total = np.zeros(np.shape(u))
+    for p, alpha, beta in mixture.components:
+        x = beta * u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_kernel = -x + (alpha - 1.0) * np.log(x) - math.lgamma(alpha)
+        total += p * beta * np.where(x == 0.0, float(alpha == 1.0), np.exp(log_kernel))
+    return total
+
+
 def dense_ledger_maxima(mixture, phi, u):
     """Largest |row| over the points ``u`` for each sup norm of the ledger.
 
-    The w rows read the mixture's own survival and density; u^2 w2'' is
+    The w rows read the mixture's own survival and :func:`claim_density`; u^2 w2'' is
     c1 (kappa u^2 F'' + u^2 F'''), whose sup the ledger's triangle bound
     must cover.
     """
     mu = mixture.mean
     c1, kappa = phi * (1.0 - phi) / mu, phi / mu
-    surv, dens = mixture.survival(u), mixture.density(u)
+    surv, dens = mixture.survival(u), claim_density(mixture, u)
     d2, d3 = u2_cdf_derivs(mixture, u)
     w2 = dens - kappa * surv
     rows = {
@@ -323,6 +338,14 @@ class TestSupNormKernel:
             entry = getattr(ledger, field)
             assert entry >= dense * (1.0 - 1e-12), f"{field} {entry:.5g} < dense max {dense:.5g}"
 
+    @pytest.mark.parametrize("name", LEDGER_MIXTURES)
+    def test_claim_density_matches_scalar_reference(self, name):
+        # the dense samples' density is the scalar loop's, point for point
+        mix = LEDGER_MIXTURES[name]
+        u = np.concatenate([[0.0, 1e-12], np.linspace(0.01, 60.0, 300), [1e3]])
+        scalar = [scalar_reference.density(mix, float(v)) for v in u]
+        np.testing.assert_allclose(claim_density(mix, u), scalar, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.7, 140.0])
     def test_derivative_terms_match_density_differences(self, alpha):
         # the u^2 F'' and u^2 F''' pieces are u^2 f' and u^2 f'' by central
@@ -330,7 +353,7 @@ class TestSupNormKernel:
         mix = GammaMixture((Component(1.0, alpha, 2.0),))
         u = np.linspace(0.25, 4.0 * (alpha + 4.0) / 2.0, 200)
         h = 1e-4 * u
-        f_lo, f_mid, f_hi = mix.density(u - h), mix.density(u), mix.density(u + h)
+        f_lo, f_mid, f_hi = (claim_density(mix, x) for x in (u - h, u, u + h))
         pieces = bounds._component_pieces(mix, 0.0, u)
         d2, d3 = pieces[2, 0], pieces[3, 0]
         first = u**2 * (f_hi - f_lo) / (2.0 * h)

@@ -168,6 +168,11 @@ class TestM2Lattice:
         with pytest.raises(DomainError, match=re.escape(f"K must be an integer >= 1, got {K!r}")):
             m2_lattice(Untouchable(), 5.0, K, 1.0)
 
+    @pytest.mark.parametrize("t", ["5", None, 5j, 10**400], ids=["str", "None", "complex", "huge_int"])
+    def test_rate_that_is_not_a_float_refused_before_any_oracle_call(self, t):
+        with pytest.raises(DomainError, match="lattice rate t"):
+            m2_lattice(Untouchable(), t, 10, 1.0)
+
     @pytest.mark.parametrize("g0", [math.nan, math.inf])
     def test_non_finite_origin_value_refused(self, g0):
         # g0 = NaN used to give the values [nan, 1, 1, 1]
@@ -274,6 +279,18 @@ class TestPassMemo:
         with pytest.raises(DomainError, match="ConstantLST is not hashable"):
             m2_lattice(ConstantLST(np.array(1.0)), 5.0, 10, 1.0)
         assert inversion._memoized_pass.cache_info().misses == 0
+
+    def test_float32_rate_gives_the_float64_bytes_cold_or_warm(self):
+        # np.float32(5.0) hashes equal to 5.0; the memo key must not carry a
+        # float32 rate into the oracle, whose weights would then move by 4e-8
+        oracle = ExponentialDecayLST(1.0)
+        reference = m2_lattice(oracle, 5.0, 10, 1.0).values
+        inversion._memoized_pass.cache_clear()
+        cold = m2_lattice(oracle, np.float32(5.0), 10, 1.0)
+        warm = m2_lattice(oracle, np.float32(5.0), 10, 1.0)
+        assert inversion._memoized_pass.cache_info()[:2] == (2, 2)  # hits, misses
+        assert type(cold.t) is float
+        assert cold.values.tobytes() == warm.values.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize(
         "make", [ConstantLST, lambda c: ScaledLST(c, ExponentialDecayLST(1.0))], ids=["constant", "scaled"]

@@ -141,6 +141,24 @@ class TestApproximateNonruin:
         with pytest.raises(DomainError):
             approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
 
+    def test_float32_rate_answers_as_its_float64_value(self, exp_mixture):
+        # a float32 rate used to reach the oracle as float32: at t = 5 the
+        # equilibrium weights summed to 1 + 1.2e-5 and were refused, and
+        # t * u_max = 0.1 * 40 rounded to 4 in float32, where the float64
+        # value of that rate needs K = 5 to reach u = 40
+        model = RiskModel(exp_mixture, 0.9)
+        for t, K in [(5.0, 200), (0.1, 5)]:
+            rate = np.float32(t)
+            approx = approximate_nonruin(model, rate, 40.0)
+            assert approx.lattice.truncation_index == K
+            expected = approximate_nonruin(model, float(rate), 40.0).lattice.values
+            assert approx.lattice.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t", ["5", None, 5j])
+    def test_rate_that_is_not_real_refused(self, exp_mixture, t):
+        with pytest.raises(DomainError, match="lattice rate t must be a real number"):
+            approximate_nonruin(RiskModel(exp_mixture, 0.9), t, 40.0)
+
     def test_non_finite_query(self, exp_mixture):
         approx = approximate_nonruin(RiskModel(exp_mixture, 0.9), 5.0, 10.0)
         with pytest.raises(DomainError):
@@ -344,10 +362,18 @@ class TestLstarNonruin:
         with pytest.raises(DomainError, match=f"more than the limit {MAX_FINE_LATTICE}"):
             lstar_nonruin(RiskModel(exp_mixture, 0.9), 1.0, MAX_FINE_LATTICE)
 
-    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, "5", None])
     def test_bad_rate(self, exp_mixture, t):
         with pytest.raises(DomainError):
             lstar_nonruin(RiskModel(exp_mixture, 0.9), t, 3)
+
+    def test_float32_rate_answers_as_its_float64_value(self, exp_mixture):
+        # at float32 t = 5 the equilibrium weights summed to 1 + 1.2e-5 and
+        # were refused
+        model = RiskModel(exp_mixture, 0.9)
+        curve = lstar_nonruin(model, np.float32(5.0), 200)
+        assert type(curve.t) is float
+        assert curve.values.tobytes() == lstar_nonruin(model, 5.0, 200).values.tobytes()
 
     @pytest.mark.parametrize("t", [5.0, 100.0])
     def test_exponential_closed_form(self, exp_mixture, t):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .ruin import RiskModel
-from .specfun import _gamma_kernel, reg_inc_gamma_lower, reg_inc_gamma_upper
+from .specfun import _gamma_kernel, _require_rate, reg_inc_gamma_lower, reg_inc_gamma_upper
 from .transforms import GammaMixture
 
 _SUP_RTOL = 1e-3
@@ -101,11 +101,10 @@ class BoundReport:
     def total_bound(self, t: float) -> float:
         """Uniform error bound of the order-2 operator at lattice rate t.
 
-        Exactly C / t^2 with C fixed by the chained norms; a non-finite t
-        raises rather than report the limit 0 as if it were a bound.
+        Exactly C / t^2 with C fixed by the chained norms, for t taken as a float;
+        a non-finite t raises rather than report the limit 0 as a bound.
         """
-        if not 0 < t < math.inf:
-            raise DomainError(f"lattice rate t must be positive and finite, got {t}")
+        t = _require_rate(t)
         coeff = self.m2_norm / 8.0 + self.um3_norm / 6.0 + 9.0 * self.u2m4_norm / 16.0
         return coeff / (t * t)
 

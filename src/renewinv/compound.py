@@ -23,13 +23,13 @@ normalized transform-derivative weights of the non-ruin probability.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NegativeWeightError
+from .specfun import _require_rate
 from .transforms import _series_reciprocal, GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
@@ -38,21 +38,17 @@ _EXCESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LatticePMF:
-    """Probability weights on the grid {k/t, k = 0..K} plus truncated mass.
+    """Probability weights on the grid {k/t, k = 0..K}.
 
-    ``mass_deficit`` is 1 - sum(weights), clamped at zero: for an
-    equilibrium discretization, the true mass of the tail beyond K.  It is
-    informational; the compound kernel reads only the weights up to its own
-    index and never this field.
+    t is stored as a float.  Weights below -1e-12 raise
+    :class:`NegativeWeightError`; higher negatives are clamped to zero.
     """
 
     t: float
     weights: np.ndarray = field(repr=False)
-    mass_deficit: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.t < math.inf:
-            raise DomainError(f"lattice rate t must be positive and finite, got {self.t}")
+        object.__setattr__(self, "t", _require_rate(self.t))
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weights must be a nonempty 1-d array")
@@ -68,15 +64,15 @@ class LatticePMF:
     def truncation_index(self) -> int:
         return self.weights.size - 1
 
+    @property
+    def mass_deficit(self) -> float:
+        """1 - sum(weights) clamped at 0: an equilibrium discretization's tail beyond K."""
+        return max(0.0, 1.0 - float(np.sum(self.weights)))
+
 
 def _fresh_pmf(t: float, weights: np.ndarray) -> LatticePMF:
-    # np.sum adds pairwise (serial runs of at most 16 terms inside blocks
-    # of 128, then halving), so each weight passes through fewer than 50
-    # roundings for the n <= 2**20 + 1 points of MAX_FINE_LATTICE.  For
-    # nonnegative weights the error is then below 50 * 2**-53 * total,
-    # about 6e-15 and more than five orders under _EXCESS_TOL: the check
-    # fires on the same inputs as an exact sum, and the deficit moves by
-    # at most that much.
+    # np.sum adds pairwise: on MAX_FINE_LATTICE points its error, below 6e-15, is
+    # five orders under _EXCESS_TOL, so the check fires as an exact sum would
     total = float(np.sum(weights))
     if total > 1.0 + _EXCESS_TOL:
         raise DomainError(
@@ -85,8 +81,7 @@ def _fresh_pmf(t: float, weights: np.ndarray) -> LatticePMF:
             "floor of the equilibrium tail sums, divided by t * mean claim, passes the "
             "tolerance, and a compound step multiplies that excess by about 1/(1 - phi)"
         )
-    deficit = max(0.0, 1.0 - total)
-    return LatticePMF(t=t, weights=weights, mass_deficit=deficit)
+    return LatticePMF(t, weights)
 
 
 def discretize_equilibrium(mixture: GammaMixture, t: float, K: int) -> LatticePMF:
@@ -95,7 +90,7 @@ def discretize_equilibrium(mixture: GammaMixture, t: float, K: int) -> LatticePM
     P(L = k/t) = sum_i p_i * P(NB(alpha_i, beta_i/(t+beta_i)) > k) divided
     by t * mean, for k = 0..K: the normalized weights of the
     equilibrium-density oracle.  The total over all k is exactly one, so
-    the stored deficit is the tail beyond K.
+    the deficit is the tail beyond K.
     """
     return _fresh_pmf(t, survival_to_density_oracle(mixture).weights(t, K))
 

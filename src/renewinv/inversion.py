@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _require_weight_count, MAX_FINE_LATTICE
+from .specfun import _real_point, _require_rate, _require_weight_count, MAX_FINE_LATTICE
 from .transforms import TransformOracle
 
 _SNAP = 1e-9
@@ -60,16 +60,6 @@ def lattice_index(t: float, u: float) -> tuple[int, float]:
     return k, frac
 
 
-def _real_rate(t) -> float:
-    """t as a float, so a float32 rate gives float64 bits; a non-real t raises DomainError."""
-    if not isinstance(t, numbers.Real):
-        raise DomainError(f"lattice rate t must be a real number, got {t!r}")
-    try:
-        return float(t)
-    except OverflowError:
-        raise DomainError("lattice rate t overflows a float") from None
-
-
 def covering_index(t: float, u: float) -> int:
     """Smallest lattice index K >= 1 whose point K/t reaches u.
 
@@ -86,15 +76,14 @@ class LatticeFunction:
 
     Off-lattice points u in (0, K/t) evaluate to the convex combination
     (tu - [tu]) * val([tu]+1) + ([tu]+1 - tu) * val([tu]).  Evaluation
-    beyond K/t raises rather than extrapolating.
+    beyond K/t raises rather than extrapolating.  t is stored as a float.
     """
 
     t: float
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 0 < self.t < math.inf:
-            raise DomainError(f"lattice rate t must be positive and finite, got {self.t}")
+        object.__setattr__(self, "t", _require_rate(self.t))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("lattice values must be a nonempty 1-d array")
@@ -113,6 +102,7 @@ class LatticeFunction:
         return self.truncation_index / self.t
 
     def __call__(self, u: float) -> float:
+        u = _real_point(u)
         if u < 0:
             raise DomainError(f"lattice functions are defined on u >= 0, got {u}")
         k, frac = lattice_index(self.t, u)
@@ -130,9 +120,10 @@ def l_star(oracle: TransformOracle, t: float, u: float) -> float:
 
     Equals E g(S([tu]+1)/t) with S(n) a standard Gamma(n, 1) variable; for
     a CDF source this is the CDF of the lattice-discretized variable.
-    Raises :class:`DomainError` when the k + 1 weights it reads exceed
-    ``MAX_FINE_LATTICE``.
+    t and u are taken as floats.  Raises :class:`DomainError` when the
+    k + 1 weights it reads exceed ``MAX_FINE_LATTICE``.
     """
+    t, u = _require_rate(t), _real_point(u)
     if u < 0:
         raise DomainError(f"l_star requires u >= 0, got {u}")
     k, _ = lattice_index(t, u)
@@ -157,10 +148,10 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
     lattice rate and memoized (module docstring), with t taken as a float.
     Raises :class:`DomainError`, before any oracle call, when t is not a
-    real number, K is not an integer >= 1, the fine lattice would exceed
+    positive finite real, K is not an integer >= 1, the fine lattice would exceed
     ``MAX_FINE_LATTICE`` points or the oracle is not hashable.
     """
-    t = _real_rate(t)
+    t = _require_rate(t)
     if not isinstance(K, numbers.Integral) or K < 1:
         raise DomainError(f"truncation index K must be an integer >= 1, got {K!r}")
     if 2 * K > MAX_FINE_LATTICE:
@@ -188,12 +179,13 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
 def post_widder(oracle: TransformOracle, n: int, u: float) -> float:
     """Post-Widder approximation of g(u) of integer order n >= 1.
 
-    Equals E g(u S(n)/n); uses the (n-1)-th transform derivative at n/u.
-    Raises :class:`DomainError` when the n weights it reads exceed
-    ``MAX_FINE_LATTICE``.
+    Equals E g(u S(n)/n); uses the (n-1)-th transform derivative at n/u,
+    with u taken as a float.  Raises :class:`DomainError` when the n
+    weights it reads exceed ``MAX_FINE_LATTICE``.
     """
     if not 1 <= n < math.inf or n != int(n):
         raise DomainError(f"Post-Widder order must be a positive integer, got {n}")
+    u = _real_point(u)
     if not u > 0:
         raise DomainError(f"post_widder requires u > 0, got {u}")
     n = int(n)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
-from .inversion import _real_rate, covering_index, LatticeFunction, m2_lattice
+from .inversion import covering_index, LatticeFunction, m2_lattice
+from .specfun import _real_point, _require_rate
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -96,7 +97,7 @@ class _NonruinLST(TransformOracle):
     model: RiskModel
 
     def weights(self, t, k_max):
-        self._require_valid_point(t, k_max)
+        t = self._require_valid_point(t, k_max)
         severity = discretize_equilibrium(self.model.claims, t, k_max)
         pmf = panjer_geometric(severity, self.model.phi, k_max)
         cdf = np.cumsum(pmf.weights)
@@ -109,10 +110,10 @@ def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
     """Gamma-operator approximation L*_t of the non-ruin probability on {k/t, k = 0..K}.
 
     t is taken as a float.  Raises :class:`DomainError` when t is not a
-    real number, and the oracle when the K + 1 weights exceed
+    positive finite real, and the oracle when the K + 1 weights exceed
     ``MAX_FINE_LATTICE``, before any array is built.
     """
-    t = _real_rate(t)
+    t = _require_rate(t)
     weights = _NonruinLST(model).weights(t, K)
     weights *= t
     return LatticeFunction(t, weights)
@@ -124,13 +125,11 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     One :func:`~renewinv.inversion.m2_lattice` call over the non-ruin
     oracle at rates t and 2t; the k = 0 value is pinned to the exact
     1 - phi since the accelerated operator is defined to take the true
-    value at the origin.  t is taken as a float before the lattice is
-    sized.  Raises :class:`DomainError` for t that is not a real number, a
-    non-finite t * u_max and a lattice beyond ``MAX_FINE_LATTICE``.
+    value at the origin.  t and u_max are taken as floats.  Raises
+    :class:`DomainError` unless t is positive and finite, u_max positive and
+    t * u_max finite, and for a lattice beyond ``MAX_FINE_LATTICE``.
     """
-    t = _real_rate(t)
-    if not t > 0:
-        raise DomainError(f"lattice rate t must be positive, got {t}")
+    t, u_max = _require_rate(t), _real_point(u_max, "u_max")
     if not u_max > 0:
         raise DomainError(f"u_max must be positive, got {u_max}")
     lattice = m2_lattice(_NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi)

@@ -54,6 +54,25 @@ def _require_weight_index(k_max) -> None:
     _require_weight_count(k_max + 1, f"k_max = {k_max}")
 
 
+def _real_point(x, what: str = "point u") -> float:
+    """x as a float: float64 bits for a float32 x, inf of its sign for a real beyond
+    the floats (for the caller's range check).  A non-real x raises DomainError."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _require_rate(t) -> float:
+    """The lattice rate t as a float; DomainError unless t is a real number in (0, inf)."""
+    t = _real_point(t, "lattice rate t")
+    if not 0 < t < math.inf:
+        raise DomainError(f"lattice rate t must be positive and finite, got {t}")
+    return t
+
+
 def _require_negbin_parameters(alpha: float, rho: float) -> None:
     if not 0 < alpha < math.inf:
         raise DomainError(f"shape alpha must be positive and finite, got {alpha}")

@@ -25,9 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .specfun import (
-    _require_weight_index, negbin_pmf_terms, reg_inc_gamma_lower, reg_inc_gamma_upper,
-)
+from .specfun import _require_rate, _require_weight_index, negbin_pmf_terms
+from .specfun import reg_inc_gamma_lower, reg_inc_gamma_upper
 
 _SINGULARITY_TOL = 1e-12
 # np.convolve and a zero-padded FFT product of two n-term series cost about
@@ -65,10 +64,11 @@ class TransformOracle(abc.ABC):
     def weights(self, t: float, k_max: int) -> np.ndarray:
         """Normalized weights (-t)**k / k! * g~^(k)(t) for k = 0..k_max."""
 
-    def _require_valid_point(self, t: float, k_max: int) -> None:
-        if not 0 < t < math.inf:
-            raise DomainError(f"transform point t={t} must be positive and finite")
+    def _require_valid_point(self, t: float, k_max: int) -> float:
+        """t as a float, after refusing a t outside (0, inf) or a bad ``k_max``."""
+        t = _require_rate(t)
         _require_weight_index(k_max)
+        return t
 
 
 class Component(NamedTuple):
@@ -179,7 +179,7 @@ class GammaMixtureLST(TransformOracle):
         :func:`~renewinv.specfun.negbin_pmf_terms` refuses a seed
         (beta/(t+beta))**alpha in the subnormal range.
         """
-        self._require_valid_point(t, k_max)
+        t = self._require_valid_point(t, k_max)
         out = np.zeros(k_max + 1)
         for p, alpha, beta in self.mixture.components:
             terms = negbin_pmf_terms(k_max, alpha, beta / (t + beta))
@@ -211,7 +211,7 @@ class ExponentialDecayLST(TransformOracle):
             raise DomainError(f"decay rate must be finite and >= 0, got {self.a}")
 
     def weights(self, t, k_max):
-        self._require_valid_point(t, k_max)
+        t = self._require_valid_point(t, k_max)
         ratio = t / (t + self.a)
         return ratio ** np.arange(k_max + 1) / (t + self.a)
 
@@ -226,7 +226,7 @@ class ConstantLST(TransformOracle):
         object.__setattr__(self, "c", _finite_constant(self.c))
 
     def weights(self, t, k_max):
-        self._require_valid_point(t, k_max)
+        t = self._require_valid_point(t, k_max)
         return np.full(k_max + 1, self.c / t)
 
 
@@ -430,7 +430,7 @@ class RenewalRatioLST(TransformOracle):
             raise DomainError(f"defect phi must be in (0, 1), got {self.phi}")
 
     def weights(self, t, k_max):
-        self._require_valid_point(t, k_max)
+        t = self._require_valid_point(t, k_max)
         fw = self.f_oracle.weights(t, k_max)
         vw = self.v_oracle.weights(t, k_max)
         denom = 1.0 - self.phi * fw[0]

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .ruin import RiskModel
-from .specfun import _gamma_kernel, _require_rate, reg_inc_gamma_lower, reg_inc_gamma_upper
+from .specfun import _gamma_kernel, _real_point, _require_positive
+from .specfun import reg_inc_gamma_lower, reg_inc_gamma_upper
 from .transforms import GammaMixture
 
 _SUP_RTOL = 1e-3
@@ -104,7 +105,7 @@ class BoundReport:
         Exactly C / t^2 with C fixed by the chained norms, for t taken as a float;
         a non-finite t raises rather than report the limit 0 as a bound.
         """
-        t = _require_rate(t)
+        t = _require_positive(t)
         coeff = self.m2_norm / 8.0 + self.um3_norm / 6.0 + 9.0 * self.u2m4_norm / 16.0
         return coeff / (t * t)
 
@@ -354,6 +355,7 @@ def chain_bounds(ledger: NormLedger, phi: float) -> BoundReport:
     coefficient is nonnegative, so every entry is nondecreasing in every
     ledger entry.
     """
+    phi = _real_point(phi, "defect phi")
     if not 0 <= phi < 1:
         raise DomainError(f"defect phi must be in [0, 1), got {phi}")
     p = 1.0 - phi

@@ -23,13 +23,12 @@ normalized transform-derivative weights of the non-ruin probability.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NegativeWeightError
-from .specfun import _require_rate
+from .specfun import _real_point, _require_index, _require_positive
 from .transforms import _series_reciprocal, GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
@@ -48,7 +47,7 @@ class LatticePMF:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _require_rate(self.t))
+        object.__setattr__(self, "t", _require_positive(self.t))
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weights must be a nonempty 1-d array")
@@ -107,10 +106,10 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     The coefficients are those of Panjer's recursion, whose name the
     function keeps; the O(K^2) recursion is the reference in the tests.
     """
+    phi = _real_point(phi, "compound-geometric parameter phi")
     if not 0 < phi < 1:
         raise DomainError(f"compound-geometric parameter phi must be in (0, 1), got {phi}")
-    if not isinstance(K, numbers.Integral) or K < 0:
-        raise DomainError(f"truncation index must be an integer >= 0, got {K!r}")
+    K = _require_index(K, "truncation index K")
     f = severity.weights[: K + 1]
     a = np.zeros(K + 1)
     np.multiply(f, -phi, out=a[: f.size])

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _real_point, _require_rate, _require_weight_count, MAX_FINE_LATTICE
+from .specfun import _real_point, _require_index, _require_positive, _require_weight_count
+from .specfun import MAX_FINE_LATTICE
 from .transforms import TransformOracle
 
 _SNAP = 1e-9
@@ -45,10 +45,10 @@ def lattice_index(t: float, u: float) -> tuple[int, float]:
     """Split t*u into integer lattice index and fractional part.
 
     Products within 1e-9 of an integer snap to it, so u = k/t computed in
-    floating point lands exactly on index k.  A non-finite product raises
-    :class:`DomainError`.
+    floating point lands exactly on index k.  t and u are taken as floats;
+    a non-real t or u, or a non-finite product, raises :class:`DomainError`.
     """
-    x = t * u
+    x = _real_point(t, "lattice rate t") * _real_point(u)
     if not math.isfinite(x):
         raise DomainError(f"lattice position t*u must be finite, got t={t}, u={u}")
     k = math.floor(x)
@@ -83,7 +83,7 @@ class LatticeFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _require_rate(self.t))
+        object.__setattr__(self, "t", _require_positive(self.t))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("lattice values must be a nonempty 1-d array")
@@ -123,7 +123,7 @@ def l_star(oracle: TransformOracle, t: float, u: float) -> float:
     t and u are taken as floats.  Raises :class:`DomainError` when the
     k + 1 weights it reads exceed ``MAX_FINE_LATTICE``.
     """
-    t, u = _require_rate(t), _real_point(u)
+    t, u = _require_positive(t), _real_point(u)
     if u < 0:
         raise DomainError(f"l_star requires u >= 0, got {u}")
     k, _ = lattice_index(t, u)
@@ -147,13 +147,13 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
     Value at k/t is 2 L*_{2t} g((2k-1)/(2t)) - L*_t g((k-1)/t) for k >= 1
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
     lattice rate and memoized (module docstring), with t taken as a float.
-    Raises :class:`DomainError`, before any oracle call, when t is not a
-    positive finite real, K is not an integer >= 1, the fine lattice would exceed
-    ``MAX_FINE_LATTICE`` points or the oracle is not hashable.
+    Raises :class:`DomainError`, before any oracle call, when t is not a positive
+    finite real, K not an integer >= 1, g0 not a real number, the fine lattice
+    would exceed ``MAX_FINE_LATTICE`` points or the oracle is not hashable.
     """
-    t = _require_rate(t)
-    if not isinstance(K, numbers.Integral) or K < 1:
-        raise DomainError(f"truncation index K must be an integer >= 1, got {K!r}")
+    t = _require_positive(t)
+    K = _require_index(K, "truncation index K", 1)
+    g0 = _real_point(g0, "value g0")
     if 2 * K > MAX_FINE_LATTICE:
         raise DomainError(
             f"K = {K} needs {2 * K} points on the fine lattice, "
@@ -180,15 +180,13 @@ def post_widder(oracle: TransformOracle, n: int, u: float) -> float:
     """Post-Widder approximation of g(u) of integer order n >= 1.
 
     Equals E g(u S(n)/n); uses the (n-1)-th transform derivative at n/u,
-    with u taken as a float.  Raises :class:`DomainError` when the n
-    weights it reads exceed ``MAX_FINE_LATTICE``.
+    with u taken as a float.  Raises :class:`DomainError` unless n is an
+    integer (5.0 is refused) whose n weights fit in ``MAX_FINE_LATTICE``.
     """
-    if not 1 <= n < math.inf or n != int(n):
-        raise DomainError(f"Post-Widder order must be a positive integer, got {n}")
+    n = _require_index(n, "Post-Widder order n", 1)
     u = _real_point(u)
     if not u > 0:
         raise DomainError(f"post_widder requires u > 0, got {u}")
-    n = int(n)
     _require_weight_count(n, f"Post-Widder order {n}")
     s = n / u
     w = oracle.weights(s, n - 1)
@@ -197,4 +195,5 @@ def post_widder(oracle: TransformOracle, n: int, u: float) -> float:
 
 def stehfest2(oracle: TransformOracle, n: int, u: float) -> float:
     """Order-2 Stehfest acceleration of Post-Widder: 2 W_{2n} g(u) - W_n g(u)."""
+    n = _require_index(n, "Post-Widder order n", 1)
     return 2.0 * post_widder(oracle, 2 * n, u) - post_widder(oracle, n, u)

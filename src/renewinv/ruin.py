@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
 from .inversion import covering_index, LatticeFunction, m2_lattice
-from .specfun import _real_point, _require_rate
+from .specfun import _real_point, _require_positive
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -40,22 +40,27 @@ from .transforms import (
 import numpy as np
 
 
+def _net_profit_loading(phi) -> float:
+    """phi as a float; AdmissibilityError outside (0, 1), where ruin is certain."""
+    phi = _real_point(phi, "loading factor phi")
+    if not 0 < phi < 1:
+        raise AdmissibilityError(f"net-profit condition violated: phi must be in (0, 1), got {phi}")
+    return phi
+
+
 @dataclass(frozen=True)
 class RiskModel:
     """Claim law plus loading factor phi = (arrival rate * mean claim) / premium rate.
 
-    The net-profit condition 0 < phi < 1 is enforced at construction; ruin
-    would be certain otherwise.
+    The net-profit condition 0 < phi < 1 is enforced at construction, and
+    phi is stored as a float, as the claim law's parameters are.
     """
 
     claims: GammaMixture
     phi: float
 
     def __post_init__(self):
-        if not 0 < self.phi < 1:
-            raise AdmissibilityError(
-                f"net-profit condition violated: phi must be in (0, 1), got {self.phi}"
-            )
+        object.__setattr__(self, "phi", _net_profit_loading(self.phi))
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,6 @@ def lstar_nonruin(model: RiskModel, t: float, K: int) -> LatticeFunction:
     positive finite real, and the oracle when the K + 1 weights exceed
     ``MAX_FINE_LATTICE``, before any array is built.
     """
-    t = _require_rate(t)
     weights = _NonruinLST(model).weights(t, K)
     weights *= t
     return LatticeFunction(t, weights)
@@ -129,7 +133,7 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     :class:`DomainError` unless t is positive and finite, u_max positive and
     t * u_max finite, and for a lattice beyond ``MAX_FINE_LATTICE``.
     """
-    t, u_max = _require_rate(t), _real_point(u_max, "u_max")
+    t, u_max = _require_positive(t), _real_point(u_max, "u_max")
     if not u_max > 0:
         raise DomainError(f"u_max must be positive, got {u_max}")
     lattice = m2_lattice(_NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi)
@@ -140,15 +144,14 @@ def exact_nonruin_exponential(phi: float, beta: float, u: float) -> float:
     """Closed-form non-ruin probability for exponential claims with rate beta.
 
     1 - phi * exp(-beta (1-phi) u); reduces to the mean-one formula
-    1 - phi * exp(-(1-phi) u) at beta = 1, and is 1 at u = inf.  A NaN u
-    or a non-finite beta raises :class:`DomainError`.
+    1 - phi * exp(-(1-phi) u) at beta = 1, and is 1 at u = inf.  phi is
+    refused as in :class:`RiskModel`; a non-real argument, a beta outside
+    (0, inf) or a NaN or negative u raises :class:`DomainError`.
     """
-    if not 0 < phi < 1:
-        raise AdmissibilityError(f"phi must be in (0, 1), got {phi}")
-    if not 0 < beta < math.inf:
-        raise DomainError(f"claim rate beta must be positive and finite, got {beta}")
+    phi, beta = _net_profit_loading(phi), _require_positive(beta, "claim rate beta")
+    u = _real_point(u, "initial capital u")
     if not u >= 0:
-        raise DomainError(f"initial capital must be >= 0, got {u}")
+        raise DomainError(f"initial capital u must be >= 0, got {u}")
     return 1.0 - phi * math.exp(-beta * (1.0 - phi) * u)
 
 

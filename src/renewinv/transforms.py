@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import abc
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .specfun import _require_rate, _require_weight_index, negbin_pmf_terms
-from .specfun import reg_inc_gamma_lower, reg_inc_gamma_upper
+from .specfun import _real_point, _require_index, _require_positive, _require_weight_index
+from .specfun import negbin_pmf_terms, reg_inc_gamma_lower, reg_inc_gamma_upper
 
 _SINGULARITY_TOL = 1e-12
 # np.convolve and a zero-padded FFT product of two n-term series cost about
@@ -66,7 +65,7 @@ class TransformOracle(abc.ABC):
 
     def _require_valid_point(self, t: float, k_max: int) -> float:
         """t as a float, after refusing a t outside (0, inf) or a bad ``k_max``."""
-        t = _require_rate(t)
+        t = _require_positive(t)
         _require_weight_index(k_max)
         return t
 
@@ -84,8 +83,9 @@ class GammaMixture:
     """Claim-amount model: finite mixture of gamma distributions.
 
     Weights must sum to one (tolerance 1e-9); weights, shapes and rates
-    must be positive and finite.  Moments and transform derivatives are
-    available in closed form, which keeps the downstream error bounds exact.
+    must be positive finite reals, and are stored as floats.  Moments and
+    transform derivatives are available in closed form, which keeps the
+    downstream error bounds exact.
 
     ``cdf`` is the exact column of ``renewinv invert --transform
     gamma_mixture``.  ``survival`` stays only because the benchmark harness
@@ -96,17 +96,13 @@ class GammaMixture:
     components: tuple[Component, ...]
 
     def __post_init__(self):
-        comps = tuple(Component(*c) for c in self.components)
+        labels = ("mixture weight p", "gamma shape alpha", "gamma rate beta")
+        comps = tuple(
+            Component(*map(_require_positive, Component(*c), labels)) for c in self.components
+        )
         object.__setattr__(self, "components", comps)
         if not comps:
             raise DomainError("mixture needs at least one component")
-        for p, alpha, beta in comps:
-            if not 0 < p < math.inf:
-                raise DomainError(f"mixture weight must be positive and finite, got {p}")
-            if not (0 < alpha < math.inf and 0 < beta < math.inf):
-                raise DomainError(
-                    f"gamma parameters must be positive and finite, got alpha={alpha}, beta={beta}"
-                )
         total = math.fsum(p for p, _, _ in comps)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"mixture weights sum to {total}, expected 1")
@@ -130,15 +126,14 @@ class GammaMixture:
         of a rate overflows or underflows on the way; a moment that is not
         a finite positive float raises ``DomainError``.
         """
-        if not isinstance(n, numbers.Integral) or n < 0:
-            raise DomainError(f"moment order must be an integer >= 0, got {n!r}")
+        n = _require_index(n, "moment order n")
         total = 0.0
         for p, alpha, beta in self.components:
             term = p
             for j in range(n):
                 term *= (alpha + j) / beta
             total += term
-        if not 0.0 < total < math.inf:
+        if not (total > 0.0 and math.isfinite(total)):
             rates = ", ".join(f"{beta:g}" for _, _, beta in self.components)
             raise DomainError(
                 f"moment E[X**{n}] = {total!r} is not a finite positive float"
@@ -191,6 +186,7 @@ class GammaMixtureLST(TransformOracle):
 def _finite_constant(c: float) -> float:
     # -0.0 equals and hashes as 0.0 but gives -0.0 weights, so equal oracles
     # would not give equal bits; a zero of either sign is kept as 0.0
+    c = _real_point(c, "constant factor c")
     if not math.isfinite(c):
         raise DomainError(f"constant factor must be finite, got {c}")
     return 0.0 if c == 0 else c
@@ -207,6 +203,7 @@ class ExponentialDecayLST(TransformOracle):
     a: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "a", _real_point(self.a, "decay rate a"))
         if not 0 <= self.a < math.inf:
             raise DomainError(f"decay rate must be finite and >= 0, got {self.a}")
 
@@ -426,6 +423,7 @@ class RenewalRatioLST(TransformOracle):
     phi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "phi", _real_point(self.phi, "defect phi"))
         if not 0 < self.phi < 1:
             raise DomainError(f"defect phi must be in (0, 1), got {self.phi}")
 

@@ -496,6 +496,22 @@ class TestConvergence:
         assert [row[0] for row in rows] == t_list.split(",")
         assert sorted(rows) == sorted(parse_csv(ascending)[1])
 
+    @pytest.mark.parametrize("components", [[(1.0, 1.0, 1.0)], [(1.0, 1.5, 1.0)]], ids=["exp", "g32"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--u-max", "0"), ("--t-list", "5,-5"), ("--t-list", "0")]
+    )
+    def test_rate_or_u_max_outside_the_positive_reals_exits_2(
+        self, write_spec, capsys, components, flag, value
+    ):
+        # left to the library's DomainError, for the exact and the M2 reference alike
+        spec = write_spec(components)
+        args = {"--phi": "0.9", "--t-list": "5,10", "--u-max": "10", flag: value}
+        argv = ["convergence", "--spec", spec] + [tok for pair in args.items() for tok in pair]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "positive" in err and "Traceback" not in err
+
     def test_self_reference_for_non_exponential(self, write_spec, capsys):
         spec = write_spec([(1.0, 1.5, 1.0)], "g32")
         code, out, _ = run(

@@ -264,19 +264,26 @@ def negbin_pmf_terms(k_max: int, alpha: float, rho: float) -> np.ndarray:
 
 
 def negbin_logpmf(k: int, alpha: float, rho: float) -> float:
-    """Log of the negative-binomial mass at ``k``; never overflows.
+    """Log of the negative-binomial mass at ``k``, in log space throughout.
 
-    Safe for k up to at least 10**6 since everything stays in log space;
-    ``alpha`` and ``rho`` are refused as in :func:`negbin_pmf_terms`.
+    Safe for k up to at least 10**6; an index whose log-gamma leaves the
+    floats (k above about 2.5e305, or beyond the floats) raises
+    ``DomainError``.  ``alpha`` and ``rho`` are refused as in
+    :func:`negbin_pmf_terms`.
     """
     k = _require_index(k, "index k")
     alpha, rho = _require_negbin_parameters(alpha, rho)
     if rho == 1.0:
         return 0.0 if k == 0 else -math.inf
-    return (
-        math.lgamma(alpha + k)
-        - math.lgamma(alpha)
-        - math.lgamma(k + 1.0)
-        + k * math.log1p(-rho)
-        + alpha * math.log(rho)
-    )
+    try:
+        return (
+            math.lgamma(alpha + k)
+            - math.lgamma(alpha)
+            - math.lgamma(k + 1.0)
+            + k * math.log1p(-rho)
+            + alpha * math.log(rho)
+        )
+    except OverflowError:  # int to float, or lgamma past ~2.5e305
+        raise DomainError(
+            f"index k of {k.bit_length()} bits is too large: its log-gamma overflows the floats"
+        ) from None

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +39,15 @@ _SINGULARITY_TOL = 1e-12
 # to keep a second threshold.  Moving it moves the results: at 256 the
 # table models' non-ruin values move by up to 8.0e-15.
 _DIRECT_MAX = 512
+# Longest cyclic length whose FFT work arrays a thread keeps between series
+# kernel calls: three half spectra of 2**15 + 1 complex values, 1.5 MiB.
+# Made and freed per call, the ~128 KiB arrays of cyclic length 16384 would
+# sit on glibc's default 128 KiB mmap threshold and fault their pages in
+# again on every call, about 270 minor faults per warm ruin-fine op.  A
+# longer pass, taken only past 2**16 terms, allocates its arrays for the
+# call, so the peak of the largest lattices does not grow.
+_KEPT_CYCLIC_MAX = 2**16
+_workspace = threading.local()
 
 
 def _shaped_like(u: np.ndarray, values):
@@ -124,7 +135,10 @@ class GammaMixture:
 
         Each factor (alpha_i + j) / beta_i is taken on its own, so no power
         of a rate overflows or underflows on the way; a moment that is not
-        a finite positive float raises ``DomainError``.
+        a finite positive float raises ``DomainError``.  The factors grow
+        with j, so once a component's product reaches 0 or inf only the last
+        factor can still move it (0 to NaN, if that factor is inf): the loop
+        takes it and stops, and a huge n is refused after a few hundred steps.
         """
         n = _require_index(n, "moment order n")
         total = 0.0
@@ -132,6 +146,9 @@ class GammaMixture:
             term = p
             for j in range(n):
                 term *= (alpha + j) / beta
+                if term == 0.0 or term == math.inf:
+                    term *= (alpha + min(n - 1, sys.float_info.max)) / beta
+                    break
             total += term
         if not (total > 0.0 and math.isfinite(total)):
             rates = ", ".join(f"{beta:g}" for _, _, beta in self.components)
@@ -301,6 +318,23 @@ def survival_to_density_oracle(mixture: GammaMixture) -> TransformOracle:
     return ScaledLST(1.0 / mixture.mean, SurvivalLST(GammaMixtureLST(mixture)))
 
 
+def _fft_work_arrays(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three complex arrays of at least length // 2 + 1 values, for one kernel call.
+
+    Up to ``_KEPT_CYCLIC_MAX`` they are the calling thread's kept arrays,
+    grown to ``length`` if a shorter call made them; past it they are made
+    for the call, and the kept ones stay as they are.  A caller writes every
+    slice it reads, so no value of an earlier call reaches its answer.
+    """
+    kept = getattr(_workspace, "arrays", None)
+    if kept is not None and kept[0].size > length // 2:
+        return kept
+    arrays = tuple(np.empty(length // 2 + 1, dtype=complex) for _ in range(3))
+    if length <= _KEPT_CYCLIC_MAX:
+        _workspace.arrays = arrays
+    return arrays
+
+
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     """1 / a(z) mod z**a.size by Newton iteration, for a[0] != 0.
 
@@ -329,11 +363,14 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
 
     Memory: every pass writes its new terms into one output array of
     a.size (no concatenation per pass), and the long passes write their
-    transforms and products through ``out=`` into three work arrays made
-    once per call at the last pass's length: two half spectra and one
-    real array.  The call allocates little beyond what it returns, keeps
-    nothing after it returns, and only reads ``a``, so concurrent calls
-    share no state.  Operand order matters: the vectorized complex
+    transforms and products through ``out=`` into prefix views of the
+    thread's FFT work arrays (``_fft_work_arrays``): two half spectra and a
+    real view of the third.  Up to cyclic length ``_KEPT_CYCLIC_MAX`` the
+    thread keeps them between calls, at most 1.5 MiB, so a warm call
+    allocates little beyond what it returns and takes no page faults; a
+    longer call makes its own.  Every pass writes each slice it reads, the
+    call only reads ``a``, and threads keep separate arrays, so no state
+    passes between calls.  Operand order matters: the vectorized complex
     product is not bitwise commutative, and swapping a factor pair moves
     coefficients by about 1e-17.  The residual's spectrum is always
     a^ h^ and the correction's always h^ r^.
@@ -344,10 +381,8 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     h = np.empty(a.size)
     h[0] = 1.0 / a[0]
     if a.size > 2 * _DIRECT_MAX:  # the last pass, from ceil(a.size / 2) terms, is long
-        length = 1 << (a.size - 1).bit_length()
-        h_hat_buf = np.empty(length // 2 + 1, dtype=complex)
-        x_hat_buf = np.empty(length // 2 + 1, dtype=complex)
-        real_buf = np.empty(length)
+        h_hat_buf, x_hat_buf, real_buf = _fft_work_arrays(1 << (a.size - 1).bit_length())
+        real_buf = real_buf.view(float)
     for n, m in zip(sizes[-1:0:-1], sizes[-2::-1]):
         if n <= _DIRECT_MAX:
             residual = np.convolve(a[1:m], h[:n], "valid")
@@ -373,7 +408,10 @@ def _series_quotient(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     half is q = v h mod z**n and the high half h times the slice [n, a.size)
     of v - a q, which a long pass takes by the wrap-around middle product of
     ``_series_reciprocal``: eight real transforms, all at the smallest power
-    of two >= a.size, where a q folds only onto indices below n.
+    of two >= a.size, where a q folds only onto indices below n.  They go
+    through the reciprocal's FFT work arrays, the third spectrum sharing
+    its memory with the real array, and the quotient's two halves are
+    written straight into the one output array.
     """
     size, n = a.size, (a.size + 1) // 2
     h = _series_reciprocal(a[:n])
@@ -384,13 +422,21 @@ def _series_quotient(v: np.ndarray, a: np.ndarray) -> np.ndarray:
         residual = v[n:size] - np.convolve(a[1:size], low, "valid")
         return np.concatenate((low, np.convolve(h[: size - n], residual)[: size - n]))
     length = 1 << (size - 1).bit_length()
-    h_hat = np.fft.rfft(h, length)
-    low = np.fft.irfft(np.fft.rfft(v[:n], length) * h_hat, length)[:n]
-    x_hat = np.fft.rfft(a[:size], length)
-    np.multiply(x_hat, np.fft.rfft(low, length), out=x_hat)
-    residual = v[n:size] - np.fft.irfft(x_hat, length)[n:size]
+    half = length // 2 + 1
+    h_hat_buf, x_hat_buf, y_hat_buf = _fft_work_arrays(length)
+    real_buf = y_hat_buf.view(float)[:length]
+    q = np.empty(size)
+    h_hat = np.fft.rfft(h, length, out=h_hat_buf[:half])
+    x_hat = np.fft.rfft(v[:n], length, out=x_hat_buf[:half])
+    np.multiply(x_hat, h_hat, out=x_hat)
+    low = q[:n]
+    low[:] = np.fft.irfft(x_hat, length, out=real_buf)[:n]
+    np.fft.rfft(a[:size], length, out=x_hat)
+    np.multiply(x_hat, np.fft.rfft(low, length, out=y_hat_buf[:half]), out=x_hat)
+    residual = np.subtract(v[n:size], np.fft.irfft(x_hat, length, out=real_buf)[n:size], out=q[n:])
     np.multiply(h_hat, np.fft.rfft(residual, length, out=x_hat), out=x_hat)
-    return np.concatenate((low, np.fft.irfft(x_hat, length)[: size - n]))
+    q[n:] = np.fft.irfft(x_hat, length, out=real_buf)[: size - n]
+    return q
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,43 @@ def compound_cdf_reference(mixture, phi, t, K):
     return np.minimum(np.cumsum(pmf.weights), 1.0)
 
 
+def wrong_answers_from_shuffled_threads(calls):
+    """(seed, t) of each answer that differs from its cold one, or (seed, exception).
+
+    Each of six threads runs ``calls`` three times over in its own shuffled order,
+    with the interpreter switching threads every microsecond; the cold
+    answers come from a cleared memo, one call at a time.
+    """
+    cold = {}
+    for model, t in calls:
+        inversion._memoized_pass.cache_clear()
+        cold[model, t] = approximate_nonruin(model, t, 40.0).lattice.values.tobytes()
+    wrong = []
+
+    def work(seed):
+        order = calls * 3
+        random.Random(seed).shuffle(order)
+        try:
+            for model, t in order:
+                if approximate_nonruin(model, t, 40.0).lattice.values.tobytes() != cold[model, t]:
+                    wrong.append((seed, t))
+        except Exception as exc:  # a raise in a thread must fail the test, not vanish
+            wrong.append((seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    return wrong
+
+
 class TestRiskModel:
     @pytest.mark.parametrize("phi", [0.0, 1.0, -0.2, 1.5])
     def test_net_profit_condition(self, exp_mixture, phi):
@@ -317,34 +354,14 @@ class TestPassMemo:
     def test_concurrent_callers_get_cold_answers(self, all_table_mixtures):
         # more threads than cores share the memo, each running the ladders in its own order
         calls = [(RiskModel(mix, 0.9), t) for mix in all_table_mixtures.values() for t in (2.0, 4.0, 8.0)]
-        cold = {}
-        for model, t in calls:
-            inversion._memoized_pass.cache_clear()
-            cold[model, t] = approximate_nonruin(model, t, 40.0).lattice.values.tobytes()
-        wrong = []
+        assert wrong_answers_from_shuffled_threads(calls) == []
 
-        def work(seed):
-            order = calls * 3
-            random.Random(seed).shuffle(order)
-            try:
-                for model, t in order:
-                    if approximate_nonruin(model, t, 40.0).lattice.values.tobytes() != cold[model, t]:
-                        wrong.append((seed, t))
-            except Exception as exc:  # a raise in a thread must fail the test, not vanish
-                wrong.append((seed, exc))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
+    def test_concurrent_fft_ladders_get_cold_answers(self, all_table_mixtures):
+        # fine lattices of 2000-8000 weights take long FFT passes, at cyclic
+        # lengths 2048-8192: each thread reuses its kept FFT work arrays
+        # across lengths in both orders, while the threads share the memo
+        calls = [(RiskModel(mix, 0.9), t) for mix in all_table_mixtures.values() for t in (25.0, 50.0, 100.0)]
+        assert wrong_answers_from_shuffled_threads(calls) == []
 
     def test_refused_point_is_checked_before_the_memo(self, exp_mixture):
         oracle = ruin._NonruinLST(RiskModel(exp_mixture, 0.9))

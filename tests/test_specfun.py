@@ -412,6 +412,16 @@ class TestNegbinCdf:
         with pytest.raises(DomainError, match="an integer >= 0"):
             negbin_logpmf(k, 1.5, 0.5)
 
+    @pytest.mark.parametrize("k", [10**400, int(1.7e308)], ids=["10**400", "1.7e308"])
+    def test_logpmf_index_past_the_floats_refused(self, k):
+        # 10**400 used to raise a raw OverflowError converting alpha + k to a
+        # float, 1.7e308 one from math.lgamma, which overflows past ~2.5e305
+        with pytest.raises(DomainError, match="index k of .* bits is too large"):
+            negbin_logpmf(k, 1.5, 0.5)
+
+    def test_logpmf_large_index_below_the_limit(self):
+        assert negbin_logpmf(10**305, 1.5, 0.5) == pytest.approx(1e305 * math.log(0.5), rel=1e-12)
+
     @pytest.mark.parametrize(
         "k_max,alpha,rho",
         [(0, 1.5, 0.2), (40, 2.5, 1.0), (1, 1.0, 0.5), (5000, 1.5, 1e-3)],

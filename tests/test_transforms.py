@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import re
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from renewinv import (
     TransformOracle,
 )
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
-from renewinv import bounds, ruin
+from renewinv import bounds, ruin, transforms
 from renewinv.ruin import renewal_data_from_model, RiskModel
 from renewinv.transforms import _DIRECT_MAX, _series_quotient, _series_reciprocal
 
@@ -196,6 +199,25 @@ class TestGammaMixture:
         # n = 2.5 used to raise a raw TypeError from range()
         with pytest.raises(DomainError, match="moment order"):
             GammaMixture.exponential().raw_moment(n)
+
+    @pytest.mark.parametrize("n", [10**8, 10**400], ids=["10**8", "10**400"])
+    def test_huge_moment_order_refused_at_once(self, n):
+        # n! overflows at the 171st factor; the loop used to run all n of
+        # them first, about 5 s for n = 10**8; the last factor of 10**400
+        # is taken at the largest float, not converted from the int
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"= inf is not a finite positive float"):
+            GammaMixture.exponential().raw_moment(n)
+        assert time.perf_counter() - start < 1.0
+
+    def test_underflowed_product_still_meets_an_infinite_factor(self):
+        # the second component's product is 0 after its first factor, and its
+        # third factor 2 / 1e-308 is inf: 0 * inf is NaN, refused as before
+        mix = GammaMixture((Component(1.0, 1.0, 1.0), Component(1e-320, 1e-320, 1e-308)))
+        assert mix.raw_moment(2) == 2.0
+        for n in (3, 10**8):
+            with pytest.raises(DomainError, match=r"= nan is not a finite positive float"):
+                mix.raw_moment(n)
 
     def test_survival_gamma_2_1(self):
         mix = GammaMixture((Component(1.0, 2.0, 1.0),))
@@ -656,6 +678,96 @@ class TestSeriesReciprocalKernel:
         a.flags.writeable = False
         assert np.array_equal(_series_reciprocal(a), reciprocal_reference(saved))
         assert np.array_equal(a, saved)
+
+
+def in_fresh_thread(fn):
+    """fn() run in a new thread, which starts with no kept FFT work arrays."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+class TestSeriesWorkspace:
+    # the last passes of these sizes are long, at cyclic lengths 2048-16384
+    SIZES = [1025, 3000, 8193, 16000]
+
+    def test_poisoned_work_arrays_give_the_same_bytes(self):
+        # every slice a kernel reads it wrote in the same call, so NaN left
+        # in the kept arrays never reaches an answer, whatever length came before
+        rng = np.random.default_rng(29)
+        cases = [(density_denominator(rng, size, 0.9), rng.uniform(-1.0, 1.0, size)) for size in self.SIZES]
+        clean = [(_series_reciprocal(a).tobytes(), _series_quotient(v, a).tobytes()) for a, v in cases]
+
+        def poison():
+            for array in transforms._workspace.arrays:
+                array.fill(np.nan)
+
+        for (a, v), want in zip(cases[::-1] + cases, clean[::-1] + clean):
+            poison()
+            h = _series_reciprocal(a).tobytes()
+            poison()
+            assert (h, _series_quotient(v, a).tobytes()) == want
+
+    def test_warm_reciprocal_allocates_little_beyond_its_answer(self):
+        # the three ~128 KiB work arrays of cyclic length 16384 are kept, not made per call
+        a = density_denominator(np.random.default_rng(16000), 16000, 0.9)
+        _series_reciprocal(a)
+        tracemalloc.start()
+        try:
+            h = _series_reciprocal(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= h.nbytes + 32 * 1024
+
+    def test_kept_arrays_grow_to_the_longest_length_used(self):
+        rng = np.random.default_rng(30)
+
+        def kept_sizes():
+            sizes = []
+            for size in (1000, 3000, 1025, 16000, 8193):
+                _series_reciprocal(density_denominator(rng, size, 0.9))
+                sizes.append(getattr(transforms._workspace, "arrays", (np.empty(0),))[0].size)
+            return sizes
+
+        # 1000 terms take only direct passes; 3000 need cyclic length 4096
+        assert in_fresh_thread(kept_sizes) == [0, 2049, 2049, 8193, 8193]
+
+    def test_call_above_the_cap_leaves_the_kept_arrays(self):
+        rng = np.random.default_rng(31)
+        size = transforms._KEPT_CYCLIC_MAX + 1  # cyclic length 2 * cap
+        a = density_denominator(rng, size, 0.9)
+        v = rng.uniform(-1.0, 1.0, size)
+
+        def run():
+            _series_reciprocal(a[:16000])
+            kept = transforms._workspace.arrays
+            saved = [array.copy() for array in kept]
+            h = _series_reciprocal(a)
+            assert transforms._workspace.arrays is kept
+            assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(kept, saved))
+            # the quotient's reciprocal, to 2**15 + 1 terms, grows the kept
+            # arrays to cyclic length 2**16; its last pass, at 2**17, does not
+            q = _series_quotient(v, a)
+            assert [array.size for array in transforms._workspace.arrays] == [2**15 + 1] * 3
+            return h, q
+
+        h, q = in_fresh_thread(run)
+        assert np.array_equal(h, reciprocal_reference(a))
+        product = np.fft.irfft(np.fft.rfft(v, 4 * size) * np.fft.rfft(h, 4 * size), 4 * size)[:size]
+        assert float(np.max(np.abs(product - q))) <= 1e-12
+
+    def test_threads_keep_separate_arrays(self):
+        a = density_denominator(np.random.default_rng(32), 3000, 0.9)
+        _series_reciprocal(a)
+        mine = transforms._workspace.arrays
+
+        def run():
+            assert getattr(transforms._workspace, "arrays", None) is None
+            _series_reciprocal(a)
+            return transforms._workspace.arrays
+
+        theirs = in_fresh_thread(run)
+        assert not any(np.shares_memory(x, y) for x in mine for y in theirs)
 
 
 class TestSeriesQuotientKernel:

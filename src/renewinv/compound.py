@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NegativeWeightError
-from .specfun import _real_point, _require_index, _require_positive
+from .specfun import _lattice_values, _real_point, _require_index, _require_positive
 from .transforms import _series_reciprocal, GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
@@ -39,8 +39,8 @@ _EXCESS_TOL = 1e-9
 class LatticePMF:
     """Probability weights on the grid {k/t, k = 0..K}.
 
-    t is stored as a float.  Weights below -1e-12 raise
-    :class:`NegativeWeightError`; higher negatives are clamped to zero.
+    t and the weights are checked and stored as by LatticeFunction.  Weights below
+    -1e-12 raise :class:`NegativeWeightError`; higher negatives are clamped to zero.
     """
 
     t: float
@@ -48,14 +48,10 @@ class LatticePMF:
 
     def __post_init__(self):
         object.__setattr__(self, "t", _require_positive(self.t))
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise DomainError("weights must be a nonempty 1-d array")
-        if not np.isfinite(w).all():
-            raise DomainError("lattice weights must be finite")
+        w = _lattice_values(self.weights, "lattice weights")
         if w.min() < -_NEGATIVE_TOL:
             raise NegativeWeightError(f"weight {w.min()} below -{_NEGATIVE_TOL}")
-        w = np.maximum(w, 0.0)
+        np.maximum(w, 0.0, out=w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _real_point, _require_index, _require_positive, _require_weight_count
-from .specfun import MAX_FINE_LATTICE
+from .specfun import _lattice_values, _real_point, _require_index, _require_positive
+from .specfun import _require_weight_count, MAX_FINE_LATTICE
 from .transforms import TransformOracle
 
 _SNAP = 1e-9
@@ -77,7 +77,8 @@ class LatticeFunction:
 
     Off-lattice points u in (0, K/t) evaluate to the convex combination
     (tu - [tu]) * val([tu]+1) + ([tu]+1 - tu) * val([tu]).  Evaluation
-    beyond K/t raises rather than extrapolating.  t is stored as a float.
+    beyond K/t raises rather than extrapolating.  t is stored as a float, and
+    the values, a nonempty 1-d array of finite reals, as a read-only float64 copy.
     """
 
     t: float
@@ -85,12 +86,7 @@ class LatticeFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "t", _require_positive(self.t))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise DomainError("lattice values must be a nonempty 1-d array")
-        if not np.isfinite(vals).all():
-            raise DomainError("lattice values must be finite")
-        vals = vals.copy()
+        vals = _lattice_values(self.values, "lattice values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -132,11 +132,27 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     value at the origin.  t and u_max are taken as floats.  Raises
     :class:`DomainError` unless t is positive and finite, u_max positive and
     t * u_max finite, and for a lattice beyond ``MAX_FINE_LATTICE``.
+
+    The non-ruin probability m is nondecreasing in [1 - phi, 1], and M2 need
+    not be: with claims small against 1/t it can exceed 1.  So the values a_k
+    are clamped to [1 - phi, 1] and then replaced by their running maximum.
+    Neither step moves a value further from m.  Clamping to an interval that
+    holds m_k moves a_k toward m_k.  If |a_i - m_i| <= e for i <= k, the
+    running maximum b_k = a_j, j <= k, has m_k - e <= a_k <= b_k and
+    b_k <= m_j + e <= m_k + e.  So the sup error is not increased; the
+    projection bounds the range, it does not make a coarse answer accurate.
+    A curve already in range and nondecreasing is its own projection, and is
+    returned as M2 gave it.
     """
     t, u_max = _require_positive(t), _real_point(u_max, "u_max")
     if not u_max > 0:
         raise DomainError(f"u_max must be positive, got {u_max}")
     lattice = m2_lattice(_NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi)
+    values = lattice.values
+    # values[0] is 1 - phi, so a nondecreasing curve is in range if it ends at or below 1
+    if not (values[-1] <= 1.0 and (values[1:] >= values[:-1]).all()):
+        clamped = np.clip(values, 1.0 - model.phi, 1.0)
+        lattice = LatticeFunction(t, np.maximum.accumulate(clamped, out=clamped))
     return RuinApproximation(lattice)
 
 

@@ -71,6 +71,30 @@ def _real_point(x, what: str = "point u") -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float64 array, not copied if it is one.  DomainError unless its dtype is
+    bool, integer or float: complex, str, bytes, object and datetime are refused."""
+    xs = np.asarray(x)
+    if xs.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be real numbers, got dtype {xs.dtype}")
+    return xs.astype(float, copy=False)
+
+
+def _lattice_values(values, what: str) -> np.ndarray:
+    """A fresh float64 copy of values; DomainError unless a nonempty 1-d array of finite reals."""
+    vals = _real_array(values, what)
+    if vals.ndim != 1 or vals.size == 0:
+        raise DomainError(f"{what} must be a nonempty 1-d array")
+    if not np.isfinite(vals).all():
+        raise DomainError(f"{what} must be finite")
+    return vals.copy()
+
+
+def _shaped_like(x: np.ndarray, values):
+    # A 0-d point array gives a float back; any other shape gives an array.
+    return float(values) if x.ndim == 0 else values
+
+
 def _require_positive(x, what: str = "lattice rate t") -> float:
     """x as a float; DomainError unless x is a real number in (0, inf)."""
     x = _real_point(x, what)
@@ -186,7 +210,7 @@ def _inc_gamma(name, alpha, x, upper):
     # P(alpha, x), or Q(alpha, x) if ``upper``, shaped like x: a float x is
     # a one-element array that comes back as a float.
     alpha = _require_positive(alpha, "shape alpha")
-    xs = np.asarray(x, dtype=float)
+    xs = _real_array(x, f"{name} point x")
     bad = ~(xs >= 0)
     if bad.any():
         raise DomainError(f"{name} requires x >= 0, got {xs[bad][0]}")
@@ -207,7 +231,7 @@ def _inc_gamma(name, alpha, x, upper):
             f"{name}({alpha}, {xs[unconverged][0]}) did not converge to "
             f"{_EPS} within {_MAX_ITER} terms"
         )
-    return float(out) if np.ndim(x) == 0 else out
+    return _shaped_like(xs, out)
 
 
 def reg_inc_gamma_lower(alpha: float, x):
@@ -216,9 +240,9 @@ def reg_inc_gamma_lower(alpha: float, x):
     Series expansion for x < alpha + 1, continued fraction otherwise, run
     elementwise over ``x``, a float or an array; a float comes back as a
     float.  A point's value depends on that point alone.  P(alpha, inf) = 1.
-    NaN or negative x, and a recurrence that does not converge within 600
-    terms, raise :class:`DomainError`: the series at x = alpha from alpha
-    of about 5.4e3, the fraction just above alpha + 1 from about 2.8e5.
+    Non-real (str, None, complex), NaN or negative x, and a recurrence not
+    converged within 600 terms, raise :class:`DomainError`: the series at
+    x = alpha from alpha of about 5.4e3, the fraction just above alpha + 1 from about 2.8e5.
     """
     return _inc_gamma("reg_inc_gamma_lower", alpha, x, upper=False)
 

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .specfun import _real_point, _require_index, _require_positive, _require_weight_index
+from .specfun import _real_array, _real_point, _require_index, _require_positive
+from .specfun import _require_weight_index, _shaped_like
 from .specfun import negbin_pmf_terms, reg_inc_gamma_lower, reg_inc_gamma_upper
 
 _SINGULARITY_TOL = 1e-12
@@ -48,11 +49,6 @@ _DIRECT_MAX = 512
 # call, so the peak of the largest lattices does not grow.
 _KEPT_CYCLIC_MAX = 2**16
 _workspace = threading.local()
-
-
-def _shaped_like(u: np.ndarray, values):
-    # A 0-d point array gives a float back; any other shape gives an array.
-    return float(values) if u.ndim == 0 else values
 
 
 class TransformOracle(abc.ABC):
@@ -168,7 +164,7 @@ class GammaMixture:
 
     def _incomplete_gamma_sum(self, fn, u, at_or_below_zero):
         # sum_i p_i fn(alpha_i, beta_i u); fn raises on NaN
-        u = np.asarray(u, dtype=float)
+        u = _real_array(u, "point u")
         x = np.maximum(u, 0.0)
         total = sum(p * fn(alpha, beta * x) for p, alpha, beta in self.components)
         return _shaped_like(u, np.where(u <= 0, at_or_below_zero, total))

@@ -344,6 +344,14 @@ class TestInvert:
         )
         assert code == 2
 
+    def test_unknown_transform_rejected_by_parser(self, capsys):
+        code, _, err = run(
+            ["invert", "--transform", "gamma", "--method", "m2", "--t", "5", "--u", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "invalid choice: 'gamma'" in err
+
 
 class TestBound:
     def test_report_fields(self, write_spec, capsys):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import closed_form_lstar_exponential_ruin, ReadOnlyLST
 from renewinv import (
@@ -51,6 +52,17 @@ def compound_cdf_reference(mixture, phi, t, K):
     """Clamped CDF of the geometric compound of the equilibrium law at rate t, to index K."""
     pmf = panjer_geometric(discretize_equilibrium(mixture, t, K), phi, K)
     return np.minimum(np.cumsum(pmf.weights), 1.0)
+
+
+def unprojected_nonruin(model, t, u_max):
+    """M2 of the non-ruin oracle as approximate_nonruin has it before its projection."""
+    return m2_lattice(ruin._NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi).values
+
+
+def assert_nondecreasing_in_range(values, phi):
+    assert values[0] == 1.0 - phi
+    assert values.min() >= 1.0 - phi and values.max() <= 1.0
+    assert np.all(np.diff(values) >= 0.0)
 
 
 def wrong_answers_from_shuffled_threads(calls):
@@ -300,6 +312,63 @@ class TestApproximateNonruin:
         direct = m2_lattice(nonruin_oracle, t, int(t * u_max), 1.0 - phi)
         pipeline = approximate_nonruin(model, t, u_max)
         assert np.allclose(direct.values, pipeline.lattice.values, atol=1e-10)
+
+
+class TestProjection:
+    """approximate_nonruin projects M2 onto nondecreasing curves in [1 - phi, 1]."""
+
+    @pytest.mark.parametrize(
+        "alpha,beta,phi,excess",
+        [
+            pytest.param(1.0, 1000.0, 0.9, 2.7981e-2, id="exp1000-phi0.9"),
+            pytest.param(1.0, 1000.0, 0.5, 4.566e-3, id="exp1000-phi0.5"),
+            pytest.param(3.0, 300.0, 0.9, 1.0806e-2, id="gamma3-300-phi0.9"),
+            pytest.param(1.1913, 1.9530, 0.503, 4.26e-10, id="gamma1.19-1.95-phi0.503"),
+        ],
+    )
+    def test_curve_that_leaves_the_range_is_projected(self, alpha, beta, phi, excess):
+        # M2 at t = 5 exceeds 1 by `excess` and then falls back, which it used to return
+        model = RiskModel(GammaMixture((Component(1.0, alpha, beta),)), phi)
+        raw = unprojected_nonruin(model, 5.0, 40.0)
+        assert raw.max() - 1.0 == pytest.approx(excess, rel=1e-3)
+        got = approximate_nonruin(model, 5.0, 40.0).lattice.values
+        assert_nondecreasing_in_range(got, phi)
+        want = np.maximum.accumulate(np.clip(raw, 1.0 - phi, 1.0))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [5.0, 20.0, 200.0])
+    def test_curve_in_range_is_returned_as_m2_gave_it(self, all_table_mixtures, t):
+        rng = np.random.default_rng(11)
+        models = [RiskModel(mix, phi) for mix in all_table_mixtures.values() for phi in (0.5, 0.9)]
+        for n in (1, 2, 3, 2):
+            p = rng.uniform(0.1, 1.0, n)
+            comps = zip(p / p.sum(), rng.uniform(1.0, 4.0, n), rng.uniform(0.5, 2.0, n))
+            models.append(RiskModel(GammaMixture(tuple(comps)), rng.uniform(0.5, 0.95)))
+        for model in models:
+            raw = unprojected_nonruin(model, t, 40.0)
+            assert_nondecreasing_in_range(raw, model.phi)
+            got = approximate_nonruin(model, t, 40.0).lattice.values
+            assert got.tobytes() == raw.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        components=st.lists(
+            st.tuples(st.floats(0.1, 1.0), st.floats(0.25, 4.0), st.floats(-0.7, 7.6)),
+            min_size=1,
+            max_size=3,
+        ),
+        phi=st.floats(0.05, 0.95),
+        t=st.floats(1.0, 20.0),
+    )
+    def test_random_mixture_nonruin_is_nondecreasing_in_range(self, components, phi, t):
+        # claim rates from 0.5 to 2000 (log-uniform), so claims also come small
+        # against the lattice spacing 1/t, where M2 leaves the range
+        total = math.fsum(p for p, _, _ in components)
+        mix = GammaMixture(
+            tuple(Component(p / total, alpha, math.exp(log_beta)) for p, alpha, log_beta in components)
+        )
+        values = approximate_nonruin(RiskModel(mix, phi), t, 10.0).lattice.values
+        assert_nondecreasing_in_range(values, phi)
 
 
 class TestPassMemo:

@@ -8,6 +8,10 @@ argument gives the float64 call's bits, on a cold pass memo and on a warm
 one.  An index refuses any float, an integral one too.  Out-of-range values
 refuse as before, with the same exception class.  The lattice rate t and
 the point u of the operators are covered in ``test_rates.py``.
+
+Array arguments are taken through one dtype check: bool, integer and float
+arrays are read as float64, and any other dtype (str, complex, object)
+raises DomainError, scalars of those kinds too.
 """
 
 import dataclasses
@@ -132,6 +136,27 @@ INDEX_PARAMETERS = {
 
 NOT_REAL = {"str": "5", "None": None, "complex": 5j}
 
+# name -> call of an array argument, all of whose values here are in range
+ARRAY_PARAMETERS = {
+    "reg_inc_gamma_lower.x": lambda x: reg_inc_gamma_lower(1.5, x),
+    "reg_inc_gamma_upper.x": lambda x: reg_inc_gamma_upper(1.5, x),
+    "GammaMixture.cdf.u": lambda u: MIXTURE.cdf(u),
+    "GammaMixture.survival.u": lambda u: MIXTURE.survival(u),
+    "LatticeFunction.values": lambda v: LatticeFunction(5.0, v),
+    "LatticePMF.weights": lambda w: LatticePMF(5.0, w),
+}
+
+# each used to be read as numbers, to refuse as NaN, or to raise ComplexWarning or TypeError
+NOT_REAL_ARRAYS = {
+    "str": "2",
+    "str_list": ["1", "2"],
+    "None": None,
+    "complex": 2 + 0j,
+    "complex128": np.complex128(2 + 3j),
+    "complex_array": np.array([1 + 2j, 3]),
+    "object_array": np.array([1, 2**70], dtype=object),
+}
+
 
 def _bits(result) -> bytes:
     """The float64 bytes of a result; every float in it must be a Python float or float64."""
@@ -179,6 +204,26 @@ def test_float32_parameter_gives_the_float64_bits_cold_and_warm(name):
     warm32 = _bits(call(x32))
     assert cold32 == cold64
     assert warm32 == warm64 == cold64
+
+
+@pytest.mark.parametrize("bad", NOT_REAL_ARRAYS.values(), ids=NOT_REAL_ARRAYS.keys())
+@pytest.mark.parametrize("name", ARRAY_PARAMETERS)
+def test_array_that_is_not_real_is_refused(name, bad):
+    with pytest.raises(DomainError, match="must be real numbers, got dtype"):
+        ARRAY_PARAMETERS[name](bad)
+
+
+@pytest.mark.parametrize("name", ARRAY_PARAMETERS)
+def test_float32_array_gives_the_float64_bits(name):
+    x32 = np.array([0.35, 1.7, 2.3], dtype=np.float32)
+    assert _bits(ARRAY_PARAMETERS[name](x32)) == _bits(ARRAY_PARAMETERS[name](x32.astype(float)))
+
+
+@pytest.mark.parametrize("values", [[True, False, True], [0, 1, 3]], ids=["bool", "int"])
+@pytest.mark.parametrize("name", ARRAY_PARAMETERS)
+def test_bool_and_int_arrays_answer_as_their_floats(name, values):
+    call = ARRAY_PARAMETERS[name]
+    assert _bits(call(np.array(values))) == _bits(call(np.array(values, dtype=float)))
 
 
 @pytest.mark.parametrize("k", [2.0, 2.5, math.nan, math.inf], ids=["2.0", "2.5", "nan", "inf"])

@@ -93,18 +93,21 @@ def _load_mixture(path: str) -> GammaMixture:
             raw = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise _UsageError(f"spec file {path} is not valid JSON: {exc}") from exc
     comps = raw.get("components") if isinstance(raw, dict) else None
     if not isinstance(comps, list) or not comps:
         raise _UsageError("spec must be an object with a nonempty 'components' array")
     parsed = []
     for entry in comps:
+        fields = [(entry if isinstance(entry, dict) else {}).get(k) for k in ("p", "alpha", "beta")]
+        # JSON numbers only: float() would also read a string or a boolean
+        if not all(type(x) in (int, float) for x in fields):
+            raise _UsageError(f"component {entry!r} needs numeric fields p, alpha, beta")
         try:
-            p, alpha, beta = float(entry["p"]), float(entry["alpha"]), float(entry["beta"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"component {entry!r} needs numeric fields p, alpha, beta") from exc
-        parsed.append((p, alpha, beta))
+            parsed.append(tuple(map(float, fields)))
+        except OverflowError as exc:
+            raise _UsageError(f"component {entry!r} has an integer field beyond the floats") from exc
     total = math.fsum(p for p, _, _ in parsed)
     if abs(total - 1.0) > 1e-9:
         raise _UsageError(f"component weights sum to {total}, expected 1 within 1e-9")

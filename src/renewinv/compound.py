@@ -12,13 +12,14 @@ coefficients come from a Newton iteration for the reciprocal power series,
 with products by direct convolution in the short passes and wrap-around
 (cyclic) real FFT products in the long ones, in O(K log K) instead of the
 O(K^2) of Panjer's recursion.  That series kernel lives in
-:mod:`renewinv.transforms`; the renewal-ratio division there runs it to
-half the terms and folds its numerator into the last Newton pass.  The
-function keeps the name ``panjer_geometric`` because it returns the same
-coefficients and its callers and the benchmark tracer refer to it by that
-name.  The non-ruin oracle of :mod:`renewinv.ruin` reads both functions:
-its weights are the cumulative sums of the compound PMF divided by t, the
-normalized transform-derivative weights of the non-ruin probability.
+:mod:`renewinv.transforms`: one Newton division, called here with the
+numerator 1 and by the renewal ratio with its numerator, which folds into
+the last pass.  The function keeps the name ``panjer_geometric`` because
+it returns the same coefficients and its callers and the benchmark tracer
+refer to it by that name.  The non-ruin oracle of :mod:`renewinv.ruin`
+reads both functions: its weights are the cumulative sums of the compound
+PMF divided by t, the normalized transform-derivative weights of the
+non-ruin probability.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, NegativeWeightError
 from .specfun import _lattice_values, _real_point, _require_index, _require_positive
-from .transforms import _series_reciprocal, GammaMixture, survival_to_density_oracle
+from .transforms import _series_quotient, GammaMixture, survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
 _EXCESS_TOL = 1e-9
@@ -96,9 +97,10 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     The count is geometric with P(M = n) = (1-phi) phi**n, so the PGF of the
     compound is (1 - phi) / (1 - phi F(z)) with F the severity PGF.  The
     reciprocal series is taken by Newton iteration in O(K log K) (Brent &
-    Kung, J. ACM 25, 1978), with F truncated or zero-padded to K+1 terms;
-    the kernel, defined in :mod:`renewinv.transforms`, is also the first
-    half of :class:`~renewinv.transforms.RenewalRatioLST`'s division.
+    Kung, J. ACM 25, 1978), with F truncated or zero-padded to K+1 terms:
+    the series division of :mod:`renewinv.transforms` with no numerator,
+    the kernel that :class:`~renewinv.transforms.RenewalRatioLST` runs
+    with one.
     The coefficients are those of Panjer's recursion, whose name the
     function keeps; the O(K^2) recursion is the reference in the tests.
     """
@@ -110,6 +112,6 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     a = np.zeros(K + 1)
     np.multiply(f, -phi, out=a[: f.size])
     a[0] += 1.0
-    pmf = _series_reciprocal(a)
+    pmf = _series_quotient(None, a)
     pmf *= 1.0 - phi
     return _fresh_pmf(severity.t, pmf)

@@ -20,10 +20,12 @@ with :class:`DomainError` before any oracle call.  M2 at rate s reads the
 pass at (2s, 2K - 1) that M2 at 2s reads again, so calls at t, 2t, ...,
 2^L t run L + 2 passes, not 2(L + 1).  The memo holds the 3 most recently
 used passes, at most 3 x 8 MiB at ``MAX_FINE_LATTICE`` weights; beside it
-the series kernel of :mod:`~renewinv.transforms` keeps at most 1.5 MiB of
+the one series kernel of :mod:`~renewinv.transforms`, which divides for
+both the compound step and the renewal ratio, keeps at most 1.5 MiB of
 FFT work arrays per thread.  The memo's arrays are only read, and never
-handed to a caller; refusals are not memoized and raise on every call.  It is safe for concurrent use: two threads that miss
-on one key both compute it and get equal arrays.
+handed to a caller; refusals are not memoized and raise on every call.
+It is safe for concurrent use: two threads that miss on one key both
+compute it and get equal arrays.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ claims.  Its transform-derivative weights at t are that CDF on the lattice
 discretized claims.  The private oracle ``_NonruinLST`` computes them: it
 discretizes the equilibrium law at exactly the K+1 points used, expands the
 compound geometric PMF with :func:`~renewinv.compound.panjer_geometric`
-(the Newton series reciprocal of :mod:`renewinv.transforms`) and takes
+(the Newton series division of :mod:`renewinv.transforms`, with the
+numerator 1) and takes
 cumulative sums.  :func:`lstar_nonruin` (L*_t) and
 :func:`approximate_nonruin` (one :func:`~renewinv.inversion.m2_lattice`
 call) read it like any other oracle.  The renewal ingredients f and v of the

@@ -39,6 +39,9 @@ MAX_FINE_LATTICE = 2**20
 # subnormal spacing 2**-1074 exceeds 1e-9 of the seed, and every later term
 # inherits that relative error through the term recursion.
 _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
+# Least shape at which _gamma_kernel forms its exponent near the peak from
+# Stirling's series; below it the plain exponent errs by at most ~1e-14.
+_STIRLING_MIN_SHAPE = 20.0
 
 
 def _require_weight_count(n: int, what: str) -> None:
@@ -111,16 +114,44 @@ def _require_negbin_parameters(alpha, rho) -> tuple[float, float]:
     return alpha, rho
 
 
+def _stirling_series(alpha: float) -> float:
+    # lgamma(alpha) - (alpha - 1/2) log(alpha) + alpha - log(2 pi) / 2, five
+    # terms of 1/(12 alpha) - 1/(360 alpha**3) + ...: below 1e-17 from alpha = 20
+    r = 1.0 / (alpha * alpha)
+    series = 1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))
+    return series / alpha
+
+
 def _gamma_kernel(alpha: float, power: float, x):
     """x**power * e^(-x) / Gamma(alpha), formed in log space; 0**0 is 1.
 
     Large shapes stay finite where x**power and Gamma(alpha) alone
-    overflow.  At power = alpha it scales both recurrences below.
+    overflow.  At power = alpha it scales both recurrences below.  The
+    exponent -x + power log x - lgamma(alpha) cancels terms of size
+    |alpha log x| down to O(log alpha) near the peak x ~ alpha, and errs
+    there by 3e-12 to 9e-12 relative for alpha from 1457 to 4000.  So from
+    alpha = ``_STIRLING_MIN_SHAPE``, at |d| <= 1/2 with d = x / alpha - 1,
+    the exponent is taken with that cancellation done by hand, as
+    alpha (log1p(d) - d) - stirling(alpha) + log(alpha / 2 pi) / 2
+    + (power - alpha) log x; its error, about alpha |d| eps, is within
+    3e-14 of mpmath at |d| <= 0.1 and 1.5e-13 at |d| <= 1/2 up to
+    alpha = 4000.  Every other case keeps the plain exponent.
     """
     if power == 0.0:
         return np.exp(-x - math.lgamma(alpha))
     with np.errstate(divide="ignore"):
-        return np.exp(-x + power * np.log(x) - math.lgamma(alpha))
+        log_x = np.log(x)
+    exponent = -x + power * log_x - math.lgamma(alpha)
+    if alpha >= _STIRLING_MIN_SHAPE:
+        d = (x - alpha) / alpha  # x - alpha is exact where |d| <= 1/2
+        near = np.abs(d) <= 0.5
+        d = np.where(near, d, 0.0)
+        peak = alpha * (np.log1p(d) - d)
+        peak += 0.5 * math.log(alpha / (2.0 * math.pi)) - _stirling_series(alpha)
+        if power != alpha:
+            peak += (power - alpha) * log_x
+        exponent = np.where(near, peak, exponent)
+    return np.exp(exponent)
 
 
 def _series(alpha, x):

@@ -314,124 +314,97 @@ def survival_to_density_oracle(mixture: GammaMixture) -> TransformOracle:
     return ScaledLST(1.0 / mixture.mean, SurvivalLST(GammaMixtureLST(mixture)))
 
 
-def _fft_work_arrays(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex arrays of at least length // 2 + 1 values, for one kernel call.
+def _series_quotient(v: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """v(z) / a(z) mod z**a.size by Newton iteration, for a[0] != 0 and v.size >= a.size.
 
-    Up to ``_KEPT_CYCLIC_MAX`` they are the calling thread's kept arrays,
-    grown to ``length`` if a shorter call made them; past it they are made
-    for the call, and the kept ones stay as they are.  A caller writes every
-    slice it reads, so no value of an earlier call reaches its answer.
-    """
-    kept = getattr(_workspace, "arrays", None)
-    if kept is not None and kept[0].size > length // 2:
-        return kept
-    arrays = tuple(np.empty(length // 2 + 1, dtype=complex) for _ in range(3))
-    if length <= _KEPT_CYCLIC_MAX:
-        _workspace.arrays = arrays
-    return arrays
+    ``v=None`` stands for the numerator 1, so the call returns 1 / a(z).
+    Each pass h <- h + h (1 - a h) doubles the number of correct terms of
+    h = 1 / a (Brent & Kung, J. ACM 25, 1978).  The target sizes are halved
+    down from a.size, rounding up, so a pass goes from n correct terms to
+    m = 2n or 2n - 1 and the last one lands on a.size.  A numerator rides in
+    the last pass (Karp & Markstein, ACM TOMS 23, 1997): its low half is
+    low = v h mod z**n, and its residual the slice [n, m) of v - a low.
+    Every other pass has low = h and the residual -(a h)[n:m].  Each pass
+    then writes h times its residual as the terms [n, m).
 
+    Short passes (n <= ``_DIRECT_MAX``) convolve directly, and take
+    (a low)[n:m] as the "valid" convolution of a[1:m] with low: each of its
+    m - n terms is the same full-overlap dot product of n terms that a full
+    a[:m] low would form at that index, so it is bit for bit the same, at
+    about half the multiply-adds.  Long passes take every transform at one
+    cyclic length L, the smallest power of two >= m, with the wrap-around
+    middle product of Harvey ("Faster algorithms for the square root and
+    reciprocal of power series", Math. Comp. 80, 2011): a[:m] low has
+    degree m + n - 2 < L + n, so its cyclic product folds the terms from L
+    up onto indices below n - 1, which the pass discards, and the slice
+    [n, m) comes out exact.  The correction h * residual has degree m - 2
+    < L, so it is exact at the same length and reuses the transform of h:
+    five real transforms of length L per pass, and eight in a last pass
+    with a numerator, where a zero-padded linear product would need three
+    of length about 2L for the first product alone.
 
-def _series_reciprocal(a: np.ndarray) -> np.ndarray:
-    """1 / a(z) mod z**a.size by Newton iteration, for a[0] != 0.
-
-    Each pass h <- h + h (1 - a h) doubles the number of correct terms
-    (Brent & Kung, J. ACM 25, 1978).  The target sizes are halved down
-    from a.size, rounding up, so a pass goes from n correct terms to
-    m = 2n or 2n - 1 and the last one lands on a.size.
-
-    A pass from n to m needs the middle slice [n, m) of a[:m] h, since
-    a h = 1 + O(z**n), and then the first m - n terms of h times that
-    slice.  Short passes (n <= ``_DIRECT_MAX``) convolve directly, and
-    take the slice as the "valid" convolution of a[1:m] with h: each of
-    its m - n terms is the same full-overlap dot product of n terms that
-    a full a[:m] h would form at that index, so it is bit for bit the
-    same, at about half the multiply-adds.  Long passes take every
-    transform at one cyclic length L, the smallest power of two >= m,
-    with the wrap-around middle product of Harvey ("Faster algorithms
-    for the square root and reciprocal of power series", Math. Comp. 80,
-    2011): a[:m] h has degree m + n - 2 < L + n, so its cyclic product
-    folds the terms from L up onto indices below n - 1, which the pass
-    discards, and the slice [n, m) comes out exact.  The correction
-    h * residual has degree m - 2 < L, so it is exact at the same length
-    and reuses the transform of h: five real transforms of length L per
-    pass, where a zero-padded linear product would need three of length
-    about 2L for the first product alone.
-
-    Memory: every pass writes its new terms into one output array of
-    a.size (no concatenation per pass), and the long passes write their
-    transforms and products through ``out=`` into prefix views of the
-    thread's FFT work arrays (``_fft_work_arrays``): two half spectra and a
-    real view of the third.  Up to cyclic length ``_KEPT_CYCLIC_MAX`` the
-    thread keeps them between calls, at most 1.5 MiB, so a warm call
-    allocates little beyond what it returns and takes no page faults; a
-    longer call makes its own.  Every pass writes each slice it reads, the
-    call only reads ``a``, and threads keep separate arrays, so no state
-    passes between calls.  Operand order matters: the vectorized complex
-    product is not bitwise commutative, and swapping a factor pair moves
-    coefficients by about 1e-17.  The residual's spectrum is always
-    a^ h^ and the correction's always h^ r^.
+    Memory: every pass writes its new terms into the one output array (no
+    concatenation per pass), and the long passes write their transforms and
+    products through ``out=`` into prefix views of three complex FFT work
+    arrays, fetched once per call at the last pass's length: two half
+    spectra and a real view of the third.  Up to cyclic length
+    ``_KEPT_CYCLIC_MAX`` the calling thread keeps them between calls, grown
+    to the longest length used, at most 1.5 MiB, so a warm call allocates
+    little beyond what it returns and takes no page faults; a longer call
+    makes its own and leaves the kept ones as they are.  Every pass writes
+    each slice it reads, the call only reads ``v`` and ``a``, and threads
+    keep separate arrays, so no state passes between calls.  Operand order
+    matters: the vectorized complex product is not bitwise commutative, and
+    swapping a factor pair moves coefficients by about 1e-17.  The low
+    half's spectrum is always v^ h^, the residual's a^ low^ and the
+    correction's h^ r^.
     """
     sizes = [a.size]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
-    h = np.empty(a.size)
-    h[0] = 1.0 / a[0]
+    q = np.empty(a.size)
+    q[0] = 1.0 / a[0]
+    if v is not None and a.size == 1:
+        q[0] *= v[0]
     if a.size > 2 * _DIRECT_MAX:  # the last pass, from ceil(a.size / 2) terms, is long
-        h_hat_buf, x_hat_buf, real_buf = _fft_work_arrays(1 << (a.size - 1).bit_length())
-        real_buf = real_buf.view(float)
+        longest = 1 << (a.size - 1).bit_length()
+        work = getattr(_workspace, "arrays", None)
+        if work is None or work[0].size <= longest // 2:
+            work = tuple(np.empty(longest // 2 + 1, dtype=complex) for _ in range(3))
+            if longest <= _KEPT_CYCLIC_MAX:
+                _workspace.arrays = work
+        h_hat_buf, x_hat_buf, y_hat_buf = work
+        real_buf = y_hat_buf.view(float)
     for n, m in zip(sizes[-1:0:-1], sizes[-2::-1]):
-        if n <= _DIRECT_MAX:
-            residual = np.convolve(a[1:m], h[:n], "valid")
-            step = np.convolve(h[:n], residual)[: m - n]
+        numerator = v is not None and m == a.size
+        direct = n <= _DIRECT_MAX
+        if direct:
+            low = np.convolve(v[:n], q[:n])[:n] if numerator else q[:n]
+            product = np.convolve(a[1:m], low, "valid")
         else:
-            size = 1 << (m - 1).bit_length()
-            h_hat = np.fft.rfft(h[:n], size, out=h_hat_buf[: size // 2 + 1])
-            x_hat = np.fft.rfft(a[:m], size, out=x_hat_buf[: size // 2 + 1])
-            np.multiply(x_hat, h_hat, out=x_hat)
-            residual = np.fft.irfft(x_hat, size, out=real_buf[:size])[n:m]
-            x_hat = np.fft.rfft(residual, size, out=x_hat)
-            np.multiply(h_hat, x_hat, out=x_hat)
-            step = np.fft.irfft(x_hat, size, out=real_buf[:size])[: m - n]
-        np.negative(step, out=h[n:m])
-    return h
-
-
-def _series_quotient(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """v(z) / a(z) mod z**a.size, for a[0] != 0 and v.size >= a.size.
-
-    The numerator rides in the last Newton pass (Karp & Markstein, ACM
-    TOMS 23, 1997): with h = 1 / a mod z**n, n = ceil(a.size / 2), the low
-    half is q = v h mod z**n and the high half h times the slice [n, a.size)
-    of v - a q, which a long pass takes by the wrap-around middle product of
-    ``_series_reciprocal``: eight real transforms, all at the smallest power
-    of two >= a.size, where a q folds only onto indices below n.  They go
-    through the reciprocal's FFT work arrays, the third spectrum sharing
-    its memory with the real array, and the quotient's two halves are
-    written straight into the one output array.
-    """
-    size, n = a.size, (a.size + 1) // 2
-    h = _series_reciprocal(a[:n])
-    if size == 1:
-        return v[:1] * h
-    if n <= _DIRECT_MAX:
-        low = np.convolve(v[:n], h)[:n]
-        residual = v[n:size] - np.convolve(a[1:size], low, "valid")
-        return np.concatenate((low, np.convolve(h[: size - n], residual)[: size - n]))
-    length = 1 << (size - 1).bit_length()
-    half = length // 2 + 1
-    h_hat_buf, x_hat_buf, y_hat_buf = _fft_work_arrays(length)
-    real_buf = y_hat_buf.view(float)[:length]
-    q = np.empty(size)
-    h_hat = np.fft.rfft(h, length, out=h_hat_buf[:half])
-    x_hat = np.fft.rfft(v[:n], length, out=x_hat_buf[:half])
-    np.multiply(x_hat, h_hat, out=x_hat)
-    low = q[:n]
-    low[:] = np.fft.irfft(x_hat, length, out=real_buf)[:n]
-    np.fft.rfft(a[:size], length, out=x_hat)
-    np.multiply(x_hat, np.fft.rfft(low, length, out=y_hat_buf[:half]), out=x_hat)
-    residual = np.subtract(v[n:size], np.fft.irfft(x_hat, length, out=real_buf)[n:size], out=q[n:])
-    np.multiply(h_hat, np.fft.rfft(residual, length, out=x_hat), out=x_hat)
-    q[n:] = np.fft.irfft(x_hat, length, out=real_buf)[: size - n]
+            length = 1 << (m - 1).bit_length()
+            half, real = length // 2 + 1, real_buf[:length]
+            h_hat = low_hat = np.fft.rfft(q[:n], length, out=h_hat_buf[:half])
+            if numerator:  # h lives on as h_hat, so the low half takes its place in q
+                x_hat = np.fft.rfft(v[:n], length, out=x_hat_buf[:half])
+                np.multiply(x_hat, h_hat, out=x_hat)
+                q[:n] = np.fft.irfft(x_hat, length, out=real)[:n]
+                low_hat = np.fft.rfft(q[:n], length, out=y_hat_buf[:half])
+            x_hat = np.fft.rfft(a[:m], length, out=x_hat_buf[:half])
+            np.multiply(x_hat, low_hat, out=x_hat)
+            product = np.fft.irfft(x_hat, length, out=real)[n:m]
+        residual = q[n:m]
+        if numerator:
+            np.subtract(v[n:m], product, out=residual)
+        else:
+            np.negative(product, out=residual)
+        if direct:
+            q[n:m] = np.convolve(q[:n], residual)[: m - n]
+            if numerator:  # only now, as the correction read h from q[:n]
+                q[:n] = low
+        else:
+            np.multiply(h_hat, np.fft.rfft(residual, length, out=x_hat), out=x_hat)
+            q[n:m] = np.fft.irfft(x_hat, length, out=real)[: m - n]
     return q
 
 
@@ -446,8 +419,10 @@ class RenewalRatioLST(TransformOracle):
     which is the Leibniz rule for m~ (1 - phi f~) = v~ rescaled so no
     binomial coefficients appear.  Read as power series in z, it is the
     division W(m) = W(v) / (1 - phi W(f)), which the weights take in
-    O(K log K): a Newton reciprocal of the denominator (Brent & Kung,
-    J. ACM 25, 1978) that folds the numerator into its last pass.  The
+    O(K log K) by one call of ``_series_quotient``: the Newton reciprocal
+    of the denominator (Brent & Kung, J. ACM 25, 1978) with the numerator
+    folded into its last pass, the kernel that the compound step runs
+    with the numerator 1.  The
     division adds an absolute error of about 1e-16 / (1 - phi) of the
     largest weight for a density f, whose reciprocal series has
     coefficients summing to up to 1 / (1 - phi); the tests check it

@@ -189,12 +189,28 @@ class TestSpecValidation:
             [(math.inf, 1.0, 1.0)],
             [(1.0, -1.0, 1.0)],
             [(1.5, 1.0, 1.0), (-0.5, 2.0, 1.0)],
+            [("1", True, " 2.0 ")],
+            [(1.0, False, 1.0)],
+            [(1.0, 1.0, "2")],
+            [(1.0, 1.0, 10**400)],
         ],
     )
     def test_bad_claim_parameters_exit_2(self, write_spec, capsys, command, components):
-        # JSON Infinity and NaN parse to floats; the mixture refuses them
+        # JSON Infinity and NaN parse to floats, which the mixture refuses;
+        # a string, a boolean or an integer beyond the floats is refused
+        # as it is read
         spec = write_spec(components)
         code, out, err = run([command, "--spec", spec, *SPEC_COMMANDS[command]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json refuses to convert an integer of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        spec = tmp_path / "long.json"
+        spec.write_text('{"components": [{"p": 1, "alpha": 1, "beta": ' + "9" * 5000 + "}]}")
+        code, out, err = run(["ruin", "--spec", str(spec), *SPEC_COMMANDS["ruin"]], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err

@@ -32,7 +32,7 @@ from renewinv import (
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 from renewinv import bounds, ruin, transforms
 from renewinv.ruin import renewal_data_from_model, RiskModel
-from renewinv.transforms import _DIRECT_MAX, _series_quotient, _series_reciprocal
+from renewinv.transforms import _DIRECT_MAX, _series_quotient
 
 # every size 1-1100, then 2**k - 1, 2**k and 2**k + 1 up to 2**16 + 1: the
 # Newton passes change from direct to FFT above 512 terms, and each power
@@ -114,6 +114,32 @@ def reciprocal_reference(a):
             step = np.fft.irfft(np.multiply(h_hat, np.fft.rfft(residual, size)), size)[: m - n]
         h = np.concatenate((h, -step))
     return h
+
+
+def newton_quotient_reference(v, a):
+    """The Newton quotient v / a in allocating form, the bit-for-bit reference for the kernel.
+
+    ``reciprocal_reference`` to ceil(a.size / 2) terms, then the last pass
+    with the numerator: low = v h mod z**n, and the high half h times the
+    slice [n, a.size) of v - a low.  Full convolutions in the direct case,
+    fresh transforms at one cyclic length, the smallest power of two >=
+    a.size, in the long case, each product naming the kernel's operand order.
+    """
+    size, n = a.size, (a.size + 1) // 2
+    h = reciprocal_reference(a[:n])
+    if size == 1:
+        return v[:1] * h
+    if n <= _DIRECT_MAX:
+        low = np.convolve(v[:n], h)[:n]
+        residual = v[n:size] - np.convolve(a[:size], low)[n:size]
+        return np.concatenate((low, np.convolve(h, residual)[: size - n]))
+    length = 1 << (size - 1).bit_length()
+    h_hat = np.fft.rfft(h, length)
+    low = np.fft.irfft(np.multiply(np.fft.rfft(v[:n], length), h_hat), length)[:n]
+    product = np.multiply(np.fft.rfft(a[:size], length), np.fft.rfft(low, length))
+    residual = v[n:size] - np.fft.irfft(product, length)[n:size]
+    high = np.fft.irfft(np.multiply(h_hat, np.fft.rfft(residual, length)), length)[: size - n]
+    return np.concatenate((low, high))
 
 
 def survival_reference(inner, t, k_max):
@@ -634,7 +660,7 @@ class TestSeriesReciprocalKernel:
         # never above the smallest power of two >= a.size, five per pass
         lengths = record_fft_lengths(monkeypatch)
         a = density_denominator(np.random.default_rng(size), size, 0.9)
-        h = _series_reciprocal(a)
+        h = _series_quotient(None, a)
 
         sizes = [size]
         while sizes[-1] > 1:
@@ -666,7 +692,7 @@ class TestSeriesReciprocalKernel:
             a[0] += 1.0
         differ = [
             size for size in RECIPROCAL_SIZES
-            if not np.array_equal(_series_reciprocal(a[:size]), reciprocal_reference(a[:size]))
+            if not np.array_equal(_series_quotient(None, a[:size]), reciprocal_reference(a[:size]))
         ]
         assert differ == []
 
@@ -676,7 +702,7 @@ class TestSeriesReciprocalKernel:
         a[0] = 1.0
         saved = a.copy()
         a.flags.writeable = False
-        assert np.array_equal(_series_reciprocal(a), reciprocal_reference(saved))
+        assert np.array_equal(_series_quotient(None, a), reciprocal_reference(saved))
         assert np.array_equal(a, saved)
 
 
@@ -695,7 +721,7 @@ class TestSeriesWorkspace:
         # in the kept arrays never reaches an answer, whatever length came before
         rng = np.random.default_rng(29)
         cases = [(density_denominator(rng, size, 0.9), rng.uniform(-1.0, 1.0, size)) for size in self.SIZES]
-        clean = [(_series_reciprocal(a).tobytes(), _series_quotient(v, a).tobytes()) for a, v in cases]
+        clean = [(_series_quotient(None, a).tobytes(), _series_quotient(v, a).tobytes()) for a, v in cases]
 
         def poison():
             for array in transforms._workspace.arrays:
@@ -703,17 +729,17 @@ class TestSeriesWorkspace:
 
         for (a, v), want in zip(cases[::-1] + cases, clean[::-1] + clean):
             poison()
-            h = _series_reciprocal(a).tobytes()
+            h = _series_quotient(None, a).tobytes()
             poison()
             assert (h, _series_quotient(v, a).tobytes()) == want
 
     def test_warm_reciprocal_allocates_little_beyond_its_answer(self):
         # the three ~128 KiB work arrays of cyclic length 16384 are kept, not made per call
         a = density_denominator(np.random.default_rng(16000), 16000, 0.9)
-        _series_reciprocal(a)
+        _series_quotient(None, a)
         tracemalloc.start()
         try:
-            h = _series_reciprocal(a)
+            h = _series_quotient(None, a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -725,7 +751,7 @@ class TestSeriesWorkspace:
         def kept_sizes():
             sizes = []
             for size in (1000, 3000, 1025, 16000, 8193):
-                _series_reciprocal(density_denominator(rng, size, 0.9))
+                _series_quotient(None, density_denominator(rng, size, 0.9))
                 sizes.append(getattr(transforms._workspace, "arrays", (np.empty(0),))[0].size)
             return sizes
 
@@ -739,16 +765,16 @@ class TestSeriesWorkspace:
         v = rng.uniform(-1.0, 1.0, size)
 
         def run():
-            _series_reciprocal(a[:16000])
+            _series_quotient(None, a[:16000])
             kept = transforms._workspace.arrays
             saved = [array.copy() for array in kept]
-            h = _series_reciprocal(a)
+            h = _series_quotient(None, a)
             assert transforms._workspace.arrays is kept
             assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(kept, saved))
-            # the quotient's reciprocal, to 2**15 + 1 terms, grows the kept
-            # arrays to cyclic length 2**16; its last pass, at 2**17, does not
+            # the quotient fetches its arrays once, at cyclic length 2**17
             q = _series_quotient(v, a)
-            assert [array.size for array in transforms._workspace.arrays] == [2**15 + 1] * 3
+            assert transforms._workspace.arrays is kept
+            assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(kept, saved))
             return h, q
 
         h, q = in_fresh_thread(run)
@@ -758,12 +784,12 @@ class TestSeriesWorkspace:
 
     def test_threads_keep_separate_arrays(self):
         a = density_denominator(np.random.default_rng(32), 3000, 0.9)
-        _series_reciprocal(a)
+        _series_quotient(None, a)
         mine = transforms._workspace.arrays
 
         def run():
             assert getattr(transforms._workspace, "arrays", None) is None
-            _series_reciprocal(a)
+            _series_quotient(None, a)
             return transforms._workspace.arrays
 
         theirs = in_fresh_thread(run)
@@ -782,6 +808,15 @@ class TestSeriesQuotientKernel:
         want = quotient_reference(v, a)
         assert got.shape == want.shape
         assert float(np.max(np.abs(got - want))) <= 1e-15 * float(np.max(np.abs(v))) / (1.0 - phi)
+
+    @pytest.mark.parametrize("size", QUOTIENT_SIZES + [3000, 8193, 16000])
+    def test_matches_allocating_reference(self, size):
+        # bit for bit, so that a change in the kernel's rounding shows; the
+        # long division above checks the quotient only to 1e-15
+        rng = np.random.default_rng(size)
+        a = density_denominator(rng, size, 0.9)
+        v = rng.uniform(-1.0, 1.0, size)
+        assert np.array_equal(_series_quotient(v, a), newton_quotient_reference(v, a))
 
     @pytest.mark.parametrize("size", QUOTIENT_SIZES)
     def test_last_pass_stays_cyclic(self, monkeypatch, size):

@@ -5,8 +5,15 @@ Subcommands: ``table1`` (reference non-ruin table for three claim models),
 built-in transforms), ``bound`` (a-priori error-bound report as JSON) and
 ``convergence`` (empirical order study).
 
-Exit codes: 0 success, 1 table check failed, 2 usage or parse error,
-3 admissibility error, 4 numerical failure.
+Exit codes: 0 success, 1 table check failed, 2 usage, parse or domain
+error, 3 admissibility error, 4 numerical failure.
+
+The module parses and prints: the rules on a spec and on an operator's
+arguments are the library's own checks, whose ``DomainError`` exits 2 with
+the ``error:`` prefix of a usage error.  A spec's p, alpha and beta must
+be JSON numbers and go to :class:`GammaMixture` as they are; the
+Post-Widder ``--t`` goes to the operator as an int when it is integral,
+and as given otherwise.
 
 The argument parser is built once, at import, and serves every :func:`main`
 call in the process.  :func:`main` dispatches by command name to the
@@ -108,10 +115,18 @@ def _load_mixture(path: str) -> GammaMixture:
             parsed.append(tuple(map(float, fields)))
         except OverflowError as exc:
             raise _UsageError(f"component {entry!r} has an integer field beyond the floats") from exc
-    total = math.fsum(p for p, _, _ in parsed)
-    if abs(total - 1.0) > 1e-9:
-        raise _UsageError(f"component weights sum to {total}, expected 1 within 1e-9")
-    return GammaMixture(tuple(Component(p / total, a, b) for p, a, b in parsed))
+    return GammaMixture(tuple(parsed))
+
+
+def _reals(text: str, flag: str) -> list[float]:
+    """The reals of a comma-separated list; empty items are skipped."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"{flag} must be a comma-separated list of reals: {exc}") from exc
+    if not values:
+        raise _UsageError(f"{flag} must contain at least one value")
+    return values
 
 
 def cmd_table1(args) -> int:
@@ -163,12 +178,11 @@ def cmd_ruin(args) -> int:
 
 
 def _build_transform(args):
+    a, p = args.a, args.p
     if args.transform == "exp_decay":
-        a = args.a if args.a is not None else 1.0
         oracle = ExponentialDecayLST(a)
         return oracle, (lambda u: math.exp(-a * u)), 1.0
     if args.transform == "test_function":
-        p = args.p if args.p is not None else 0.1
         if not 0 < p < 1:
             raise _UsageError(f"--p must be in (0, 1), got {p}")
         oracle = SumLST(ConstantLST(1.0), ScaledLST(-(1.0 - p), ExponentialDecayLST(p)))
@@ -181,17 +195,11 @@ def _build_transform(args):
 
 def cmd_invert(args) -> int:
     oracle, exact_fn, g0 = _build_transform(args)
-    try:
-        u_values = [float(tok) for tok in args.u.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"--u must be a comma-separated list of reals: {exc}") from exc
-    if not u_values:
-        raise _UsageError("--u must contain at least one value")
+    u_values = _reals(args.u, "--u")
 
     if args.method in ("postwidder", "stehfest2"):
-        if not math.isfinite(args.t) or args.t <= 0 or args.t != int(args.t):
-            raise _UsageError(f"--t must be a positive integer for {args.method}, got {args.t}")
-        n = int(args.t)
+        # any --t but an integral one goes on as given, for the operator to refuse
+        n = int(args.t) if args.t.is_integer() else args.t
         op = post_widder if args.method == "postwidder" else stehfest2
         values = [op(oracle, n, u) for u in u_values]
     elif args.method == "lstar":
@@ -207,8 +215,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    mix = _load_mixture(args.spec)
-    model = RiskModel(mix, args.phi)
+    model = RiskModel(_load_mixture(args.spec), args.phi)
     ledger, report = ruin_bound_report(model)
     payload = {
         "phi": args.phi,
@@ -222,19 +229,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    try:
-        t_list = [float(tok) for tok in args.t_list.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"--t-list must be a comma-separated list of reals: {exc}") from exc
-    if not t_list:
-        raise _UsageError("--t-list needs at least one rate")
-    mix = _load_mixture(args.spec)
-    model = RiskModel(mix, args.phi)
+    t_list = _reals(args.t_list, "--t-list")
+    model = RiskModel(_load_mixture(args.spec), args.phi)
 
     # ascending rates let M2 at 2t reuse the pass at 2t that M2 at t has just run
     curves = {t: approximate_nonruin(model, t, args.u_max).lattice.values
               for t in sorted(set(t_list))}
-    comps = mix.components
+    comps = model.claims.components
     if len(comps) == 1 and comps[0].alpha == 1.0:
         beta = comps[0].beta
         reference = lambda u: [exact_nonruin_exponential(args.phi, beta, x) for x in u]
@@ -280,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="evaluate an inversion operator on a built-in transform")
     p.add_argument("--transform", choices=("exp_decay", "test_function", "gamma_mixture"), required=True)
-    p.add_argument("--a", type=float, default=None, help="decay rate for exp_decay")
-    p.add_argument("--p", type=float, default=None, help="parameter for test_function")
+    p.add_argument("--a", type=float, default=1.0, help="decay rate for exp_decay")
+    p.add_argument("--p", type=float, default=0.1, help="parameter for test_function")
     p.add_argument("--spec", default=None, help="mixture JSON for gamma_mixture")
     p.add_argument("--method", choices=("lstar", "m2", "postwidder", "stehfest2"), required=True)
     p.add_argument("--t", type=float, required=True,
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except _UsageError as exc:
+    except (_UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AdmissibilityError as exc:
@@ -324,9 +325,6 @@ def main(argv=None) -> int:
     except (NegativeWeightError, SingularityError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

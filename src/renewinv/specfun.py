@@ -218,8 +218,8 @@ def _contfrac(alpha, x):
     # x = alpha + 1 once alpha >= 2, where x + 1 - alpha rounds.
     #
     # A point is accepted when its depth-N and depth-(N-1) values agree to
-    # _EPS; the others double their depth up to _MAX_ITER and stay NaN past
-    # it.  For an integer alpha a_alpha = 0 ends the fraction, and the depth
+    # one rounding, machine epsilon relative; the others double their depth
+    # up to _MAX_ITER and stay NaN past it.  For an integer alpha a_alpha = 0 ends the fraction, and the depth
     # is capped there.  For x >= alpha + 1 every t_i >= i + 1, by induction
     # down from t_N = b_N: t_i >= b_i where a_{i+1} >= 0, and
     # t_i >= b_i - (i + 1 - alpha) = x + i otherwise; so no denominator
@@ -230,7 +230,7 @@ def _contfrac(alpha, x):
     depth = _contfrac_depth(alpha, x, cap)
     while todo.size:
         deep, shallow = _contfrac_tails(alpha, x[todo] - (alpha - 1.0), depth)
-        done = np.abs(deep - shallow) <= _EPS * deep
+        done = np.abs(deep - shallow) <= np.finfo(float).eps * deep
         out[todo[done]] = 1.0 / deep[done]
         retry = ~done & (depth < cap)
         todo, depth = todo[retry], np.minimum(2 * depth[retry], cap)

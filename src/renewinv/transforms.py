@@ -89,10 +89,10 @@ class Component(NamedTuple):
 class GammaMixture:
     """Claim-amount model: finite mixture of gamma distributions.
 
-    Weights must sum to one (tolerance 1e-9); weights, shapes and rates
-    must be positive finite reals, and are stored as floats.  Moments and
-    transform derivatives are available in closed form, which keeps the
-    downstream error bounds exact.
+    Weights must sum to one (tolerance 1e-9), and each is stored divided
+    by their sum; weights, shapes and rates must be positive finite reals,
+    and are stored as floats.  Moments and transform derivatives are
+    available in closed form, which keeps the downstream error bounds exact.
 
     ``cdf`` is the exact column of ``renewinv invert --transform
     gamma_mixture``.  ``survival`` stays only because the benchmark harness
@@ -107,12 +107,12 @@ class GammaMixture:
         comps = tuple(
             Component(*map(_require_positive, Component(*c), labels)) for c in self.components
         )
-        object.__setattr__(self, "components", comps)
         if not comps:
             raise DomainError("mixture needs at least one component")
         total = math.fsum(p for p, _, _ in comps)
         if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"mixture weights sum to {total}, expected 1")
+            raise DomainError(f"mixture weights sum to {total}, expected 1 within 1e-9")
+        object.__setattr__(self, "components", tuple(Component(p / total, a, b) for p, a, b in comps))
 
     @classmethod
     def exponential(cls, beta: float = 1.0) -> "GammaMixture":

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renewinv import BoundReport, GammaMixture, NormLedger, RiskModel, ruin_bound_report
+from renewinv import BoundReport, Component, GammaMixture, NormLedger, RiskModel, ruin_bound_report
 from renewinv import cli, inversion, ruin
 from renewinv.cli import main
 from renewinv.ruin import approximate_nonruin, lstar_nonruin
@@ -288,7 +288,7 @@ class TestInvert:
             capsys,
         )
         assert code == 2
-        assert "positive integer" in err and "Traceback" not in err
+        assert "must be an integer" in err and "Traceback" not in err
 
     def test_m2_lattice_cap_exits_2(self, capsys):
         # t*u = 4e7 would put 8e7 points on the fine lattice
@@ -597,8 +597,13 @@ class TestCsvWriter:
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     @pytest.mark.parametrize("t,u_max", [(5.0, 40.0), (50.0, 82.0)])  # K = 200 and 4100 rows
     def test_ruin_matches_library(self, all_table_mixtures, write_spec, capsys, phi, t, u_max):
-        for name, mix in all_table_mixtures.items():
-            spec = write_spec([(c.p, c.alpha, c.beta) for c in mix.components], name)
+        # weights summing to 1 - 5e-10 are within the mixture's tolerance: the
+        # spec and the library both store each weight over their sum
+        specs = {name: list(mix.components) for name, mix in all_table_mixtures.items()}
+        specs["short_weights"] = [(0.5, 1.0, 1.0), (0.5 - 5e-10, 1.5, 1.0)]
+        for name, triples in specs.items():
+            spec = write_spec(triples, name)
+            mix = GammaMixture(tuple(Component(*c) for c in triples))
             code, out, _ = run(
                 ["ruin", "--spec", spec, "--phi", repr(phi), "--t", repr(t), "--u-max", repr(u_max)],
                 capsys,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import closed_form_lstar_exponential_ruin, ReadOnlyLST
+from oracles import closed_form_lstar_exponential_ruin, exact_nonruin_integer_gamma, ReadOnlyLST
 from renewinv import (
     AdmissibilityError,
     approximate_nonruin,
@@ -512,3 +512,39 @@ class TestRenewalData:
         np.testing.assert_allclose(
             data.v_oracle.weights(t, 20), 0.9 * (2.0 * first + second) / 2.0, rtol=1e-12
         )
+
+
+class TestConvergenceOrder:
+    """The uniform order of M2 is min(2, 1 + alpha) on Gamma(alpha, alpha) claims.
+
+    The order is log2 of the sup error at t = 160 over that at t = 320, on
+    u <= 10.  Below alpha = 1 it is lost in a boundary layer at u = 0, where
+    m'' carries phi m(0) f'(u) with f' ~ u^(alpha - 1); on u >= 0.5 the order
+    is 2 at every shape.  The reference is the exact sum of exponentials for
+    an integer shape, and M2 at t = 5120 otherwise, whose error is 16^-1.5
+    = 1/64 of the error at t = 320 or less.
+    """
+
+    U_MAX = 10.0
+    T_REF = 5120.0
+
+    def sup_errors(self, model, t, reference):
+        values = approximate_nonruin(model, t, self.U_MAX).lattice.values[: int(self.U_MAX * t) + 1]
+        u = np.arange(values.size) / t
+        err = np.abs(values - reference(u))
+        return err.max(), err[u >= 0.5].max()
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.0])
+    def test_order_follows_the_shape(self, alpha, phi):
+        model = RiskModel(GammaMixture((Component(1.0, alpha, alpha),)), phi)
+        if alpha.is_integer():
+            reference = exact_nonruin_integer_gamma(model)
+        else:
+            ref = approximate_nonruin(model, self.T_REF, self.U_MAX).lattice.values
+            reference = lambda u: ref[np.rint(u * self.T_REF).astype(int)]
+        (coarse, coarse_away), (fine, fine_away) = (
+            self.sup_errors(model, t, reference) for t in (160.0, 320.0)
+        )
+        assert math.log2(coarse / fine) == pytest.approx(min(2.0, 1.0 + alpha), abs=0.05)
+        assert math.log2(coarse_away / fine_away) == pytest.approx(2.0, abs=0.05)

@@ -178,6 +178,14 @@ class TestGammaMixture:
         with pytest.raises(DomainError):
             GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5 + 1e-6, 1.0, 2.0)))
 
+    def test_weights_are_stored_over_their_sum(self):
+        # within the 1e-9 tolerance but short of 1; shapes and rates stay as given
+        raw = [(0.5, 1.0, 1.0), (0.5 - 5e-10, 1.5, 2.0)]
+        total = math.fsum(p for p, _, _ in raw)
+        assert total != 1.0
+        mix = GammaMixture(tuple(Component(*c) for c in raw))
+        assert mix.components == tuple(Component(p / total, a, b) for p, a, b in raw)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["p", "alpha", "beta"])
     def test_non_finite_parameters_rejected(self, field, bad):

@@ -16,7 +16,9 @@ Every coefficient of the chain (:func:`chain_bounds`) is nonnegative, so
 the chain is monotone in the ledger: the chained norms, and with them the
 constant C of :meth:`BoundReport.total_bound`, are upper bounds whenever
 every ledger entry is one.  The moments, the integrals of f'' and f(0),
-f'(0) are closed forms.  The eight sup norms are certified enclosures
+f'(0) are closed forms; the integrals of f'' are taken by parts, so each
+gamma shape takes one kernel value and one incomplete gamma
+(:func:`_component_i_fpp`).  The eight sup norms are certified enclosures
 (:func:`_sup_enclosures`): each row is a sum over the mixture's components
 of pieces that are monotone between closed-form breakpoints, so the values
 at the ends of a cell bound the row on the whole cell.  A cell whose bound
@@ -33,7 +35,7 @@ relative above it, so a narrow peak cannot be stepped over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,15 +75,13 @@ class NormLedger:
     f1_0: float
 
     def __post_init__(self):
-        for name in (
-            "w1_norm", "uw1_norm", "u2w1_norm", "w2_norm", "uw2_norm", "u2w2_norm",
-            "u2w1pp_norm", "u2w2pp_norm", "ez", "ez2", "i0_fpp", "i1_fpp", "i2_fpp", "f0",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if name == "f1_0":  # the last field, and the one signed entry
+                if not math.isfinite(value):
+                    raise DomainError(f"ledger entry f1_0 must be finite, got {value}")
+            elif not math.isfinite(value) or value < 0:
                 raise DomainError(f"ledger entry {name} must be finite and >= 0, got {value}")
-        if not math.isfinite(self.f1_0):
-            raise DomainError(f"ledger entry f1_0 must be finite, got {self.f1_0}")
         if self.ez**2 > self.ez2 * (1.0 + 1e-12):
             raise DomainError("equilibrium moments violate ez^2 <= ez2")
 
@@ -288,34 +288,33 @@ def equilibrium_moments(mixture: GammaMixture) -> tuple[float, float]:
 def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
     """Weighted integrals int u^i |F_a''| du, i = 0, 1, 2, for a unit-rate gamma CDF.
 
-    Splits |F''| at its single sign change u = c = alpha - 1 and integrates
-    each piece by incomplete gamma: integral i reads P(s, c) and
-    Gamma(s) / Gamma(alpha) at s = s_i and s_{i+1}, where s_j = c + j.  One
-    incomplete gamma, P(s_3, c), gives the other three by the downward
-    recurrence P(s, c) = P(s + 1, c) + c^s e^(-c) / Gamma(s + 1) (DLMF
-    8.8.5), whose terms are all positive.
+    F'' = f', with f the gamma density, changes sign only at the mode
+    c = alpha - 1, and f(0) = 0 for alpha > 1.  Integrating each side of c
+    by parts, int_0^c u^i f' = c^i f(c) - i int_0^c u^(i-1) f and
+    int_c^inf u^i f' = -c^i f(c) - i int_c^inf u^(i-1) f, so with u f_alpha
+    = alpha f_{alpha+1}, P0 = P(alpha, c) and P1 = P(alpha + 1, c):
+
+        I0 = 2 f(c),  I1 = 2 c f(c) + 1 - 2 P0,  I2 = 2 c^2 f(c) + 2 alpha (1 - 2 P1).
+
+    One kernel value f(c) and one incomplete gamma P1 give all three, as
+    P0 = P1 + (c / alpha) f(c) (DLMF 8.8.5).  Exponential claims (alpha = 1,
+    where f(0) = 1) read (1, 1, 2) directly.
     """
     if alpha == 1.0:
         return 1.0, 1.0, 2.0
     c = alpha - 1.0
-    shapes = [c + j for j in range(4)]
-    log_gamma = [math.lgamma(s) for s in shapes]
-    ratio = [math.exp(lg - math.lgamma(alpha)) for lg in log_gamma]
-    lower = [reg_inc_gamma_lower(shapes[3], c)]
-    for j in (2, 1, 0):
-        lower.insert(0, lower[0] + math.exp(shapes[j] * math.log(c) - c - log_gamma[j + 1]))
-    return tuple(
-        ratio[i + 1] - c * ratio[i]
-        + 2.0 * c * ratio[i] * lower[i] - 2.0 * ratio[i + 1] * lower[i + 1]
-        for i in range(3)
-    )
+    f_c = float(_gamma_kernel(alpha, c, c))
+    p1 = reg_inc_gamma_lower(alpha + 1.0, c)
+    p0 = p1 + c / alpha * f_c
+    return 2.0 * f_c, 2.0 * c * f_c + 1.0 - 2.0 * p0, 2.0 * c * c * f_c + 2.0 * alpha * (1.0 - 2.0 * p1)
 
 
 def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, float, float]:
     """(I0, I1, I2 of f'', f(0), f'(0)) for the equilibrium density f.
 
     f'' = -F_X''/mean, so each gamma component with rate beta contributes
-    beta**(1-i) times its unit-rate integral.
+    beta**(1-i) times its unit-rate integral, which takes one kernel value
+    and one incomplete gamma per shape (none for exponential claims).
     """
     _require_admissible(mixture)
     mu = mixture.mean

@@ -42,8 +42,11 @@ import numpy as np
 
 
 def _net_profit_loading(phi) -> float:
-    """phi as a float; AdmissibilityError outside (0, 1), where ruin is certain."""
+    """phi as a float; DomainError for NaN, AdmissibilityError outside (0, 1), where
+    ruin is certain."""
     phi = _real_point(phi, "loading factor phi")
+    if math.isnan(phi):
+        raise DomainError(f"loading factor phi must be a number, got {phi}")
     if not 0 < phi < 1:
         raise AdmissibilityError(f"net-profit condition violated: phi must be in (0, 1), got {phi}")
     return phi
@@ -53,8 +56,9 @@ def _net_profit_loading(phi) -> float:
 class RiskModel:
     """Claim law plus loading factor phi = (arrival rate * mean claim) / premium rate.
 
-    The net-profit condition 0 < phi < 1 is enforced at construction, and
-    phi is stored as a float, as the claim law's parameters are.
+    The net-profit condition 0 < phi < 1 is enforced at construction (a NaN
+    phi raises :class:`DomainError`), and phi is stored as a float, as the
+    claim law's parameters are.
     """
 
     claims: GammaMixture

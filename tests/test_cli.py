@@ -112,6 +112,16 @@ class TestRuin:
         assert code == 3
         assert "net-profit" in err
 
+    @pytest.mark.parametrize("command", ["ruin", "bound"])
+    def test_nan_loading_exits_2(self, write_spec, capsys, command):
+        spec = write_spec([(1.0, 1.0, 1.0)], "exp")
+        code, out, err = run(
+            [command, "--spec", spec, "--phi", "nan", "--t", "5"]
+            + (["--u-max", "40"] if command == "ruin" else []), capsys
+        )
+        assert (code, out) == (2, "")
+        assert "loading factor phi" in err
+
     def test_zero_u_max_is_usage_error(self, write_spec, capsys):
         spec = write_spec([(1.0, 1.0, 1.0)], "exp")
         code, _, _ = run(

@@ -108,6 +108,11 @@ class TestRiskModel:
         with pytest.raises(AdmissibilityError):
             RiskModel(exp_mixture, phi)
 
+    def test_nan_loading_is_a_domain_error(self, exp_mixture):
+        # NaN fails every comparison, so it is no violation of the net-profit condition
+        with pytest.raises(DomainError, match="loading factor phi"):
+            RiskModel(exp_mixture, math.nan)
+
 
 class TestExactNonruinExponential:
     def test_at_origin(self):
@@ -126,6 +131,10 @@ class TestExactNonruinExponential:
             exact_nonruin_exponential(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             exact_nonruin_exponential(0.9, 0.0, 1.0)
+
+    def test_nan_loading_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="loading factor phi"):
+            exact_nonruin_exponential(math.nan, 1.0, 1.0)
 
     @pytest.mark.parametrize("beta,u", [(1.0, math.nan), (math.inf, 0.0), (math.inf, 1.0)])
     def test_nan_capital_or_infinite_rate(self, beta, u):

@@ -35,6 +35,7 @@ relative above it, so a narrow peak cannot be stepped over.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -103,12 +104,17 @@ class BoundReport:
     def total_bound(self, t: float) -> float:
         """Uniform error bound of the order-2 operator at lattice rate t.
 
-        Exactly C / t^2 with C fixed by the chained norms, for t taken as a float;
-        a non-finite t raises rather than report the limit 0 as a bound.
+        C / t^2 with C fixed by the chained norms, for t taken as a float;
+        a non-finite t raises rather than report the limit 0 as a bound, and
+        so does a t small enough that C / t^2 is past the floats.
         """
         t = _require_positive(t)
         coeff = self.m2_norm / 8.0 + self.um3_norm / 6.0 + 9.0 * self.u2m4_norm / 16.0
-        return coeff / (t * t)
+        # t * t keeps all 53 bits down to t ~ 1.5e-154; below, it is subnormal or 0
+        bound = coeff / (t * t) if t * t >= sys.float_info.min else coeff / t / t
+        if not math.isfinite(bound):
+            raise DomainError(f"error bound C / t^2 with C = {coeff} overflows at t = {t}")
+        return bound
 
 
 def _require_admissible(mixture: GammaMixture) -> None:
@@ -135,6 +141,8 @@ def _component_pieces(mixture: GammaMixture, kappa: float, u: np.ndarray) -> np.
         out[0, i] = p * surv
         out[1, i] = p * (dens - kappa * surv)
         out[2, i] = p * u * dens * (alpha - 1.0 - x)
+        # where dens has underflowed to 0, x * x may overflow, and 0 * inf is nan
+        x = np.where(dens > 0.0, x, 0.0)
         out[3, i] = p * dens * ((alpha - 1.0) * (alpha - 2.0) - 2.0 * (alpha - 1.0) * x + x * x)
     return out
 

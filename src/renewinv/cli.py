@@ -139,7 +139,7 @@ def cmd_table1(args) -> int:
     for name, mix in models.items():
         approx = approximate_nonruin(RiskModel(mix, TABLE1_PHI), TABLE1_T, max(TABLE1_U))
         columns[name] = [approx.lattice(u) for u in TABLE1_U]
-    exact = [exact_nonruin_exponential(TABLE1_PHI, 1.0, u) for u in TABLE1_U]
+    exact = exact_nonruin_exponential(TABLE1_PHI, 1.0, TABLE1_U).tolist()
     dev = [abs(a - b) for a, b in zip(columns["exponential"], exact)]
     columns["exact_exponential"] = exact
     columns["abs_dev_exponential"] = dev
@@ -237,8 +237,7 @@ def cmd_convergence(args) -> int:
               for t in sorted(set(t_list))}
     comps = model.claims.components
     if len(comps) == 1 and comps[0].alpha == 1.0:
-        beta = comps[0].beta
-        reference = lambda u: [exact_nonruin_exponential(args.phi, beta, x) for x in u]
+        reference = lambda u: exact_nonruin_exponential(args.phi, comps[0].beta, u)
     else:
         # the coarse lattices end at K/t >= u_max, so the reference must reach the last of
         # them; it is read at every coarse point by one linear interpolation per rate

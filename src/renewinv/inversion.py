@@ -19,11 +19,9 @@ oracle hits the same entry, and an oracle that cannot be hashed is refused
 with :class:`DomainError` before any oracle call.  M2 at rate s reads the
 pass at (2s, 2K - 1) that M2 at 2s reads again, so calls at t, 2t, ...,
 2^L t run L + 2 passes, not 2(L + 1).  The memo holds the 3 most recently
-used passes, at most 3 x 8 MiB at ``MAX_FINE_LATTICE`` weights; beside it
-the one series kernel of :mod:`~renewinv.transforms`, which divides for
-both the compound step and the renewal ratio, keeps at most 1.5 MiB of
-FFT work arrays per thread.  The memo's arrays are only read, and never
-handed to a caller; refusals are not memoized and raise on every call.
+used passes, at most 3 x 8 MiB at ``MAX_FINE_LATTICE`` weights.  The memo's
+arrays are only read, and never handed to a caller; refusals are not
+memoized and raise on every call.
 It is safe for concurrent use: two threads that miss on one key both
 compute it and get equal arrays.
 """
@@ -38,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import _lattice_values, _real_point, _require_index, _require_positive
-from .specfun import _require_weight_count, MAX_FINE_LATTICE
+from .specfun import _require_weight_count, MAX_FINE_LATTICE  # noqa: F401 (callers import the cap from here)
 from .transforms import TransformOracle
 
 _SNAP = 1e-9
@@ -153,11 +151,7 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
     t = _require_positive(t)
     K = _require_index(K, "truncation index K", 1)
     g0 = _real_point(g0, "value g0")
-    if 2 * K > MAX_FINE_LATTICE:
-        raise DomainError(
-            f"K = {K} needs {2 * K} points on the fine lattice, "
-            f"more than the limit {MAX_FINE_LATTICE}"
-        )
+    _require_weight_count(2 * K, f"K = {K} on the fine lattice")
     try:
         hash(oracle)
     except TypeError as exc:
@@ -180,12 +174,11 @@ def post_widder(oracle: TransformOracle, n: int, u: float) -> float:
 
     Equals E g(u S(n)/n); uses the (n-1)-th transform derivative at n/u,
     with u taken as a float.  Raises :class:`DomainError` unless n is an
-    integer (5.0 is refused) whose n weights fit in ``MAX_FINE_LATTICE``.
+    integer (5.0 is refused) whose n weights fit in ``MAX_FINE_LATTICE``
+    and u is positive and finite.
     """
     n = _require_index(n, "Post-Widder order n", 1)
-    u = _real_point(u)
-    if not u > 0:
-        raise DomainError(f"post_widder requires u > 0, got {u}")
+    u = _require_positive(u, "point u")
     _require_weight_count(n, f"Post-Widder order {n}")
     s = n / u
     w = oracle.weights(s, n - 1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
 from .inversion import covering_index, LatticeFunction, m2_lattice
-from .specfun import _real_point, _require_positive
+from .specfun import _real_array, _real_point, _require_positive, _shaped_like
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -135,7 +135,7 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     oracle at rates t and 2t; the k = 0 value is pinned to the exact
     1 - phi since the accelerated operator is defined to take the true
     value at the origin.  t and u_max are taken as floats.  Raises
-    :class:`DomainError` unless t is positive and finite, u_max positive and
+    :class:`DomainError` unless t and u_max are positive and finite and
     t * u_max finite, and for a lattice beyond ``MAX_FINE_LATTICE``.
 
     The non-ruin probability m is nondecreasing in [1 - phi, 1], and M2 need
@@ -149,9 +149,7 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     A curve already in range and nondecreasing is its own projection, and is
     returned as M2 gave it.
     """
-    t, u_max = _require_positive(t), _real_point(u_max, "u_max")
-    if not u_max > 0:
-        raise DomainError(f"u_max must be positive, got {u_max}")
+    t, u_max = _require_positive(t), _require_positive(u_max, "u_max")
     lattice = m2_lattice(_NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi)
     values = lattice.values
     # values[0] is 1 - phi, so a nondecreasing curve is in range if it ends at or below 1
@@ -161,19 +159,22 @@ def approximate_nonruin(model: RiskModel, t: float, u_max: float) -> RuinApproxi
     return RuinApproximation(lattice)
 
 
-def exact_nonruin_exponential(phi: float, beta: float, u: float) -> float:
+def exact_nonruin_exponential(phi: float, beta: float, u):
     """Closed-form non-ruin probability for exponential claims with rate beta.
 
-    1 - phi * exp(-beta (1-phi) u); reduces to the mean-one formula
-    1 - phi * exp(-(1-phi) u) at beta = 1, and is 1 at u = inf.  phi is
-    refused as in :class:`RiskModel`; a non-real argument, a beta outside
-    (0, inf) or a NaN or negative u raises :class:`DomainError`.
+    1 - phi * exp(-beta (1-phi) u) at a float or an array of points u;
+    reduces to the mean-one formula 1 - phi * exp(-(1-phi) u) at beta = 1,
+    and is 1 at u = inf.  phi is refused as in :class:`RiskModel`; a
+    non-real argument, a beta outside (0, inf) or a NaN or negative u
+    raises :class:`DomainError`, which names the first such u.
     """
     phi, beta = _net_profit_loading(phi), _require_positive(beta, "claim rate beta")
-    u = _real_point(u, "initial capital u")
-    if not u >= 0:
-        raise DomainError(f"initial capital u must be >= 0, got {u}")
-    return 1.0 - phi * math.exp(-beta * (1.0 - phi) * u)
+    u = _real_array(u, "initial capital u")
+    bad = u[~(u >= 0)]
+    if bad.size:
+        raise DomainError(f"initial capital u must be >= 0, got {bad[0]}")
+    with np.errstate(over="ignore"):  # a product past the floats is inf, and exp(-inf) = 0
+        return _shaped_like(u, 1.0 - phi * np.exp(-beta * (1.0 - phi) * u))
 
 
 def renewal_data_from_model(model: RiskModel) -> RenewalIngredients:

@@ -311,6 +311,15 @@ class TestSupNormKernel:
             ruin_bound_report(RiskModel(mix, phi))
             assert len(sizes) <= 2 and sum(sizes) <= 1_600, (name, sizes)
 
+    def test_underflowed_density_gives_a_zero_piece(self):
+        # where Exp(1e100)'s density has underflowed to 0, x * x has overflowed,
+        # and u^2 F''' formed as dens * (... + x * x) read 0 * inf = nan
+        mix = GammaMixture((Component(0.5, 1.0, 1e-100), Component(0.5, 1.0, 1e100)))
+        ledger, report = ruin_bound_report(RiskModel(mix, 0.9))
+        assert all(math.isfinite(v) for v in dataclasses.astuple(ledger))
+        assert ledger.u2w2pp_norm > 0
+        assert 0 < report.total_bound(1.0) < math.inf
+
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     def test_narrow_spike_is_enclosed(self, phi):
         # the Exp(1e-3) component stretches [0, E] to 7000, and 256 uniform
@@ -648,6 +657,21 @@ class TestTheoremBound:
         _, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))
         with pytest.raises(DomainError, match="finite"):
             report.total_bound(t)
+
+    @pytest.mark.parametrize("t", [1e-160, 1e-170])
+    def test_bound_past_the_floats_rejected(self, t):
+        # t * t underflowed to 0 (a raw ZeroDivisionError) from t ~ 1e-162,
+        # and C / (t * t) overflowed to inf before that
+        _, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))
+        with pytest.raises(DomainError, match=f"overflows at t = {t}"):
+            report.total_bound(t)
+
+    def test_smallest_rates_keep_c_over_t_squared(self):
+        _, report = ruin_bound_report(RiskModel(GammaMixture.exponential(), 0.9))
+        assert report.total_bound(1e-150) == pytest.approx(report.total_bound(1.0) * 1e300, rel=1e-15)
+        # C = 1e-20: t * t is subnormal at 1e-160, where C / t^2 is still a float
+        tiny = dataclasses.replace(BoundReport(*[0.0] * 9), m2_norm=8e-20)
+        assert tiny.total_bound(1e-160) == pytest.approx(1e300, rel=1e-15)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])
     @pytest.mark.parametrize("t", [5.0, 10.0])

@@ -450,6 +450,16 @@ class TestBound:
         assert out == ""
         assert "E[X**3]" in err and f"{beta:g}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("t", ["1e-160", "1e-170"])
+    def test_bound_past_the_floats_exits_2(self, write_spec, capsys, t):
+        # used to print "total_bound": Infinity at 1e-160, and a traceback
+        # with exit 1 at 1e-170
+        spec = write_spec([(1.0, 1.5, 1.0)], "gamma_3_2")
+        code, out, err = run(["bound", "--spec", spec, "--phi", "0.9", "--t", t], capsys)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err and "Traceback" not in err
+
     def test_inadmissible_shape_exits_3(self, write_spec, capsys):
         spec = write_spec([(1.0, 0.5, 1.0)], "heavy")
         code, _, err = run(["bound", "--spec", spec, "--phi", "0.9", "--t", "5"], capsys)

@@ -378,6 +378,11 @@ class TestPostWidder:
         with pytest.raises(DomainError):
             post_widder(ConstantLST(1.0), 3, 0.0)
 
+    def test_infinite_point_is_refused_before_any_oracle_call(self):
+        # an infinite u used to pass its check and reach the oracle at rate 0
+        with pytest.raises(DomainError, match="point u must be positive and finite, got inf"):
+            post_widder(Untouchable(), 3, math.inf)
+
     @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
     def test_order_must_be_a_finite_integer(self, n):
         # NaN and inf used to raise raw ValueError and OverflowError from int()

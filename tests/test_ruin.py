@@ -145,6 +145,23 @@ class TestExactNonruinExponential:
     def test_infinite_capital_is_certain_survival(self):
         assert exact_nonruin_exponential(0.9, 2.0, math.inf) == 1.0
 
+    @pytest.mark.parametrize("phi,beta", [(0.9, 1.0), (0.5, 0.75), (0.3, 40.0)])
+    def test_array_matches_scalar_form(self, phi, beta):
+        # beta (1 - phi) u overflows at u = 1e308 for beta = 40
+        u = np.concatenate([np.linspace(0.0, 60.0, 1201), [1e308, math.inf]]).reshape(-1, 1)
+        got = exact_nonruin_exponential(phi, beta, u)
+        assert got.shape == u.shape and got.dtype == np.float64
+        for x, g in zip(u.ravel().tolist(), got.ravel()):
+            scalar = exact_nonruin_exponential(phi, beta, x)
+            assert type(scalar) is float and scalar == g, x
+            # np.exp and math.exp differ by at most an ulp of exp; values lie in [1 - phi, 1]
+            assert abs(g - (1.0 - phi * math.exp(-beta * (1.0 - phi) * x))) <= math.ulp(1.0), x
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_array_refuses_the_first_bad_point(self, bad):
+        with pytest.raises(DomainError, match=f"initial capital u must be >= 0, got {bad}"):
+            exact_nonruin_exponential(0.9, 1.0, [0.0, 2.0, bad, -5.0])
+
 
 class TestApproximateNonruin:
     def test_origin_is_one_minus_phi(self, all_table_mixtures):
@@ -199,6 +216,12 @@ class TestApproximateNonruin:
         with pytest.raises(DomainError):
             approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
 
+    def test_infinite_horizon_refused_by_its_own_check(self, monkeypatch, exp_mixture):
+        # an infinite u_max used to pass its check and be refused by lattice_index
+        monkeypatch.setattr(ruin, "discretize_equilibrium", _must_not_run)
+        with pytest.raises(DomainError, match="u_max must be positive and finite, got inf"):
+            approximate_nonruin(RiskModel(exp_mixture, 0.9), 5.0, math.inf)
+
     def test_float32_rate_answers_as_its_float64_value(self, exp_mixture):
         # a float32 rate used to reach the oracle as float32: at t = 5 the
         # equilibrium weights summed to 1 + 1.2e-5 and were refused, and
@@ -226,7 +249,9 @@ class TestApproximateNonruin:
     def test_lattice_size_cap(self, monkeypatch, exp_mixture, t, u_max):
         # refused before the oracle discretizes anything
         monkeypatch.setattr(ruin, "discretize_equilibrium", _must_not_run)
-        with pytest.raises(DomainError, match=f"fine lattice, more than the limit {MAX_FINE_LATTICE}"):
+        with pytest.raises(
+            DomainError, match=f"on the fine lattice needs .* more than the limit {MAX_FINE_LATTICE}"
+        ):
             approximate_nonruin(RiskModel(exp_mixture, 0.9), t, u_max)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9])

@@ -142,6 +142,7 @@ ARRAY_PARAMETERS = {
     "reg_inc_gamma_upper.x": lambda x: reg_inc_gamma_upper(1.5, x),
     "GammaMixture.cdf.u": lambda u: MIXTURE.cdf(u),
     "GammaMixture.survival.u": lambda u: MIXTURE.survival(u),
+    "exact_nonruin_exponential.u": lambda u: exact_nonruin_exponential(0.9, 1.0, u),
     "LatticeFunction.values": lambda v: LatticeFunction(5.0, v),
     "LatticePMF.weights": lambda w: LatticePMF(5.0, w),
 }

@@ -13,7 +13,10 @@ arguments are the library's own checks, whose ``DomainError`` exits 2 with
 the ``error:`` prefix of a usage error.  A spec's p, alpha and beta must
 be JSON numbers and go to :class:`GammaMixture` as they are; the
 Post-Widder ``--t`` goes to the operator as an int when it is integral,
-and as given otherwise.
+and as given otherwise.  ``invert`` hands its ``--u`` points to the library
+as one array for the exact column and for ``lstar``, whose points share one
+oracle pass; ``m2`` reads its lattice point by point (a float call is ~20x
+cheaper than an array one), and Post-Widder runs one pass per point at n/u.
 
 The argument parser is built once, at import, and serves every :func:`main`
 call in the process.  :func:`main` dispatches by command name to the
@@ -180,13 +183,12 @@ def cmd_ruin(args) -> int:
 def _build_transform(args):
     a, p = args.a, args.p
     if args.transform == "exp_decay":
-        oracle = ExponentialDecayLST(a)
-        return oracle, (lambda u: math.exp(-a * u)), 1.0
+        return ExponentialDecayLST(a), (lambda u: np.exp(-a * u)), 1.0
     if args.transform == "test_function":
         if not 0 < p < 1:
             raise _UsageError(f"--p must be in (0, 1), got {p}")
         oracle = SumLST(ConstantLST(1.0), ScaledLST(-(1.0 - p), ExponentialDecayLST(p)))
-        return oracle, (lambda u: 1.0 - (1.0 - p) * math.exp(-p * u)), p
+        return oracle, (lambda u: 1.0 - (1.0 - p) * np.exp(-p * u)), p
     if args.spec is None:  # gamma_mixture, the last of the parser's choices
         raise _UsageError("--spec is required for the gamma_mixture transform")
     mix = _load_mixture(args.spec)
@@ -195,7 +197,7 @@ def _build_transform(args):
 
 def cmd_invert(args) -> int:
     oracle, exact_fn, g0 = _build_transform(args)
-    u_values = _reals(args.u, "--u")
+    u_values = np.array(_reals(args.u, "--u"))
 
     if args.method in ("postwidder", "stehfest2"):
         # any --t but an integral one goes on as given, for the operator to refuse
@@ -203,13 +205,14 @@ def cmd_invert(args) -> int:
         op = post_widder if args.method == "postwidder" else stehfest2
         values = [op(oracle, n, u) for u in u_values]
     elif args.method == "lstar":
-        values = [l_star(oracle, args.t, u) for u in u_values]
+        values = l_star(oracle, args.t, u_values)
     else:  # m2, the last of the parser's choices
         lattice = m2_lattice(oracle, args.t, covering_index(args.t, max(u_values)), g0)
         values = [lattice(u) for u in u_values]
 
-    exact = [exact_fn(u) for u in u_values]
-    error = [abs(val - ex) for val, ex in zip(values, exact)]
+    with np.errstate(over="ignore"):  # a product past the floats is inf, and exp(-inf) = 0
+        exact = exact_fn(u_values)
+    error = np.abs(np.subtract(values, exact))
     _write(_csv(["u", args.method, "exact", "abs_error"], [u_values, values, exact, error]), args.out)
     return 0
 

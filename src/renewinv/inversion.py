@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _lattice_values, _real_point, _require_index, _require_positive
-from .specfun import _require_weight_count, MAX_FINE_LATTICE  # noqa: F401 (callers import the cap from here)
+from .specfun import _lattice_values, _real_array, _real_point, _require_finite, _require_index
+from .specfun import _require_positive, _require_weight_count, _shaped_like, MAX_FINE_LATTICE  # noqa: F401 (callers import the cap from here)
 from .transforms import TransformOracle
 
 _SNAP = 1e-9
@@ -112,21 +112,29 @@ class LatticeFunction:
         return frac * float(self.values[k + 1]) + (1.0 - frac) * float(self.values[k])
 
 
-def l_star(oracle: TransformOracle, t: float, u: float) -> float:
+def l_star(oracle: TransformOracle, t: float, u):
     """Gamma-operator approximation of g(u) from transform derivatives at t.
 
     Equals E g(S([tu]+1)/t) with S(n) a standard Gamma(n, 1) variable; for
     a CDF source this is the CDF of the lattice-discretized variable.
-    t and u are taken as floats.  Raises :class:`DomainError` when the
-    k + 1 weights it reads exceed ``MAX_FINE_LATTICE``.
+    t is taken as a float; u, a float or an array of points, is read by the
+    package's one array rule, and the result has its shape (a float for a
+    float, an empty array for an empty array).  Each index [tu] comes from
+    :func:`lattice_index`, and all points are read from one oracle pass to
+    the largest index.  That gives each point the bits of a call on it
+    alone for every oracle whose weights do not depend on the pass length;
+    the renewal ratio's series division moves them by about 1e-16.  Raises
+    :class:`DomainError`, before any oracle call, at the first negative
+    point, at a NaN or infinite one, and when the [t max u] + 1 weights
+    exceed ``MAX_FINE_LATTICE``.
     """
-    t, u = _require_positive(t), _real_point(u)
-    if u < 0:
-        raise DomainError(f"l_star requires u >= 0, got {u}")
-    k, _ = lattice_index(t, u)
-    _require_weight_count(k + 1, f"l_star at t*u = {t * u}")
-    w = oracle.weights(t, k)
-    return t * float(w[k])
+    t, us = _require_positive(t), _real_array(u, "point u")
+    if (us < 0).any():
+        raise DomainError(f"l_star requires u >= 0, got {us[us < 0][0]}")
+    ks = [lattice_index(t, x)[0] for x in us.flat]  # Python ints, capped before they become intp
+    k_max = max(ks, default=0)
+    _require_weight_count(k_max + 1, f"l_star at t*u = {t * us.max(initial=0.0)}")
+    return _shaped_like(us, t * oracle.weights(t, k_max)[np.array(ks, np.intp).reshape(us.shape)])
 
 
 # M2 at rate s reads the passes (2s, 2K - 1) and then (s, K - 1); M2 at 2s
@@ -145,12 +153,12 @@ def m2_lattice(oracle: TransformOracle, t: float, K: int, g0: float) -> LatticeF
     and the caller-supplied g(0) at k = 0.  Oracle calls are batched per
     lattice rate and memoized (module docstring), with t taken as a float.
     Raises :class:`DomainError`, before any oracle call, when t is not a positive
-    finite real, K not an integer >= 1, g0 not a real number, the fine lattice
+    finite real, K not an integer >= 1, g0 not a finite real number, the fine lattice
     would exceed ``MAX_FINE_LATTICE`` points or the oracle is not hashable.
     """
     t = _require_positive(t)
     K = _require_index(K, "truncation index K", 1)
-    g0 = _real_point(g0, "value g0")
+    g0 = _require_finite(g0, "value g0")
     _require_weight_count(2 * K, f"K = {K} on the fine lattice")
     try:
         hash(oracle)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .compound import discretize_equilibrium, panjer_geometric
 from .errors import AdmissibilityError, DomainError
 from .inversion import covering_index, LatticeFunction, m2_lattice
-from .specfun import _real_array, _real_point, _require_positive, _shaped_like
+from .specfun import _real_array, _real_point, _require_kind, _require_positive, _shaped_like
 from .transforms import (
     GammaMixture,
     ScaledLST,
@@ -65,6 +65,7 @@ class RiskModel:
     phi: float
 
     def __post_init__(self):
+        _require_kind(self.claims, GammaMixture, "claim law")
         object.__setattr__(self, "phi", _net_profit_loading(self.phi))
 
 

@@ -74,6 +74,21 @@ def _real_point(x, what: str = "point u") -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _require_finite(x, what: str) -> float:
+    """x as a float; DomainError unless x is a real number other than NaN and +-inf."""
+    x = _real_point(x, what)
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _require_kind(x, kind: type, what: str) -> None:
+    """DomainError unless x is an instance of ``kind``: a part of the wrong type is
+    refused where it is built, not at its first use."""
+    if not isinstance(x, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got {x!r}")
+
+
 def _real_array(x, what: str) -> np.ndarray:
     """x as a float64 array, not copied if it is one.  DomainError unless its dtype is
     bool, integer or float: complex, str, bytes, object and datetime are refused."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .specfun import _real_array, _real_point, _require_index, _require_positive
-from .specfun import _require_weight_index, _shaped_like
+from .specfun import _require_finite, _require_kind, _require_weight_index, _shaped_like
 from .specfun import negbin_pmf_terms, reg_inc_gamma_lower, reg_inc_gamma_upper
 
 _SINGULARITY_TOL = 1e-12
@@ -181,6 +181,9 @@ class GammaMixtureLST(TransformOracle):
 
     mixture: GammaMixture
 
+    def __post_init__(self):
+        _require_kind(self.mixture, GammaMixture, "mixture")
+
     def weights(self, t, k_max):
         """Mixture of the components' negative-binomial masses.
 
@@ -199,9 +202,7 @@ class GammaMixtureLST(TransformOracle):
 def _finite_constant(c: float) -> float:
     # -0.0 equals and hashes as 0.0 but gives -0.0 weights, so equal oracles
     # would not give equal bits; a zero of either sign is kept as 0.0
-    c = _real_point(c, "constant factor c")
-    if not math.isfinite(c):
-        raise DomainError(f"constant factor must be finite, got {c}")
+    c = _require_finite(c, "constant factor c")
     return 0.0 if c == 0 else c
 
 
@@ -249,6 +250,7 @@ class ScaledLST(TransformOracle):
 
     def __post_init__(self):
         object.__setattr__(self, "c", _finite_constant(self.c))
+        _require_kind(self.inner, TransformOracle, "inner oracle")
 
     def weights(self, t, k_max):
         return self.c * self.inner.weights(t, k_max)
@@ -263,6 +265,8 @@ class SumLST(TransformOracle):
     def __init__(self, *oracles: TransformOracle):
         if not oracles:
             raise DomainError("SumLST needs at least one oracle")
+        for oracle in oracles:
+            _require_kind(oracle, TransformOracle, "SumLST term")
         object.__setattr__(self, "oracles", oracles)
 
     def weights(self, t, k_max):
@@ -281,6 +285,9 @@ class CumulativeLST(TransformOracle):
 
     inner: TransformOracle
 
+    def __post_init__(self):
+        _require_kind(self.inner, TransformOracle, "inner oracle")
+
     def weights(self, t, k_max):
         return np.cumsum(self.inner.weights(t, k_max)) / t
 
@@ -296,6 +303,9 @@ class SurvivalLST(TransformOracle):
     """
 
     inner: TransformOracle
+
+    def __post_init__(self):
+        _require_kind(self.inner, TransformOracle, "inner oracle")
 
     def weights(self, t, k_max):
         tails = np.cumsum(self.inner.weights(t, k_max))
@@ -440,6 +450,8 @@ class RenewalRatioLST(TransformOracle):
     phi: float
 
     def __post_init__(self):
+        _require_kind(self.v_oracle, TransformOracle, "oracle v")
+        _require_kind(self.f_oracle, TransformOracle, "oracle f")
         object.__setattr__(self, "phi", _real_point(self.phi, "defect phi"))
         if not 0 < self.phi < 1:
             raise DomainError(f"defect phi must be in (0, 1), got {self.phi}")

@@ -1,8 +1,9 @@
 """Independent verification oracles for the test suite.
 
 Slow, simple or closed-form routes that the tests cross-check the
-package's pipeline against, and a transform oracle that catches writes
-into the arrays it hands out; nothing in the package uses them.
+package's pipeline against, a transform oracle that catches writes into
+the arrays it hands out and one that counts its passes; nothing in the
+package uses them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,18 @@ from numpy.polynomial import Polynomial
 import scalar_reference
 from renewinv import DomainError, lattice_index
 from renewinv.transforms import TransformOracle
+
+
+class CountingLST(TransformOracle):
+    """Delegates to an inner oracle and records each pass (t, k_max) it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.passes = []
+
+    def weights(self, t, k_max):
+        self.passes.append((t, k_max))
+        return self.inner.weights(t, k_max)
 
 
 class ReadOnlyLST(TransformOracle):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import CountingLST
 from renewinv import BoundReport, Component, GammaMixture, NormLedger, RiskModel, ruin_bound_report
 from renewinv import cli, inversion, ruin
 from renewinv.cli import main
@@ -313,6 +314,7 @@ class TestInvert:
         "method,t,u",
         [
             ("lstar", "1e4", "300"),  # 3e6 + 1 weights to print one value
+            ("lstar", "5", "1e300"),  # an index past the machine integers
             ("postwidder", "2000000", "1"),
             ("stehfest2", "600000", "1"),  # order 2n = 1.2e6
         ],
@@ -694,20 +696,65 @@ class TestParserReuse:
         assert [args.command for args in seen] == [command]
 
 
-def test_invert_evaluates_exact_once_per_point(monkeypatch, capsys):
+@pytest.mark.parametrize("method", ["lstar", "m2", "postwidder", "stehfest2"])
+def test_invert_evaluates_exact_once_per_command(monkeypatch, capsys, method):
     calls = []
     build = cli._build_transform
 
     def counting_build(args):
         oracle, exact_fn, g0 = build(args)
-        return oracle, (lambda u: calls.append(u) or exact_fn(u)), g0
+        return oracle, (lambda u: calls.append(np.array(u)) or exact_fn(u)), g0
 
     monkeypatch.setattr(cli, "_build_transform", counting_build)
     code, out, _ = run(
-        ["invert", "--transform", "exp_decay", "--method", "lstar", "--t", "5", "--u", "0,1,2.5"],
+        ["invert", "--transform", "exp_decay", "--method", method, "--t", "5",
+         "--u", "0.5,1,2.5"],
         capsys,
     )
     assert code == 0
-    assert calls == [0.0, 1.0, 2.5]
+    assert [c.tolist() for c in calls] == [[0.5, 1.0, 2.5]]
     _, rows = parse_csv(out)
     assert [float(r[3]) for r in rows] == [abs(float(r[1]) - float(r[2])) for r in rows]
+
+
+def test_invert_lstar_reads_one_pass(monkeypatch, capsys):
+    oracles = []
+    build = cli._build_transform
+
+    def counting_build(args):
+        oracle, exact_fn, g0 = build(args)
+        oracles.append(CountingLST(oracle))
+        return oracles[-1], exact_fn, g0
+
+    monkeypatch.setattr(cli, "_build_transform", counting_build)
+    code, _, _ = run(
+        ["invert", "--transform", "exp_decay", "--method", "lstar", "--t", "5",
+         "--u", "0.5,7.25,40,2"],
+        capsys,
+    )
+    assert code == 0
+    assert [o.passes for o in oracles] == [[(5.0, 200)]]
+
+
+@pytest.mark.parametrize("method", [["lstar", "--t", "100"], ["m2", "--t", "5"]], ids=["lstar", "m2"])
+def test_invert_rows_equal_single_point_runs(write_spec, capsys, method):
+    spec = write_spec([(1.0, 1.5, 1.0)], "g32")
+    argv = ["invert", "--transform", "gamma_mixture", "--spec", spec, "--method", *method, "--u"]
+    code, out, _ = run(argv + ["0.5,7.25,40"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    singles = [run(argv + [u], capsys)[1].splitlines()[1] for u in ("0.5", "7.25", "40")]
+    assert rows == singles
+
+
+def test_invert_exact_column_past_the_floats_warns_nothing(capsys):
+    # a * u overflows to inf, and exp(-inf) is 0: no RuntimeWarning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(
+            ["invert", "--transform", "exp_decay", "--a", "2", "--method", "postwidder",
+             "--t", "10", "--u", "1e308"],
+            capsys,
+        )
+    assert code == 0
+    assert out.splitlines()[1] == "1e+308,0,0,0"

@@ -4,12 +4,15 @@ import re
 import numpy as np
 import pytest
 
+from oracles import CountingLST
 from renewinv import (
     Component,
     ConstantLST,
+    CumulativeLST,
     DomainError,
     ExponentialDecayLST,
     GammaMixture,
+    GammaMixtureLST,
     inversion,
     l_star,
     lattice_index,
@@ -133,6 +136,82 @@ class TestLStar:
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
 
+def _prefix_stable_oracles():
+    mix = GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0)))
+    return {
+        "exp_decay": ExponentialDecayLST(1.3),
+        "constant": ConstantLST(2.5),
+        "test_function": tf_oracle(0.1),
+        "scaled": ScaledLST(-0.7, ExponentialDecayLST(0.4)),
+        "gamma_cdf": CumulativeLST(GammaMixtureLST(mix)),
+    }
+
+
+class TestLStarArray:
+    """One oracle pass for an array of points, read at each point's lattice index."""
+
+    U = np.array([0.0, 0.37, 40.0, 1.0 / 3.0, 7.25, 12.6, 0.8, 40.0])
+
+    @pytest.mark.parametrize("t", [5.0, 100.0])
+    @pytest.mark.parametrize("name", list(_prefix_stable_oracles()))
+    def test_equals_per_point_calls_bit_for_bit(self, name, t):
+        oracle = _prefix_stable_oracles()[name]
+        got = l_star(oracle, t, self.U)
+        want = np.array([l_star(oracle, t, float(u)) for u in self.U])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [5.0, 20.0, 100.0])
+    def test_renewal_ratio_within_one_rounding_of_per_point_calls(self, t):
+        # the series division at a longer pass moves a weight by about 1e-16
+        model = RiskModel(GammaMixture((Component(1.0, 1.5, 1.0),)), 0.9)
+        data = renewal_data_from_model(model)
+        oracle = RenewalRatioLST(data.v_oracle, data.f_oracle, model.phi)
+        got = l_star(oracle, t, self.U)
+        want = np.array([l_star(oracle, t, float(u)) for u in self.U])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_one_pass_per_array_to_the_largest_index(self):
+        oracle = CountingLST(ExponentialDecayLST(1.0))
+        l_star(oracle, 5.0, self.U)
+        assert oracle.passes == [(5.0, 200)]
+
+    def test_keeps_the_shape_and_gives_a_float_for_a_float(self):
+        got = l_star(ConstantLST(1.0), 5.0, self.U.reshape(2, 4))
+        assert got.shape == (2, 4)
+        assert type(l_star(ConstantLST(1.0), 5.0, np.float64(0.8))) is float
+        assert type(l_star(ConstantLST(1.0), 5.0, np.array(0.8))) is float
+
+    def test_float32_point_gives_a_float_with_the_float64_bits(self):
+        u = np.float32(0.37)
+        got = l_star(ExponentialDecayLST(1.0), 5.0, u)
+        assert type(got) is float
+        assert got == l_star(ExponentialDecayLST(1.0), 5.0, float(u))
+
+    def test_empty_array_gives_an_empty_array(self):
+        got = l_star(ExponentialDecayLST(1.0), 5.0, np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == np.float64
+
+    def test_first_negative_point_is_refused_before_any_oracle_call(self):
+        with pytest.raises(DomainError, match=r"l_star requires u >= 0, got -0\.5$"):
+            l_star(Untouchable(), 5.0, [1.0, -0.5, 2.0, -3.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_point_keeps_the_lattice_index_refusal(self, bad):
+        with pytest.raises(DomainError, match="lattice position t\\*u must be finite"):
+            l_star(Untouchable(), 5.0, [1.0, bad])
+
+    def test_weight_cap_on_the_largest_point_before_any_oracle_call(self):
+        with pytest.raises(DomainError, match="oracle weights"):
+            l_star(Untouchable(), 1.0, [0.5, float(MAX_FINE_LATTICE), 2.0])
+
+    @pytest.mark.parametrize("u", [1e300, 2e18, [0.5, 1e300]], ids=["1e300", "2e18", "array"])
+    def test_index_past_the_machine_integers_is_refused_by_the_cap(self, u):
+        # t*u >= 2**63 has no intp index, so the cap is checked on the Python ints
+        with pytest.raises(DomainError, match="oracle weights"):
+            l_star(Untouchable(), 5.0, u)
+
+
 class TestM2Lattice:
     def test_constant_is_reproduced_exactly(self):
         lattice = m2_lattice(ConstantLST(2.5), 5.0, 20, 2.5)
@@ -178,6 +257,12 @@ class TestM2Lattice:
         # g0 = NaN used to give the values [nan, 1, 1, 1]
         with pytest.raises(DomainError, match="finite"):
             m2_lattice(ConstantLST(1.0), 5.0, 3, g0)
+
+    @pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_origin_value_refused_before_any_oracle_call(self, g0):
+        # a NaN g0 ran both passes and failed in LatticeFunction, naming no g0
+        with pytest.raises(DomainError, match="value g0 must be finite"):
+            m2_lattice(Untouchable(), 5.0, 3, g0)
 
     def test_fine_lattice_cap_before_any_oracle_call(self):
         m2_lattice(ConstantLST(1.0), 5.0, MAX_FINE_LATTICE // 2, 1.0)

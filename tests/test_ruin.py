@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,33 @@ class TestApproximateNonruin:
             "against the lattice spacing 1/t",
         ):
             approximate_nonruin(model, 5.0, 10.0)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("beta", [10**10.5, 1e15, 1e20], ids=["1e10.5", "1e15", "1e20"])
+    def test_tiny_claims_are_refused(self, beta, phi):
+        # 1 - cumsum rounds the first equilibrium tail, about t / beta: at
+        # beta = 10**10.5 the sup error was 1.7e-7 (phi 0.5) and 1.6e-6 (phi 0.9),
+        # at 1e15 8.0e-4 and 7.1e-3, and from 1e20 the answer was 1 - phi at
+        # every u, not 1
+        model = RiskModel(GammaMixture.exponential(beta), phi)
+        with pytest.raises(DomainError, match="first equilibrium tail at t=10.0 rounds to"):
+            approximate_nonruin(model, 5.0, 2.0)
+
+    def test_small_claims_just_under_the_first_tail_tolerance_answer(self):
+        # first-tail gaps 4.5e-10 at t = 10 and 4.9e-10 at t = 5, under 1e-9
+        model = RiskModel(GammaMixture.exponential(1e8), 0.5)
+        values = approximate_nonruin(model, 5.0, 2.0).lattice.values
+        exact = exact_nonruin_exponential(0.5, 1e8, np.arange(values.size) / 5.0)
+        assert np.max(np.abs(values - exact)) < 1e-12
+
+    def test_first_tail_guard_warns_nothing_over_the_claim_rates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in np.logspace(-300, 300, 61):
+                try:
+                    approximate_nonruin(RiskModel(GammaMixture.exponential(beta), 0.9), 5.0, 2.0)
+                except DomainError:
+                    pass
 
     def test_negbin_seed_above_underflow_answers(self):
         gamma200 = RiskModel(GammaMixture((Component(1.0, 200.0, 1.0),)), 0.5)

@@ -7,7 +7,8 @@ A real parameter is stored and computed as its float64 value, so a float32
 argument gives the float64 call's bits, on a cold pass memo and on a warm
 one.  An index refuses any float, an integral one too.  Out-of-range values
 refuse as before, with the same exception class.  The lattice rate t and
-the point u of the operators are covered in ``test_rates.py``.
+the point u of the operators are covered in ``test_rates.py``, but for the
+points of ``l_star``, which are an array argument here.
 
 Array arguments are taken through one dtype check: bool, integer and float
 arrays are read as float64, and any other dtype (str, complex, object)
@@ -33,6 +34,7 @@ from renewinv import (
     ExponentialDecayLST,
     GammaMixture,
     inversion,
+    l_star,
     lattice_index,
     LatticeFunction,
     LatticePMF,
@@ -145,6 +147,7 @@ ARRAY_PARAMETERS = {
     "exact_nonruin_exponential.u": lambda u: exact_nonruin_exponential(0.9, 1.0, u),
     "LatticeFunction.values": lambda v: LatticeFunction(5.0, v),
     "LatticePMF.weights": lambda w: LatticePMF(5.0, w),
+    "l_star.u": lambda u: l_star(DECAY, 5.0, u),
 }
 
 # each used to be read as numbers, to refuse as NaN, or to raise ComplexWarning or TypeError

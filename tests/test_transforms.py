@@ -432,6 +432,25 @@ class TestValueOracles:
             assert not np.signbit(oracle.weights(2.0, 3)).any()
 
 
+WRONG_KIND_PARTS = {
+    "ScaledLST": lambda: ScaledLST(2.0, "x"),
+    "SumLST": lambda: SumLST(1, 2),
+    "CumulativeLST": lambda: CumulativeLST(3),
+    "SurvivalLST": lambda: SurvivalLST(None),
+    "RenewalRatioLST.f": lambda: RenewalRatioLST(ConstantLST(1.0), "f", 0.5),
+    "RenewalRatioLST.v": lambda: RenewalRatioLST(None, ConstantLST(1.0), 0.5),
+    "GammaMixtureLST": lambda: GammaMixtureLST("x"),
+    "RiskModel": lambda: RiskModel("x", 0.5),
+}
+
+
+@pytest.mark.parametrize("build", WRONG_KIND_PARTS.values(), ids=WRONG_KIND_PARTS.keys())
+def test_part_of_the_wrong_type_is_refused_where_it_is_built(build):
+    # each raised a raw AttributeError at its first weights call
+    with pytest.raises(DomainError, match=r"must be a (TransformOracle|GammaMixture), got "):
+        build()
+
+
 class TestBuildingBlocks:
     def test_constant_oracle(self):
         w = ConstantLST(3.0).weights(4.0, 5)

@@ -14,9 +14,10 @@ the ``error:`` prefix of a usage error.  A spec's p, alpha and beta must
 be JSON numbers and go to :class:`GammaMixture` as they are; the
 Post-Widder ``--t`` goes to the operator as an int when it is integral,
 and as given otherwise.  ``invert`` hands its ``--u`` points to the library
-as one array for the exact column and for ``lstar``, whose points share one
-oracle pass; ``m2`` reads its lattice point by point (a float call is ~20x
-cheaper than an array one), and Post-Widder runs one pass per point at n/u.
+as one array for the exact column, for ``lstar``, whose points share one
+oracle pass, and for ``m2``'s lattice; Post-Widder runs one pass per point
+at n/u.  ``table1`` reads each model's lattice in one call, and
+``convergence`` reads its reference lattice as it reads any other.
 
 The argument parser is built once, at import, and serves every :func:`main`
 call in the process.  :func:`main` dispatches by command name to the
@@ -141,7 +142,7 @@ def cmd_table1(args) -> int:
     columns = {"u": list(TABLE1_U)}
     for name, mix in models.items():
         approx = approximate_nonruin(RiskModel(mix, TABLE1_PHI), TABLE1_T, max(TABLE1_U))
-        columns[name] = [approx.lattice(u) for u in TABLE1_U]
+        columns[name] = approx.lattice(np.array(TABLE1_U)).tolist()
     exact = exact_nonruin_exponential(TABLE1_PHI, 1.0, TABLE1_U).tolist()
     dev = [abs(a - b) for a, b in zip(columns["exponential"], exact)]
     columns["exact_exponential"] = exact
@@ -207,8 +208,7 @@ def cmd_invert(args) -> int:
     elif args.method == "lstar":
         values = l_star(oracle, args.t, u_values)
     else:  # m2, the last of the parser's choices
-        lattice = m2_lattice(oracle, args.t, covering_index(args.t, max(u_values)), g0)
-        values = [lattice(u) for u in u_values]
+        values = m2_lattice(oracle, args.t, covering_index(args.t, max(u_values)), g0)(u_values)
 
     with np.errstate(over="ignore"):  # a product past the floats is inf, and exp(-inf) = 0
         exact = exact_fn(u_values)
@@ -243,10 +243,9 @@ def cmd_convergence(args) -> int:
         reference = lambda u: exact_nonruin_exponential(args.phi, comps[0].beta, u)
     else:
         # the coarse lattices end at K/t >= u_max, so the reference must reach the last of
-        # them; it is read at every coarse point by one linear interpolation per rate
+        # them; it is read at every coarse point by one lattice call per rate
         u_ref = max((values.size - 1) / t for t, values in curves.items())
-        ref = approximate_nonruin(model, 8.0 * max(t_list), u_ref).lattice
-        reference = lambda u: np.interp(u, np.arange(ref.values.size) / ref.t, ref.values)
+        reference = approximate_nonruin(model, 8.0 * max(t_list), u_ref).lattice
 
     errors = {t: float(np.max(np.abs(values - reference(np.arange(values.size) / t))))
               for t, values in curves.items()}

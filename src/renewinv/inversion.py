@@ -29,7 +29,6 @@ compute it and get equal arrays.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,23 +41,31 @@ from .transforms import TransformOracle
 _SNAP = 1e-9
 
 
+def _lattice_split(t: float, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The one snapping rule of the lattice, over a float64 array of points:
+    # (index [tu], fraction tu - [tu]) as two float arrays of the points' shape,
+    # with a product within _SNAP of an integer snapped to it.
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: refused just below
+        x = t * us
+    if not np.isfinite(x).all():
+        raise DomainError(f"lattice position t*u must be finite, got t={t}, u={us[~np.isfinite(x)][0]}")
+    k = np.floor(x)
+    frac = x - k
+    up = frac > 1.0 - _SNAP
+    return k + up, np.where(up | (frac < _SNAP), 0.0, frac)
+
+
 def lattice_index(t: float, u: float) -> tuple[int, float]:
     """Split t*u into integer lattice index and fractional part.
 
     Products within 1e-9 of an integer snap to it, so u = k/t computed in
     floating point lands exactly on index k.  t and u are taken as floats;
     a non-real t or u, or a non-finite product, raises :class:`DomainError`.
+    This is the package's one snapping rule: :class:`LatticeFunction` and
+    :func:`l_star` apply it to arrays of points, with the same bits.
     """
-    x = _real_point(t, "lattice rate t") * _real_point(u)
-    if not math.isfinite(x):
-        raise DomainError(f"lattice position t*u must be finite, got t={t}, u={u}")
-    k = math.floor(x)
-    frac = x - k
-    if frac > 1.0 - _SNAP:
-        return k + 1, 0.0
-    if frac < _SNAP:
-        return k, 0.0
-    return k, frac
+    k, frac = _lattice_split(_real_point(t, "lattice rate t"), np.array(_real_point(u)))
+    return int(k), float(frac)
 
 
 def covering_index(t: float, u: float) -> int:
@@ -76,9 +83,14 @@ class LatticeFunction:
     """Real values on the grid {k/t, k = 0..K} with linear interpolation.
 
     Off-lattice points u in (0, K/t) evaluate to the convex combination
-    (tu - [tu]) * val([tu]+1) + ([tu]+1 - tu) * val([tu]).  Evaluation
-    beyond K/t raises rather than extrapolating.  t is stored as a float, and
-    the values, a nonempty 1-d array of finite reals, as a read-only float64 copy.
+    (tu - [tu]) * val([tu]+1) + ([tu]+1 - tu) * val([tu]), and lattice
+    points, snapped by the rule of :func:`lattice_index`, to their stored
+    value.  A call takes a float or an array of points by the package's one
+    array rule and returns a result of its shape (a float for a float); an
+    array call has the bits of float calls on its points.  A negative, NaN or
+    infinite point, or one beyond K/t, raises :class:`DomainError` rather
+    than extrapolating.  t is stored as a float, and the values, a nonempty
+    1-d array of finite reals, as a read-only float64 copy.
     """
 
     t: float
@@ -98,18 +110,17 @@ class LatticeFunction:
     def u_max(self) -> float:
         return self.truncation_index / self.t
 
-    def __call__(self, u: float) -> float:
-        u = _real_point(u)
-        if u < 0:
-            raise DomainError(f"lattice functions are defined on u >= 0, got {u}")
-        k, frac = lattice_index(self.t, u)
-        if k > self.truncation_index or (k == self.truncation_index and frac > 0.0):
-            raise DomainError(
-                f"u={u} beyond the lattice truncation {self.u_max}; refusing to extrapolate"
-            )
-        if frac == 0.0:
-            return float(self.values[k])
-        return frac * float(self.values[k + 1]) + (1.0 - frac) * float(self.values[k])
+    def __call__(self, u):
+        us = _real_array(u, "point u")
+        if (us < 0).any():
+            raise DomainError(f"lattice functions are defined on u >= 0, got {us[us < 0][0]}")
+        k, frac = _lattice_split(self.t, us)
+        hi = k + (frac > 0.0)  # k itself at a lattice point, which reads 0 * val(k) + val(k)
+        if (hi > self.truncation_index).any():
+            raise DomainError(f"u={us[hi > self.truncation_index][0]} beyond the lattice "
+                              f"truncation {self.u_max}; refusing to extrapolate")
+        lo, hi = k.astype(np.intp), hi.astype(np.intp)
+        return _shaped_like(us, frac * self.values[hi] + (1.0 - frac) * self.values[lo])
 
 
 def l_star(oracle: TransformOracle, t: float, u):
@@ -119,22 +130,22 @@ def l_star(oracle: TransformOracle, t: float, u):
     a CDF source this is the CDF of the lattice-discretized variable.
     t is taken as a float; u, a float or an array of points, is read by the
     package's one array rule, and the result has its shape (a float for a
-    float, an empty array for an empty array).  Each index [tu] comes from
-    :func:`lattice_index`, and all points are read from one oracle pass to
-    the largest index.  That gives each point the bits of a call on it
-    alone for every oracle whose weights do not depend on the pass length;
-    the renewal ratio's series division moves them by about 1e-16.  Raises
-    :class:`DomainError`, before any oracle call, at the first negative
-    point, at a NaN or infinite one, and when the [t max u] + 1 weights
-    exceed ``MAX_FINE_LATTICE``.
+    float, an empty array for an empty array).  Each index [tu] is snapped
+    by the rule of :func:`lattice_index`, and all points are read from one
+    oracle pass to the largest index.  That gives each point the bits of a
+    call on it alone for every oracle whose weights do not depend on the
+    pass length; the renewal ratio's series division moves them by about
+    1e-16.  Raises :class:`DomainError`, before any oracle call, at the
+    first negative point, at a NaN or infinite one, and when the
+    [t max u] + 1 weights exceed ``MAX_FINE_LATTICE``.
     """
     t, us = _require_positive(t), _real_array(u, "point u")
     if (us < 0).any():
         raise DomainError(f"l_star requires u >= 0, got {us[us < 0][0]}")
-    ks = [lattice_index(t, x)[0] for x in us.flat]  # Python ints, capped before they become intp
-    k_max = max(ks, default=0)
+    ks = _lattice_split(t, us)[0]
+    k_max = int(ks.max(initial=0.0))  # a Python int, capped before the indices become intp
     _require_weight_count(k_max + 1, f"l_star at t*u = {t * us.max(initial=0.0)}")
-    return _shaped_like(us, t * oracle.weights(t, k_max)[np.array(ks, np.intp).reshape(us.shape)])
+    return _shaped_like(us, t * oracle.weights(t, k_max)[ks.astype(np.intp)])
 
 
 # M2 at rate s reads the passes (2s, 2K - 1) and then (s, K - 1); M2 at 2s

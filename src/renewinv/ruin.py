@@ -75,11 +75,13 @@ class RuinApproximation:
 
     ``lattice`` holds the non-ruin values at {k/t}; off-lattice queries
     interpolate linearly and queries beyond the truncation raise.
+    :meth:`nonruin` forwards a float or an array of points to it unchanged,
+    and so follows :class:`~renewinv.inversion.LatticeFunction`'s array rule.
     """
 
     lattice: LatticeFunction
 
-    def nonruin(self, u: float) -> float:
+    def nonruin(self, u):
         return self.lattice(u)
 
 

@@ -91,8 +91,10 @@ class GammaMixture:
 
     Weights must sum to one (tolerance 1e-9), and each is stored divided
     by their sum; weights, shapes and rates must be positive finite reals,
-    and are stored as floats.  Moments and transform derivatives are
-    available in closed form, which keeps the downstream error bounds exact.
+    and are stored as floats.  The mean must be a positive normal float: one
+    that underflows below ``sys.float_info.min`` or overflows is refused.
+    Moments and transform derivatives are available in closed form, which
+    keeps the downstream error bounds exact.
 
     ``cdf`` is the exact column of ``renewinv invert --transform
     gamma_mixture``.  ``survival`` stays only because the benchmark harness
@@ -113,6 +115,8 @@ class GammaMixture:
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"mixture weights sum to {total}, expected 1 within 1e-9")
         object.__setattr__(self, "components", tuple(Component(p / total, a, b) for p, a, b in comps))
+        if not sys.float_info.min <= self.mean <= sys.float_info.max:  # 1/mean scales f's oracle
+            raise DomainError(f"mixture mean {self.mean!r} is not a positive normal float")
 
     @classmethod
     def exponential(cls, beta: float = 1.0) -> "GammaMixture":

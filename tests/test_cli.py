@@ -204,12 +204,14 @@ class TestSpecValidation:
             [(1.0, False, 1.0)],
             [(1.0, 1.0, "2")],
             [(1.0, 1.0, 10**400)],
+            [(1.0, 1e-200, 1e200)],
         ],
     )
     def test_bad_claim_parameters_exit_2(self, write_spec, capsys, command, components):
         # JSON Infinity and NaN parse to floats, which the mixture refuses;
         # a string, a boolean or an integer beyond the floats is refused
-        # as it is read
+        # as it is read; a mean that underflows to 0 (ruin ended in a raw
+        # ZeroDivisionError) is refused where the mixture is built
         spec = write_spec(components)
         code, out, err = run([command, "--spec", spec, *SPEC_COMMANDS[command]], capsys)
         assert code == 2
@@ -557,6 +559,26 @@ class TestConvergence:
         assert code == 2
         assert out == ""
         assert "positive" in err and "Traceback" not in err
+
+    def test_reference_is_read_through_its_lattice(self, write_spec, capsys):
+        # 8 * 6.25 / 1.5 and 8 * 6.25 / 3 are not integers, so the coarse points fall
+        # between reference points; they are read by the lattice's own interpolation
+        spec = write_spec([(1.0, 1.5, 1.0)], "g32")
+        t_list = [1.5, 3.0, 6.25]
+        code, out, err = run(
+            ["convergence", "--spec", spec, "--phi", "0.9", "--t-list", "1.5,3,6.25",
+             "--u-max", "40"],
+            capsys,
+        )
+        assert code == 0, err
+        model = RiskModel(GammaMixture((Component(1.0, 1.5, 1.0),)), 0.9)
+        curves = {t: approximate_nonruin(model, t, 40.0).lattice.values for t in t_list}
+        u_ref = max((values.size - 1) / t for t, values in curves.items())
+        reference = approximate_nonruin(model, 50.0, u_ref).lattice
+        errors = [np.max(np.abs(values - reference(np.arange(values.size) / t)))
+                  for t, values in curves.items()]
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == [f"{e:.17g}" for e in errors]
 
     def test_self_reference_for_non_exponential(self, write_spec, capsys):
         spec = write_spec([(1.0, 1.5, 1.0)], "g32")

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import CountingLST
 from renewinv import (
+    approximate_nonruin,
     Component,
     ConstantLST,
     CumulativeLST,
@@ -436,6 +437,61 @@ class TestLatticeFunction:
         f = LatticeFunction(1.0, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             f.values[0] = 5.0
+
+
+class TestLatticeFunctionArray:
+    """An array of points is read by the snapping rule of lattice_index, once."""
+
+    F = LatticeFunction(5.0, np.array([1.0, 0.5, 0.25, 0.125]))
+
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_equals_float_calls_bit_for_bit(self, all_table_mixtures, name):
+        # every lattice point and 7 points per cell of the table curves
+        approx = approximate_nonruin(RiskModel(all_table_mixtures[name], 0.9), 5.0, 40.0)
+        K = approx.lattice.truncation_index
+        cells = (np.arange(K)[:, None] + np.arange(1, 8) / 8.0) / 5.0
+        u = np.concatenate([np.arange(K + 1) / 5.0, cells.ravel()])
+        want = np.array([approx.lattice(float(x)) for x in u])
+        assert approx.lattice(u).tobytes() == want.tobytes()
+        assert approx.nonruin(u).tobytes() == want.tobytes()
+
+    def test_empty_and_2d_arrays_keep_their_shapes(self):
+        empty = self.F(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == np.float64
+        u = np.array([[0.0, 0.1, 0.2], [0.37, 0.5, 0.6]])
+        got = self.F(u)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [self.F(float(x)) for x in u.ravel()]
+        assert type(self.F(np.array(0.1))) is float
+
+    def test_first_negative_point_is_refused(self):
+        with pytest.raises(DomainError, match=r"defined on u >= 0, got -0\.5$"):
+            self.F([0.1, -0.5, 0.2, -3.0])
+
+    def test_first_point_past_the_truncation_is_refused(self):
+        with pytest.raises(DomainError, match=r"u=0\.7 beyond the lattice truncation 0\.6; refusing"):
+            self.F([0.1, 0.6, 0.7, 0.9])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "lattice position t\\*u must be finite, got t=5.0, u=nan"),
+         (math.inf, "lattice position t\\*u must be finite, got t=5.0, u=inf"),
+         (-math.inf, "defined on u >= 0, got -inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_point_keeps_the_float_refusal(self, bad, message):
+        for u in (bad, [0.1, bad]):
+            with pytest.raises(DomainError, match=message):
+                self.F(u)
+
+    def test_lattice_index_is_the_kernel_read_as_int_and_float(self):
+        t = 3.0
+        u = np.array([0.0, 1.0 / 3.0, 0.4, 2.0 / 3.0 - 1e-12, 7.25, 1e300])
+        ks, fracs = inversion._lattice_split(t, u)
+        for x, k, frac in zip(u.tolist(), ks.tolist(), fracs.tolist()):
+            got = lattice_index(t, x)
+            assert type(got[0]) is int and type(got[1]) is float
+            assert got == (int(k), frac)
 
 
 class TestPostWidder:

@@ -3,8 +3,8 @@
 Every public entry point that takes a lattice rate t refuses anything but a
 positive finite real with DomainError, and takes t as a float, so a NumPy
 float32 rate answers with the bits of its float64 value.  The Post-Widder
-operators and LatticeFunction take their point u the same way; ``l_star``
-takes its points as an array argument (``test_scalars.py``).
+operators take their point u the same way; ``l_star`` and LatticeFunction
+take their points as an array argument (``test_scalars.py``).
 """
 
 import dataclasses
@@ -116,7 +116,6 @@ def test_float32_rate_gives_the_float64_bits(call):
 POINT_ENTRY_POINTS = {
     "post_widder": lambda u: post_widder(DECAY, 10, u),
     "stehfest2": lambda u: stehfest2(DECAY, 10, u),
-    "LatticeFunction": lambda u: LatticeFunction(5.0, [1.0, 0.5, 0.25, 0.125])(u),
 }
 
 

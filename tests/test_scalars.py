@@ -8,7 +8,7 @@ argument gives the float64 call's bits, on a cold pass memo and on a warm
 one.  An index refuses any float, an integral one too.  Out-of-range values
 refuse as before, with the same exception class.  The lattice rate t and
 the point u of the operators are covered in ``test_rates.py``, but for the
-points of ``l_star``, which are an array argument here.
+points of ``l_star`` and of a LatticeFunction, which are array arguments here.
 
 Array arguments are taken through one dtype check: bool, integer and float
 arrays are read as float64, and any other dtype (str, complex, object)
@@ -148,6 +148,7 @@ ARRAY_PARAMETERS = {
     "LatticeFunction.values": lambda v: LatticeFunction(5.0, v),
     "LatticePMF.weights": lambda w: LatticePMF(5.0, w),
     "l_star.u": lambda u: l_star(DECAY, 5.0, u),
+    "LatticeFunction.u": lambda u: LatticeFunction(5.0, np.linspace(1.0, 0.0, 16))(u),
 }
 
 # each used to be read as numbers, to refuse as NaN, or to raise ComplexWarning or TypeError

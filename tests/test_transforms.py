@@ -193,6 +193,17 @@ class TestGammaMixture:
         with pytest.raises(DomainError, match="finite"):
             GammaMixture((comp,))
 
+    @pytest.mark.parametrize(
+        "alpha, beta, mean",
+        [(1e-200, 1e200, "0.0"), (1e-300, 1e10, "1e-310"), (1e300, 1e-10, "inf")],
+        ids=["zero", "subnormal", "inf"],
+    )
+    def test_mean_that_is_not_a_normal_float_is_a_domain_error(self, alpha, beta, mean):
+        # a zero mean ended in a raw ZeroDivisionError in survival_to_density_oracle,
+        # and a subnormal one in the misleading "constant factor c must be finite"
+        with pytest.raises(DomainError, match=rf"mixture mean {mean} is not a positive normal float"):
+            GammaMixture((Component(1.0, alpha, beta),))
+
     def test_moments_gamma_2_1(self):
         mix = GammaMixture((Component(1.0, 2.0, 1.0),))
         assert mix.mean == pytest.approx(2.0, rel=1e-15)

@@ -60,11 +60,12 @@ def lattice_index(t: float, u: float) -> tuple[int, float]:
 
     Products within 1e-9 of an integer snap to it, so u = k/t computed in
     floating point lands exactly on index k.  t and u are taken as floats;
-    a non-real t or u, or a non-finite product, raises :class:`DomainError`.
+    a t that is not a real in (0, inf), a non-real u, or a non-finite
+    product raises :class:`DomainError`.
     This is the package's one snapping rule: :class:`LatticeFunction` and
     :func:`l_star` apply it to arrays of points, with the same bits.
     """
-    k, frac = _lattice_split(_real_point(t, "lattice rate t"), np.array(_real_point(u)))
+    k, frac = _lattice_split(_require_positive(t), np.array(_real_point(u)))
     return int(k), float(frac)
 
 
@@ -72,7 +73,8 @@ def covering_index(t: float, u: float) -> int:
     """Smallest lattice index K >= 1 whose point K/t reaches u.
 
     ceil(t*u) with the snapping of :func:`lattice_index`, at least 1; the
-    truncation index of a lattice that must cover [0, u].
+    truncation index of a lattice that must cover [0, u].  t and u are
+    refused as :func:`lattice_index` refuses them.
     """
     k, frac = lattice_index(t, u)
     return max(k if frac == 0.0 else k + 1, 1)

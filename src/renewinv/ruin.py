@@ -185,6 +185,9 @@ def renewal_data_from_model(model: RiskModel) -> RenewalIngredients:
 
     The oracles of f, the claim law's equilibrium density, and of
     v(u) = phi * (1 - F_eq(u)), for :class:`~renewinv.transforms.RenewalRatioLST`.
+    v is ``ScaledLST(phi, SurvivalLST(f))``, so the ratio forms the ruin
+    forcing from the pass of f it has just made, and a ratio pass evaluates
+    the claim law once.
     """
     f_oracle = survival_to_density_oracle(model.claims)
     return RenewalIngredients(model.phi, f_oracle, ScaledLST(model.phi, SurvivalLST(f_oracle)))

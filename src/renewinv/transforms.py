@@ -312,11 +312,17 @@ class SurvivalLST(TransformOracle):
         _require_kind(self.inner, TransformOracle, "inner oracle")
 
     def weights(self, t, k_max):
-        tails = np.cumsum(self.inner.weights(t, k_max))
-        np.subtract(1.0, tails, out=tails)
-        np.maximum(tails, 0.0, out=tails)
-        tails /= t
-        return tails
+        return _survival_tails(self.inner.weights(t, k_max), t)
+
+
+def _survival_tails(inner_weights: np.ndarray, t: float) -> np.ndarray:
+    # SurvivalLST's arithmetic on weights already computed, into a new array:
+    # (1 - partial sums) clamped at 0, over t
+    tails = np.cumsum(inner_weights)
+    np.subtract(1.0, tails, out=tails)
+    np.maximum(tails, 0.0, out=tails)
+    tails /= t
+    return tails
 
 
 def survival_to_density_oracle(mixture: GammaMixture) -> TransformOracle:
@@ -447,6 +453,13 @@ class RenewalRatioLST(TransformOracle):
     For ruin the SurvivalLST tail sums in v and f set a larger absolute
     floor, so ruin weights below ~1e-14 are noise: 7.2e-15 is the error
     against the exact exponential-claims weights at phi = 0.9, t = 10.
+
+    The ruin forcing v = c * SurvivalLST(f) of the same f (any c, compared
+    by value, as :func:`~renewinv.ruin.renewal_data_from_model` builds it
+    with c = phi) is formed from the pass of f that the division reads, by
+    the same arithmetic on the same array, so it has the bits of
+    ``v.weights`` and the claim law is evaluated once per call.  Any other
+    v is read through its own oracle.
     """
 
     v_oracle: TransformOracle
@@ -463,7 +476,11 @@ class RenewalRatioLST(TransformOracle):
     def weights(self, t, k_max):
         t = self._require_valid_point(t, k_max)
         fw = self.f_oracle.weights(t, k_max)
-        vw = self.v_oracle.weights(t, k_max)
+        v = self.v_oracle
+        if type(v) is ScaledLST and v.inner == SurvivalLST(self.f_oracle):
+            vw = v.c * _survival_tails(fw, t)  # the bits of v.weights, without a second f pass
+        else:
+            vw = v.weights(t, k_max)
         denom = 1.0 - self.phi * fw[0]
         if not denom > _SINGULARITY_TOL:  # also refuses NaN
             raise SingularityError(

@@ -25,6 +25,7 @@ from renewinv import (
     GammaMixture,
     GammaMixtureLST,
     l_star,
+    lattice_index,
     LatticeFunction,
     LatticePMF,
     lstar_nonruin,
@@ -39,6 +40,7 @@ from renewinv import (
     survival_to_density_oracle,
     SurvivalLST,
 )
+from renewinv.inversion import covering_index
 from renewinv.ruin import _NonruinLST
 
 MIXTURE = GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0)))
@@ -63,8 +65,8 @@ REPORT = BoundReport(**{f.name: 1.0 for f in dataclasses.fields(BoundReport)})
 
 
 def _values(x):
-    if isinstance(x, float):
-        return np.float64(x)
+    if isinstance(x, (float, int, tuple)):  # an index, or an (index, fraction) pair
+        return np.array(x, dtype=np.float64)
     if isinstance(x, (LatticeFunction, LatticePMF)):
         assert type(x.t) is float
         return x.values if isinstance(x, LatticeFunction) else x.weights
@@ -75,6 +77,8 @@ def _values(x):
 
 RATE_ENTRY_POINTS = {
     "l_star": lambda t: l_star(DECAY, t, 1.3),
+    "lattice_index": lambda t: lattice_index(t, 1.3),
+    "covering_index": lambda t: covering_index(t, 1.3),
     "m2_lattice": lambda t: m2_lattice(DECAY, t, 10, 1.0),
     "lstar_nonruin": lambda t: lstar_nonruin(MODEL, t, 10),
     "approximate_nonruin": lambda t: approximate_nonruin(MODEL, t, 2.0),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from oracles import ReadOnlyLST
+from oracles import CountingLST, ReadOnlyLST
 from renewinv import (
     approximate_nonruin,
     Component,
@@ -32,6 +32,7 @@ from renewinv import (
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 from renewinv import bounds, ruin, transforms
 from renewinv.ruin import renewal_data_from_model, RiskModel
+from renewinv.specfun import negbin_pmf_terms
 from renewinv.transforms import _DIRECT_MAX, _series_quotient
 
 # every size 1-1100, then 2**k - 1, 2**k and 2**k + 1 up to 2**16 + 1: the
@@ -645,6 +646,59 @@ class TestRenewalRatio:
         ratio = RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9)
         w = ratio.weights(5.0, 200)
         assert np.all(w >= 0.0)
+
+
+class TestRuinForcingFromOnePass:
+    """The forcing phi * SurvivalLST(f) of the ratio's own f is formed from its pass of f."""
+
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_claim_law_is_evaluated_once_per_pass(self, monkeypatch, all_table_mixtures, name):
+        # each component's negative-binomial terms once, where reading v
+        # through its own oracle took them a second time
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return negbin_pmf_terms(*args)
+
+        monkeypatch.setattr(transforms, "negbin_pmf_terms", counting)
+        mixture = all_table_mixtures[name]
+        data = renewal_data_from_model(RiskModel(mixture, 0.9))
+        RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9).weights(10.0, 1599)
+        assert len(calls) == len(mixture.components)
+
+    def test_one_pass_of_f(self, half_mixture):
+        f = CountingLST(survival_to_density_oracle(half_mixture))
+        RenewalRatioLST(ScaledLST(0.9, SurvivalLST(f)), f, 0.9).weights(10.0, 40)
+        assert f.passes == [(10.0, 40)]
+
+    @pytest.mark.parametrize("k_max", [0, 511, 512, 1023, 1024, 1599])
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_bits_of_the_forcing_read_through_its_oracle(self, all_table_mixtures, name, phi, k_max):
+        # SumLST(v) has v's value but not its form, so it is read through v.weights
+        data = renewal_data_from_model(RiskModel(all_table_mixtures[name], phi))
+        got = RenewalRatioLST(data.v_oracle, data.f_oracle, phi).weights(10.0, k_max)
+        want = RenewalRatioLST(SumLST(data.v_oracle), data.f_oracle, phi).weights(10.0, k_max)
+        assert np.array_equal(got, want)
+
+    def test_scale_other_than_phi(self, half_mixture):
+        phi, t, k_max = 0.9, 10.0, 1200
+        f = survival_to_density_oracle(half_mixture)
+        v = ScaledLST(0.3, SurvivalLST(f))
+        got = RenewalRatioLST(v, f, phi).weights(t, k_max)
+        assert np.array_equal(got, RenewalRatioLST(SumLST(v), f, phi).weights(t, k_max))
+        want = ratio_reference(v, f, phi, t, k_max)
+        scale = float(np.max(np.abs(want))) / (1.0 - phi)
+        assert float(np.max(np.abs(got - want))) <= 1e-15 * scale
+
+    def test_survival_of_another_density_is_read_through_its_oracle(self, exp_mixture, half_mixture):
+        other = CountingLST(survival_to_density_oracle(exp_mixture))
+        f = survival_to_density_oracle(half_mixture)
+        v = ScaledLST(0.9, SurvivalLST(other))
+        got = RenewalRatioLST(v, f, 0.9).weights(10.0, 600)
+        assert other.passes == [(10.0, 600)]
+        assert np.array_equal(got, RenewalRatioLST(SumLST(v), f, 0.9).weights(10.0, 600))
 
 
 class TestRenewalRatioAgainstReference:

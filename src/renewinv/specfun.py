@@ -4,11 +4,13 @@ The regularized incomplete gamma function, its log-space kernel
 x**p e^(-x) / Gamma(alpha), and the masses of a negative binomial with real
 (non-integer) shape.
 
-The incomplete gamma has one elementwise kernel: the ascending series below
-x = alpha + 1 and, above it, the continued fraction evaluated bottom-up to
-a depth set per point.  A float runs as a one-element array, about 0.1-0.2
-ms a call against a few microseconds for a scalar loop, so pass many points
-as one array.
+The incomplete gamma has one elementwise kernel with three regimes: the
+ascending series below x = alpha + 1 and, above it, the continued fraction
+evaluated bottom-up to a depth set per point; for an integer shape n <= 20
+the upper function takes Q(n, x) at 0 < x < 700 as the finite Poisson sum
+e^-x sum_{k<n} x**k / k!.  Both results are clipped onto [0, 1].  A float
+runs as a one-element array, about 0.1-0.2 ms a call against a few
+microseconds for a scalar loop, so pass many points as one array.
 
 The negative-binomial masses are the workhorse of the lattice
 discretization: for gamma-distributed claim amounts they are the
@@ -42,6 +44,10 @@ _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 # Least shape at which _gamma_kernel forms its exponent near the peak from
 # Stirling's series; below it the plain exponent errs by at most ~1e-14.
 _STIRLING_MIN_SHAPE = 20.0
+# Largest integer shape, and the bound on x, of the finite Poisson sum for
+# Q(n, x): below x = 700, e^-x is a normal float.
+_POISSON_MAX_SHAPE = 20.0
+_POISSON_MAX_X = 700.0
 
 
 def _require_weight_count(n: int, what: str) -> None:
@@ -252,6 +258,17 @@ def _contfrac(alpha, x):
     return out
 
 
+def _poisson_sum(n, x):
+    # Q(n, x) = e^-x sum_{k<n} x**k / k! for an integer shape n (DLMF 8.4.10),
+    # taken upward from e^-x: n - 1 multiply-adds of positive terms, no 1 - P.
+    term = np.exp(-x)
+    total = term.copy()
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return total
+
+
 def _inc_gamma(name, alpha, x, upper):
     # P(alpha, x), or Q(alpha, x) if ``upper``, shaped like x: a float x is
     # a one-element array that comes back as a float.
@@ -260,9 +277,15 @@ def _inc_gamma(name, alpha, x, upper):
     bad = ~(xs >= 0)
     if bad.any():
         raise DomainError(f"{name} requires x >= 0, got {xs[bad][0]}")
-    series = (xs > 0.0) & (xs < alpha + 1.0)
-    contfrac = (xs >= alpha + 1.0) & (xs < math.inf)
+    inner = (xs > 0.0) & (xs < math.inf)
     out = np.where(xs == 0.0, 1.0, 0.0) if upper else np.where(xs == math.inf, 1.0, 0.0)
+    if upper and alpha <= _POISSON_MAX_SHAPE and alpha.is_integer():
+        poisson = inner & (xs < _POISSON_MAX_X)
+        if poisson.any():
+            out[poisson] = _poisson_sum(int(alpha), xs[poisson])
+            inner &= ~poisson
+    series = inner & (xs < alpha + 1.0)
+    contfrac = inner & (xs >= alpha + 1.0)
     if series.any():
         xp = xs[series]
         lower = _series(alpha, xp) * _gamma_kernel(alpha, alpha, xp)
@@ -277,6 +300,9 @@ def _inc_gamma(name, alpha, x, upper):
             f"{name}({alpha}, {xs[unconverged][0]}) did not converge to "
             f"{_EPS} within {_MAX_ITER} terms"
         )
+    # 1 - P carries P's rounding, |lgamma(alpha)| eps at a tiny alpha; [0, 1]
+    # holds the true value, so clipping onto it moves no result away from it
+    np.clip(out, 0.0, 1.0, out=out)
     return _shaped_like(xs, out)
 
 
@@ -285,7 +311,8 @@ def reg_inc_gamma_lower(alpha: float, x):
 
     Series expansion for x < alpha + 1, continued fraction otherwise, run
     elementwise over ``x``, a float or an array; a float comes back as a
-    float.  A point's value depends on that point alone.  P(alpha, inf) = 1.
+    float.  A point's value depends on that point alone, and lies in [0, 1].
+    P(alpha, inf) = 1.
     Non-real (str, None, complex), NaN or negative x, and a recurrence not
     converged within 600 terms, raise :class:`DomainError`: the series at
     x = alpha from alpha of about 5.4e3, the fraction just above alpha + 1 from about 2.8e5.
@@ -296,9 +323,13 @@ def reg_inc_gamma_lower(alpha: float, x):
 def reg_inc_gamma_upper(alpha: float, x):
     """Regularized upper incomplete gamma function Q(alpha, x) = 1 - P(alpha, x).
 
-    Computed directly by the continued fraction for x >= alpha + 1 so the
-    tail is accurate without cancellation.  ``x`` and the errors are as
-    for :func:`reg_inc_gamma_lower`; Q(alpha, inf) = 0.
+    Three regimes.  For an integer shape n <= 20 and 0 < x < 700, where
+    e^-x is a normal float, Q is the finite Poisson sum e^-x sum_{k<n}
+    x**k / k! (DLMF 8.4.10), n - 1 multiply-adds of positive terms, within
+    2e-15 relative of mpmath.  Otherwise Q is computed directly by the
+    continued fraction for x >= alpha + 1, so the tail is accurate without
+    cancellation, and as 1 - P by the series below it.  ``x`` and the errors
+    are as for :func:`reg_inc_gamma_lower`; Q(alpha, inf) = 0.
     """
     return _inc_gamma("reg_inc_gamma_upper", alpha, x, upper=True)
 

@@ -170,7 +170,9 @@ class GammaMixture:
         # sum_i p_i fn(alpha_i, beta_i u); fn raises on NaN
         u = _real_array(u, "point u")
         x = np.maximum(u, 0.0)
-        total = sum(p * fn(alpha, beta * x) for p, alpha, beta in self.components)
+        with np.errstate(over="ignore"):  # a product past the floats is inf, where fn has its limit
+            scaled = [(p, alpha, beta * x) for p, alpha, beta in self.components]
+        total = sum(p * fn(alpha, bx) for p, alpha, bx in scaled)
         return _shaped_like(u, np.where(u <= 0, at_or_below_zero, total))
 
 

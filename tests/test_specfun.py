@@ -129,14 +129,47 @@ SCALAR_REFERENCE = {
 }
 
 
+def mpmath_upper(alpha, x):
+    """Q(alpha, x) by mpmath at 40 digits, rounded to floats, at each point of x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return np.array([
+            float(mpmath.gammainc(a, mpmath.mpf(v), mpmath.inf, regularized=True))
+            for v in np.ravel(x).tolist()
+        ])
+
+
+def takes_poisson_sum(fn, alpha, x):
+    """Where fn takes the finite Poisson sum: the upper function at an integer
+    shape n <= 20 and 0 < x < 700."""
+    x = np.asarray(x, dtype=float)
+    if fn is not reg_inc_gamma_upper or alpha > 20.0 or not float(alpha).is_integer():
+        return np.zeros(x.shape, dtype=bool)
+    return (x > 0.0) & (x < 700.0)
+
+
+def kernel_reference(fn, alpha, x):
+    """The scalar loop at each point of x, and mpmath where fn takes the Poisson
+    sum: there the loop's own exponent rounding, up to about x eps, exceeds the
+    sum's error (at alpha = 1, x = 168 the loop errs by 1.2e-14 relative)."""
+    x = np.asarray(x, dtype=float)
+    ref = np.array([SCALAR_REFERENCE[fn](alpha, v) for v in x.tolist()])
+    poisson = takes_poisson_sum(fn, alpha, x)
+    if poisson.any():
+        ref[poisson] = mpmath_upper(alpha, x[poisson])
+    return ref
+
+
 class TestRegIncGammaArray:
-    """The elementwise kernel matches the scalar loop reference, float calls included."""
+    """The elementwise kernel matches the scalar loop reference, float calls
+    included; the Poisson sum of integer shapes matches mpmath."""
 
     @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
     @pytest.mark.parametrize("alpha", ARRAY_ALPHAS)
     def test_matches_scalar_path(self, fn, alpha):
         x = array_points(alpha)
-        scalar = np.array([SCALAR_REFERENCE[fn](alpha, v) for v in x])
+        scalar = kernel_reference(fn, alpha, x)
         np.testing.assert_allclose(fn(alpha, x), scalar, rtol=1e-14, atol=0.0)
         # a float is a one-element array of the same kernel and comes back a float
         floats = [fn(alpha, v) for v in [*x.tolist(), math.inf]]
@@ -163,13 +196,17 @@ class TestRegIncGammaArray:
     # prefactor exp(alpha log x - ...) carries it: P differs by 1.41e-14
     # relative, and mpmath puts the true value between the two paths
     @example(alpha=2.0, xs=[2.1053271533568435e-19])
+    # the scalar loop's exponent -x + log x - lgamma(1) rounds there, and its
+    # value errs by 1.2e-14 relative, past the 1.1e-14 tolerance; the Poisson
+    # sum is read against mpmath
+    @example(alpha=1.0, xs=[168.0])
     def test_matches_scalar_path_random(self, alpha, xs):
         x = np.array(xs)
         # widened per point only by the prefactor's conditioning |alpha log x| eps
         log_x = np.log(np.where(x > 0.0, x, 1.0))
         rtol = 1e-14 + np.abs(alpha * log_x) * 2.0**-52
         for fn in (reg_inc_gamma_lower, reg_inc_gamma_upper):
-            scalar = np.array([SCALAR_REFERENCE[fn](alpha, v) for v in xs])
+            scalar = kernel_reference(fn, alpha, x)
             got = fn(alpha, x)
             assert np.all(np.abs(got - scalar) <= rtol * np.abs(scalar)), (fn.__name__, got, scalar)
 
@@ -239,6 +276,116 @@ class TestRegIncGammaAccuracy:
         # over the points is no larger than the scalar loop's
         for fn, (err, ref_err) in worst.items():
             assert err <= ref_err + 2 * ULP, (fn.__name__, alpha, err, ref_err)
+
+
+def poisson_points(n):
+    """Points below, at and above the split n + 1, up to 699.99."""
+    split = n + 1.0
+    below = split * np.array([1e-300, 1e-6, 0.01, 0.3, 0.9, 0.999999])
+    near = [np.nextafter(split, 0.0), split, np.nextafter(split, math.inf)]
+    above = np.array([1.000001 * split, 1.5 * split, 3.0 * split, 100.0, 300.0, 600.0, 699.99])
+    return np.concatenate([below, near, above])
+
+
+def spy_recurrences(monkeypatch):
+    """Record (name, alpha, points) of each call to the series or the fraction."""
+    calls = []
+    for name in ("_series", "_contfrac"):
+        def counted(alpha, x, real=getattr(specfun, name), name=name):
+            calls.append((name, alpha, x.size))
+            return real(alpha, x)
+
+        monkeypatch.setattr(specfun, name, counted)
+    return calls
+
+
+def recurrence_upper(alpha, x):
+    """Q(alpha, x) at points 0 < x < inf as the series and fraction take it."""
+    series = x < alpha + 1.0
+    out = np.empty(x.size)
+    out[series] = 1.0 - specfun._series(alpha, x[series]) * specfun._gamma_kernel(alpha, alpha, x[series])
+    out[~series] = specfun._contfrac(alpha, x[~series]) * specfun._gamma_kernel(alpha, alpha, x[~series])
+    return out
+
+
+class TestRegIncGammaPoissonSum:
+    """An integer shape n <= 20 takes Q(n, x) below x = 700 as the finite sum
+    e^-x sum_{k<n} x**k / k!; every other point keeps the recurrences."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_accuracy_against_mpmath(self, n):
+        x = poisson_points(n)
+        got = reg_inc_gamma_upper(float(n), x)
+        np.testing.assert_allclose(got, mpmath_upper(float(n), x), rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1.0, 4.0, 20.0])
+    def test_no_recurrence_below_700(self, n, monkeypatch):
+        calls = spy_recurrences(monkeypatch)
+        reg_inc_gamma_upper(n, poisson_points(n))
+        reg_inc_gamma_upper(n, 5.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [1.5, 20.5, 21.0])
+    def test_other_shapes_keep_the_recurrences(self, alpha, monkeypatch):
+        x = poisson_points(alpha)
+        expected = recurrence_upper(alpha, x)
+        calls = spy_recurrences(monkeypatch)
+        assert np.array_equal(reg_inc_gamma_upper(alpha, x), expected)
+        assert {name for name, _, _ in calls} == {"_series", "_contfrac"}
+
+    def test_lower_keeps_the_recurrences(self, monkeypatch):
+        calls = spy_recurrences(monkeypatch)
+        reg_inc_gamma_lower(1.0, poisson_points(1.0))
+        assert {name for name, _, _ in calls} == {"_series", "_contfrac"}
+
+    @pytest.mark.parametrize("n", [1.0, 20.0])
+    def test_both_sides_of_700(self, n, monkeypatch):
+        below, at = np.nextafter(700.0, 0.0), np.array([700.0, 700.5, 745.0, 800.0])
+        np.testing.assert_allclose(reg_inc_gamma_upper(n, below), mpmath_upper(n, below), rtol=2e-15)
+        expected = recurrence_upper(n, at)
+        calls = spy_recurrences(monkeypatch)
+        assert np.array_equal(reg_inc_gamma_upper(n, at), expected)
+        assert calls == [("_contfrac", n, at.size)]
+
+    def test_shape_20_against_21(self):
+        # Q(21, x) = Q(20, x) + e^-x x**20 / 20!: the sum at 20 and the
+        # recurrences at 21 agree with that step
+        x = np.array([0.5, 10.0, 21.0, 22.0, 40.0, 200.0])
+        step = np.exp(-x + 20.0 * np.log(x) - math.lgamma(21.0))
+        np.testing.assert_allclose(reg_inc_gamma_upper(21.0, x), reg_inc_gamma_upper(20.0, x) + step,
+                                   rtol=1e-13)
+
+    def test_limits_floats_and_shapes(self):
+        assert reg_inc_gamma_upper(3.0, 0.0) == 1.0
+        assert reg_inc_gamma_upper(3.0, math.inf) == 0.0
+        value = reg_inc_gamma_upper(3, 2.5)
+        assert type(value) is float
+        assert value == pytest.approx(math.exp(-2.5) * (1.0 + 2.5 + 2.5**2 / 2.0), rel=2e-15)
+        x = np.array([[0.0, 1.0, 5.0], [40.0, 699.0, math.inf], [700.0, 0.2, 1e3]])
+        out = reg_inc_gamma_upper(3.0, x)
+        assert out.shape == x.shape
+        assert np.array_equal(out.ravel(), reg_inc_gamma_upper(3.0, x.ravel()))
+        assert np.array_equal(out.ravel(), [reg_inc_gamma_upper(3.0, v) for v in x.ravel()])
+
+
+class TestRegIncGammaTinyShapes:
+    """1 - P carries |lgamma(alpha)| eps of P's rounding: both results are
+    clipped onto [0, 1], which holds the true value."""
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-20])
+    def test_within_unit_interval_against_mpmath(self, alpha):
+        x = np.array([1e-300, 1e-200, 1e-20, 1e-5, 0.5, 1.0, 3.0, 40.0])
+        upper = mpmath_upper(alpha, x)
+        for got, exact in ((reg_inc_gamma_lower(alpha, x), 1.0 - upper),
+                           (reg_inc_gamma_upper(alpha, x), upper)):
+            assert np.all((got >= 0.0) & (got <= 1.0)), got
+            np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-13)
+
+    def test_reported_points(self):
+        # these read 1.0000000000000235, -2.35e-14 and 1.000000000000003
+        assert reg_inc_gamma_lower(1e-300, 1e-300) == 1.0
+        assert reg_inc_gamma_upper(1e-300, 1e-300) == 0.0
+        assert reg_inc_gamma_lower(1e-200, 1e-5) == 1.0
 
 
 class TestRegIncGammaIndependence:

@@ -3,6 +3,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -334,6 +335,16 @@ class TestGammaMixtureArrays:
     def test_nan_in_array_raises(self, half_mixture, name):
         with pytest.raises(DomainError):
             getattr(half_mixture, name)(np.array([1.0, math.nan]))
+
+    @pytest.mark.parametrize("name,limit", [("cdf", 1.0), ("survival", 0.0)])
+    def test_rate_times_point_past_the_floats(self, name, limit):
+        # beta u = 1e310 is inf, where the incomplete gamma has its limit; the
+        # product used to warn "overflow encountered in scalar multiply"
+        fn = getattr(GammaMixture((Component(1.0, 1.0, 1e300),)), name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(1e10) == limit
+            assert np.array_equal(fn(np.array([1e10, 1e20])), [limit, limit])
 
     def test_density_at_origin(self, exp_mixture, gamma32_mixture, half_mixture):
         # the claim density is the bound ledger's own piece: at kappa = 0 the

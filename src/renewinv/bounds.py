@@ -136,7 +136,9 @@ def _component_pieces(mixture: GammaMixture, kappa: float, u: np.ndarray) -> np.
     out = np.empty((4, len(mixture.components), u.size))
     for i, (p, alpha, beta) in enumerate(mixture.components):
         x = beta * u
-        dens = beta * _gamma_kernel(alpha, alpha - 1.0, x)
+        # a density past the floats is inf, and NormLedger refuses an entry that is not finite
+        with np.errstate(over="ignore"):
+            dens = beta * _gamma_kernel(alpha, alpha - 1.0, x)
         surv = reg_inc_gamma_upper(alpha, x)
         out[0, i] = p * surv
         out[1, i] = p * (dens - kappa * surv)

@@ -5,7 +5,9 @@ The equilibrium law of a gamma mixture discretizes onto the grid {k/t} with
 weights proportional to negative-binomial survival probabilities; those are
 the normalized weights of :func:`~renewinv.transforms.survival_to_density_oracle`,
 so ``discretize_equilibrium`` takes them from that oracle at exactly the
-K+1 points the compound step reads.  The compound geometric distribution of
+K+1 points the compound step reads, with the oracle's refusals of tails
+that 1 - cumsum has rounded: the renewal ratio reads the same oracle and
+refuses the same inputs.  The compound geometric distribution of
 those lattice variables has the generating function
 (1 - phi) / (1 - phi F(z)), F being the severity's; its first K+1
 coefficients come from a Newton iteration for the reciprocal power series,
@@ -19,23 +21,24 @@ it returns the same coefficients and its callers and the benchmark tracer
 refer to it by that name.  The non-ruin oracle of :mod:`renewinv.ruin`
 reads both functions: its weights are the cumulative sums of the compound
 PMF divided by t, the normalized transform-derivative weights of the
-non-ruin probability.
+non-ruin probability.  The one check of the module's own is the compound
+PMF's mass: the 1/(1 - phi) of the compound step can carry equilibrium
+weights that pass their own sum check past 1 + 1e-9, and
+``panjer_geometric`` refuses them by the equilibrium oracle's rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NegativeWeightError
 from .specfun import _lattice_values, _real_point, _require_index, _require_positive
-from .transforms import _series_quotient, GammaMixture, survival_to_density_oracle
+from .transforms import _require_mass_at_most_one, _series_quotient, GammaMixture
+from .transforms import survival_to_density_oracle
 
 _NEGATIVE_TOL = 1e-12
-_EXCESS_TOL = 1e-9
-_FIRST_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,59 +71,17 @@ class LatticePMF:
         return max(0.0, 1.0 - float(np.sum(self.weights)))
 
 
-def _fresh_pmf(t: float, weights: np.ndarray) -> LatticePMF:
-    # np.sum adds pairwise: on MAX_FINE_LATTICE points its error, below 6e-15, is
-    # five orders under _EXCESS_TOL, so the check fires as an exact sum would
-    total = float(np.sum(weights))
-    if total > 1.0 + _EXCESS_TOL:
-        raise DomainError(
-            f"lattice weights at t={t} sum to {total!r}, above 1 + {_EXCESS_TOL}: "
-            "the claims are small against the lattice spacing 1/t, so the rounding "
-            "floor of the equilibrium tail sums, divided by t * mean claim, passes the "
-            "tolerance, and a compound step multiplies that excess by about 1/(1 - phi)"
-        )
-    return LatticePMF(t, weights)
-
-
 def discretize_equilibrium(mixture: GammaMixture, t: float, K: int) -> LatticePMF:
     """Lattice masses of the discretized equilibrium law of a gamma mixture.
 
     P(L = k/t) = sum_i p_i * P(NB(alpha_i, beta_i/(t+beta_i)) > k) divided
     by t * mean, for k = 0..K: the normalized weights of the
-    equilibrium-density oracle.  The total over all k is exactly one, so
-    the deficit is the tail beyond K.
-
-    The oracle takes the tails as 1 - cumsum, whose rounding is absolute:
-    with claims small against 1/t the first tail P(NB > 0), about
-    t * mean, loses its digits (all of them from beta of about 1e20 at
-    t = 5), and the answer is silently wrong.  So the first weight, times
-    t * mean, is held against the exact first tail
-    -sum_i p_i expm1(-alpha_i log1p(t / beta_i)), and a relative gap past
-    ``_FIRST_TAIL_TOL`` raises :class:`DomainError`.  The later tails
-    carry the same absolute floor.  Non-ruin answers that pass this check
-    and the sum check below were off from answers built on exact tails by
-    under 2.3e-8, on Exp(beta) claims with beta from 1 to 10**13.5, t 5
-    to 100, u_max 0.2 to 20 and phi 0.5 and 0.9; a tolerance of 1e-6
-    let errors up to 8.9e-6 through.
-
-    Both this check and the 1 + 1e-9 check on the sum of the weights
-    are needed: neither catches all that the other does.  A first tail
-    that loses every digit rounds the sum down, and the sum check sees
-    nothing; a first tail that happens to round well can sit under later
-    tails whose errors add past 1e-9 (alpha 0.3, beta 1e6, t 0.5, K 1).
+    equilibrium-density oracle, with its refusals of a rounded first tail
+    and of weights summing above 1 + 1e-9
+    (:func:`~renewinv.transforms.survival_to_density_oracle`).  The total
+    over all k is exactly one, so the deficit is the tail beyond K.
     """
-    t = _require_positive(t)
-    weights = survival_to_density_oracle(mixture).weights(t, K)
-    got = float(weights[0]) * t * mixture.mean
-    exact = -math.fsum(p * math.expm1(-alpha * math.log1p(t / beta))
-                       for p, alpha, beta in mixture.components)
-    if not abs(got - exact) < _FIRST_TAIL_TOL * exact:
-        raise DomainError(
-            f"the first equilibrium tail at t={t} rounds to {got!r} against {exact!r}: the "
-            "claims are small against the lattice spacing 1/t, so 1 - cumsum loses more than "
-            f"{_FIRST_TAIL_TOL} of it"
-        )
-    return _fresh_pmf(t, weights)
+    return LatticePMF(t, survival_to_density_oracle(mixture).weights(t, K))
 
 
 def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
@@ -146,4 +107,4 @@ def panjer_geometric(severity: LatticePMF, phi: float, K: int) -> LatticePMF:
     a[0] += 1.0
     pmf = _series_quotient(None, a)
     pmf *= 1.0 - phi
-    return _fresh_pmf(severity.t, pmf)
+    return LatticePMF(severity.t, _require_mass_at_most_one(pmf, severity.t))

@@ -12,7 +12,9 @@ cumulative sums.  :func:`lstar_nonruin` (L*_t) and
 :func:`approximate_nonruin` (one :func:`~renewinv.inversion.m2_lattice`
 call) read it like any other oracle.  The renewal ingredients f and v of the
 ruin function come as transform oracles only, from
-:func:`renewal_data_from_model`.
+:func:`renewal_data_from_model`.  Both routes read the equilibrium law from
+:func:`~renewinv.transforms.survival_to_density_oracle`, whose refusals of
+rounded tails they therefore share.
 
 The oracle is a frozen value holding its :class:`RiskModel`, and models and
 claim laws hash by value, so the pass memo of

@@ -204,8 +204,11 @@ def _series(alpha, x):
 def _contfrac_depth(alpha, x, cap):
     # First depth tried at each point, a function of (alpha, x) only: a fit
     # to the least depth at which the depth-N and depth-(N-1) values agree,
-    # over alpha in [0.05, 5000].  Points it falls short at double it.
-    depth = np.ceil(5.0 + 95.0 / x + 9.0 * alpha / (alpha ** (2.0 / 3.0) + x - alpha))
+    # over alpha in [0.05, 5000].  Points it falls short at double it.  From
+    # alpha ~ 1e49 the denominator rounds to 0 at x = alpha, and the depth of
+    # inf is clipped to the cap.
+    with np.errstate(divide="ignore"):
+        depth = np.ceil(5.0 + 95.0 / x + 9.0 * alpha / (alpha ** (2.0 / 3.0) + x - alpha))
     return np.clip(depth, 1, cap).astype(np.int16)
 
 

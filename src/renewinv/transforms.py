@@ -11,7 +11,9 @@ lattice masses P(X^(t-grid) = k/t), so they live in [0, 1] and never
 overflow, while the raw derivatives grow like k! and die around k ~ 300 in
 doubles.  A gamma-mixture claim law (:class:`GammaMixture`) gives its CDF
 and survival pointwise; the equilibrium law is reached through its
-transform only (:func:`survival_to_density_oracle`).
+transform only (:func:`survival_to_density_oracle`), whose oracle refuses
+the lattice tails that its 1 - cumsum has rounded past 1e-9, for the
+compound step and the renewal ratio alike.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .specfun import _require_finite, _require_kind, _require_weight_index, _sha
 from .specfun import negbin_pmf_terms, reg_inc_gamma_lower, reg_inc_gamma_upper
 
 _SINGULARITY_TOL = 1e-12
+_EXCESS_TOL = 1e-9
+_FIRST_TAIL_TOL = 1e-9
 # np.convolve and a zero-padded FFT product of two n-term series cost about
 # the same at n ~ 512 (48-53 against 42-56 us; numpy 2.4, one core of a
 # shared 2-vCPU Xeon VM, best of 15 repeats).  A Newton pass from n to 2n
@@ -327,13 +331,83 @@ def _survival_tails(inner_weights: np.ndarray, t: float) -> np.ndarray:
     return tails
 
 
+def _require_mass_at_most_one(weights: np.ndarray, t: float) -> np.ndarray:
+    """``weights``, after refusing lattice weights that sum above 1 + ``_EXCESS_TOL``."""
+    # np.sum adds pairwise: on MAX_FINE_LATTICE points its error, below 6e-15, is
+    # five orders under _EXCESS_TOL, so the check fires as an exact sum would
+    total = float(np.sum(weights))
+    if total > 1.0 + _EXCESS_TOL:
+        raise DomainError(
+            f"lattice weights at t={t} sum to {total!r}, above 1 + {_EXCESS_TOL}: "
+            "the claims are small against the lattice spacing 1/t, so the rounding "
+            "floor of the equilibrium tail sums, divided by t * mean claim, passes the "
+            "tolerance, and a compound step multiplies that excess by about 1/(1 - phi)"
+        )
+    return weights
+
+
+@dataclass(frozen=True)
+class _EquilibriumLST(TransformOracle):
+    """Equilibrium density of a gamma mixture: f = survival(X) / mean.
+
+    The weights are the survival tails of the mixture's negative-binomial
+    masses, as :class:`SurvivalLST` takes them, times 1 / mean: the lattice
+    masses P(NB > k) / (t * mean) of the discretized equilibrium law, which
+    sum to one over all k.  Both readers, the compound step and the renewal
+    ratio, get them with the two refusals below.
+
+    The tails are 1 - cumsum, whose rounding is absolute: with claims small
+    against 1/t the first tail P(NB > 0), about t * mean, loses its digits
+    (all of them from beta of about 1e20 at t = 5), and the answer is
+    silently wrong.  So the first weight, times t * mean, is held against
+    the exact first tail -sum_i p_i expm1(-alpha_i log1p(t / beta_i)), and
+    a relative gap past ``_FIRST_TAIL_TOL`` raises :class:`DomainError`.
+    The later tails carry the same absolute floor, and weights summing
+    above 1 + ``_EXCESS_TOL`` are refused too.  Non-ruin answers that pass
+    both checks were off from answers built on exact tails by under 2.3e-8,
+    on Exp(beta) claims with beta from 1 to 10**13.5, t 5 to 100, u_max 0.2
+    to 20 and phi 0.5 and 0.9; a tolerance of 1e-6 let errors up to 8.9e-6
+    through.
+
+    Both checks are needed: neither catches all that the other does.  A
+    first tail that loses every digit rounds the sum down, and the sum
+    check sees nothing; a first tail that happens to round well can sit
+    under later tails whose errors add past 1e-9 (alpha 0.3, beta 1e6,
+    t 0.5, K 1).
+    """
+
+    mixture: GammaMixture
+
+    def __post_init__(self):
+        _require_kind(self.mixture, GammaMixture, "mixture")
+
+    def weights(self, t, k_max):
+        t = self._require_valid_point(t, k_max)
+        mean, components = self.mixture.mean, self.mixture.components
+        weights = _survival_tails(GammaMixtureLST(self.mixture).weights(t, k_max), t)
+        weights *= 1.0 / mean
+        got = float(weights[0]) * t * mean
+        exact = -math.fsum(p * math.expm1(-a * math.log1p(t / b)) for p, a, b in components)
+        if not abs(got - exact) < _FIRST_TAIL_TOL * exact:
+            least = min(t / b for _, _, b in components)
+            raise DomainError(
+                f"the first equilibrium tail at t={t} rounds to {got!r} against {exact!r}: "
+                f"1 - cumsum loses more than {_FIRST_TAIL_TOL} of it (t * mean claim = "
+                f"{t * mean!r}, smallest t/beta = {least!r})"
+            )
+        return _require_mass_at_most_one(weights, t)
+
+
 def survival_to_density_oracle(mixture: GammaMixture) -> TransformOracle:
     """Oracle for the equilibrium density f = survival(X)/mean.
 
     Its transform is (1 - Phi_X(t)) / (t * mean), the integration-by-parts
-    identity for the equilibrium law.
+    identity for the equilibrium law.  The oracle refuses, with
+    :class:`DomainError`, a first equilibrium tail that 1 - cumsum rounds
+    by more than 1e-9 of itself and weights that sum above 1 + 1e-9, so
+    the compound step and the renewal ratio refuse the same inputs.
     """
-    return ScaledLST(1.0 / mixture.mean, SurvivalLST(GammaMixtureLST(mixture)))
+    return _EquilibriumLST(mixture)
 
 
 def _series_quotient(v: np.ndarray | None, a: np.ndarray) -> np.ndarray:
@@ -455,6 +529,9 @@ class RenewalRatioLST(TransformOracle):
     For ruin the SurvivalLST tail sums in v and f set a larger absolute
     floor, so ruin weights below ~1e-14 are noise: 7.2e-15 is the error
     against the exact exponential-claims weights at phi = 0.9, t = 10.
+    An f from :func:`survival_to_density_oracle` refuses the tails whose
+    rounding passes 1e-9, as the compound step does; the compound PMF's
+    mass check has no counterpart here.
 
     The ruin forcing v = c * SurvivalLST(f) of the same f (any c, compared
     by value, as :func:`~renewinv.ruin.renewal_data_from_model` builds it

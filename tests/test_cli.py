@@ -180,6 +180,26 @@ class TestRuin:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--phi", "0.9", "--t", "5"],
+            ["invert", "--transform", "gamma_mixture", "--method", "lstar", "--t", "5",
+             "--u", "0.5,1,2"],
+        ],
+        ids=["bound", "invert-lstar"],
+    )
+    def test_huge_shape_refusal_warns_nothing(self, write_spec, capsys, argv):
+        # the incomplete gamma divided by zero, and the ledger's density overflowed,
+        # with a RuntimeWarning each before the refusal
+        spec = write_spec([(1.0, 1e300, 1e300)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv + ["--spec", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "did not converge" in err
+
 
 SPEC_COMMANDS = {
     "ruin": ["--phi", "0.9", "--t", "5", "--u-max", "10"],

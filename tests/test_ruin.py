@@ -55,6 +55,13 @@ def compound_cdf_reference(mixture, phi, t, K):
     return np.minimum(np.cumsum(pmf.weights), 1.0)
 
 
+def ratio_nonruin(model):
+    """1 - psi, with psi the renewal ratio over the model's renewal ingredients."""
+    data = renewal_data_from_model(model)
+    psi = RenewalRatioLST(data.v_oracle, data.f_oracle, data.phi)
+    return SumLST(ConstantLST(1.0), ScaledLST(-1.0, psi))
+
+
 def unprojected_nonruin(model, t, u_max):
     """M2 of the non-ruin oracle as approximate_nonruin has it before its projection."""
     return m2_lattice(ruin._NonruinLST(model), t, covering_index(t, u_max), 1.0 - model.phi).values
@@ -315,10 +322,42 @@ class TestApproximateNonruin:
         # 1 - cumsum rounds the first equilibrium tail, about t / beta: at
         # beta = 10**10.5 the sup error was 1.7e-7 (phi 0.5) and 1.6e-6 (phi 0.9),
         # at 1e15 8.0e-4 and 7.1e-3, and from 1e20 the answer was 1 - phi at
-        # every u, not 1
+        # every u, not 1.  M2 over 1 - psi from the renewal ratio read the same
+        # tails unguarded (sup error 7.1e-3 at 1e15, phi 0.9), and refuses alike
         model = RiskModel(GammaMixture.exponential(beta), phi)
-        with pytest.raises(DomainError, match="first equilibrium tail at t=10.0 rounds to"):
+        with pytest.raises(DomainError, match="first equilibrium tail at t=10.0 rounds to") as compound:
             approximate_nonruin(model, 5.0, 2.0)
+        with pytest.raises(DomainError) as ratio:
+            m2_lattice(ratio_nonruin(model), 5.0, covering_index(5.0, 2.0), 1.0 - phi)
+        assert str(ratio.value) == str(compound.value)
+
+    @pytest.mark.parametrize(
+        "components, causes",
+        [
+            (((1.0, 1.0, 1e15),), r"t \* mean claim = 1\.0000000000000002e-14, smallest t/beta = 1e-14"),
+            # mean 1, so the claims are not small: beta/(t + beta) rounds to 1
+            (((1.0, 1e20, 1e20),), r"t \* mean claim = 10\.0, smallest t/beta = 1e-19"),
+        ],
+        ids=["exp_1e15", "gamma_1e20_1e20"],
+    )
+    def test_first_tail_refusal_reports_its_causes(self, components, causes):
+        model = RiskModel(GammaMixture(components), 0.9)
+        with pytest.raises(
+            DomainError,
+            match=r"^the first equilibrium tail at t=10\.0 rounds to \S+ against \S+: 1 - cumsum "
+            rf"loses more than 1e-09 of it \({causes}\)$",
+        ):
+            approximate_nonruin(model, 5.0, 2.0)
+
+    def test_small_claims_excess_mass_is_refused_by_the_renewal_ratio(self):
+        # the ratio route read these tails unguarded, with weights summing to 1 + 6.7e-9
+        mixture = GammaMixture((Component(1.0, 0.01, 1000.0),))
+        with pytest.raises(DomainError, match=r"t=5\.0 sum to 1\.0000000066") as compound:
+            discretize_equilibrium(mixture, 5.0, 3000)
+        data = renewal_data_from_model(RiskModel(mixture, 0.9))
+        with pytest.raises(DomainError) as ratio:
+            RenewalRatioLST(data.v_oracle, data.f_oracle, 0.9).weights(5.0, 3000)
+        assert str(ratio.value) == str(compound.value)
 
     def test_small_claims_just_under_the_first_tail_tolerance_answer(self):
         # first-tail gaps 4.5e-10 at t = 10 and 4.9e-10 at t = 5, under 1e-9

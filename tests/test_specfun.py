@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,16 @@ class TestRegIncGammaConvergence:
         monkeypatch.setattr(specfun, "_MAX_ITER", 8)
         with pytest.raises(DomainError, match="did not converge.*within 8 terms"):
             fn(1.5, x)
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("alpha", [1e49, 1e50, 1e300])
+    def test_huge_shapes_refuse_without_a_warning(self, fn, alpha):
+        # from alpha ~ 1e49, alpha**(2/3) + x - alpha rounds to 0 at x = alpha,
+        # and the first-depth fit's division by it warned before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="did not converge"):
+                fn(alpha, alpha)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 7.3, 200.0])
     def test_depth_doubling_converges(self, alpha, monkeypatch):

@@ -30,6 +30,7 @@ from renewinv import (
     SurvivalLST,
     TransformOracle,
 )
+from renewinv.compound import discretize_equilibrium
 from renewinv.inversion import covering_index, MAX_FINE_LATTICE
 from renewinv import bounds, ruin, transforms
 from renewinv.ruin import renewal_data_from_model, RiskModel
@@ -464,6 +465,8 @@ WRONG_KIND_PARTS = {
     "RenewalRatioLST.v": lambda: RenewalRatioLST(None, ConstantLST(1.0), 0.5),
     "GammaMixtureLST": lambda: GammaMixtureLST("x"),
     "RiskModel": lambda: RiskModel("x", 0.5),
+    "survival_to_density_oracle": lambda: survival_to_density_oracle("x"),
+    "discretize_equilibrium": lambda: discretize_equilibrium("x", 5.0, 3),
 }
 
 
@@ -573,7 +576,32 @@ class TestOracleCallBounds:
         assert np.array_equal(oracle.weights(5.0, np.int64(40)), oracle.weights(5.0, 40))
 
 
+def composite_equilibrium(mixture):
+    """The equilibrium oracle as three public oracles, scaled survival of the claim law."""
+    return ScaledLST(1.0 / mixture.mean, SurvivalLST(GammaMixtureLST(mixture)))
+
+
+def seeded_admissible_mixture(seed):
+    """One to three components with shapes in [1, 5] and rates in [0.2, 5]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    p = rng.dirichlet(np.ones(n))
+    return GammaMixture(tuple(
+        Component(float(p[i]), float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.2, 5.0)))
+        for i in range(n)
+    ))
+
+
 class TestEquilibriumOracle:
+    @pytest.mark.parametrize("t", [0.5, 5.0, 10.0, 100.0, 200.0])
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture", 0, 1, 2, 3, 4, 5])
+    def test_bits_of_the_scaled_survival(self, all_table_mixtures, name, t):
+        # the one oracle takes the composite's arithmetic in the composite's order
+        mixture = all_table_mixtures.get(name) or seeded_admissible_mixture(name)
+        for k_max in [0, 1, 511, 512, 1023, 1024, 8000]:
+            got = survival_to_density_oracle(mixture).weights(t, k_max)
+            assert np.array_equal(got, composite_equilibrium(mixture).weights(t, k_max))
+
     def test_exponential_fixed_point(self, exp_mixture):
         oracle = survival_to_density_oracle(exp_mixture)
         assert oracle.weights(5.0, 0)[0] == pytest.approx(1.0 / 6.0, rel=1e-13)

@@ -4,13 +4,18 @@ The regularized incomplete gamma function, its log-space kernel
 x**p e^(-x) / Gamma(alpha), and the masses of a negative binomial with real
 (non-integer) shape.
 
-The incomplete gamma has one elementwise kernel with three regimes: the
+The incomplete gamma has one elementwise kernel with four regimes: the
 ascending series below x = alpha + 1 and, above it, the continued fraction
-evaluated bottom-up to a depth set per point; for an integer shape n <= 20
-the upper function takes Q(n, x) at 0 < x < 700 as the finite Poisson sum
-e^-x sum_{k<n} x**k / k!.  Both results are clipped onto [0, 1].  A float
-runs as a one-element array, about 0.1-0.2 ms a call against a few
-microseconds for a scalar loop, so pass many points as one array.
+evaluated bottom-up to a depth set per point; and, for the upper function
+at 0 < x < 700, two finite sums of positive terms: for an integer shape
+n <= 20 the Poisson sum Q(n, x) = e^-x sum_{k<n} x**k / k!, and for a
+shape n + 1/2 with 1 <= n <= 20 the sum Q(n + 1/2, x) = erfc(sqrt x) +
+e^-x sum_{k<n} x**(k+1/2) / Gamma(k + 3/2), whose erfc is ``math.erfc``
+mapped over the points (numpy has none), about 75 ns a point.  Both
+results are clipped onto [0, 1].  A float runs as a one-element array:
+about 0.1-0.2 ms a call on the recurrences, 25-40 us in the finite sums
+for n <= 4 and about 80 us at n = 20, against a few microseconds for a
+scalar loop, so pass many points as one array.
 
 The negative-binomial masses are the workhorse of the lattice
 discretization: for gamma-distributed claim amounts they are the
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -44,10 +50,10 @@ _MIN_LOG_SEED = math.log(math.ldexp(1.0, -1074) / 1e-9)
 # Least shape at which _gamma_kernel forms its exponent near the peak from
 # Stirling's series; below it the plain exponent errs by at most ~1e-14.
 _STIRLING_MIN_SHAPE = 20.0
-# Largest integer shape, and the bound on x, of the finite Poisson sum for
-# Q(n, x): below x = 700, e^-x is a normal float.
-_POISSON_MAX_SHAPE = 20.0
-_POISSON_MAX_X = 700.0
+# Largest shape n or n + 1/2, and the bound on x, of the finite sum for
+# Q(alpha, x): below x = 700, e^-x is a normal float.
+_FINITE_SUM_MAX_SHAPE = 20.5
+_FINITE_SUM_MAX_X = 700.0
 
 
 def _require_weight_count(n: int, what: str) -> None:
@@ -261,13 +267,25 @@ def _contfrac(alpha, x):
     return out
 
 
-def _poisson_sum(n, x):
-    # Q(n, x) = e^-x sum_{k<n} x**k / k! for an integer shape n (DLMF 8.4.10),
-    # taken upward from e^-x: n - 1 multiply-adds of positive terms, no 1 - P.
+def _finite_sum(alpha, x):
+    # Q(alpha, x) for alpha = n + s, n >= 1, s = 0 or 1/2, as a seed plus
+    # the positive terms e^-x x**(k+s) / Gamma(k+s+1), k < n, taken upward
+    # by term *= x / (k + s): no 1 - P.  For s = 0 this is the Poisson sum
+    # e^-x sum_{k<n} x**k / k! (DLMF 8.4.10), seeded with its first term
+    # e^-x; for s = 1/2 the seed is Q(1/2, x) = erfc(sqrt x) (DLMF 8.4.6),
+    # one math.erfc per point, and the first term 2 sqrt(x / pi) e^-x
+    # (DLMF 8.8.6: Q(a + 1, x) = Q(a, x) + x**a e^-x / Gamma(a + 1)).
+    n = int(alpha)
+    s = alpha - n
     term = np.exp(-x)
-    total = term.copy()
+    if s:
+        term *= 2.0 * np.sqrt(x / math.pi)
+        total = np.fromiter(map(math.erfc, np.sqrt(x).tolist()), float, x.size)
+        total += term
+    else:
+        total = term.copy()
     for k in range(1, n):
-        term *= x / k
+        term *= x / (k + s)
         total += term
     return total
 
@@ -276,17 +294,19 @@ def _inc_gamma(name, alpha, x, upper):
     # P(alpha, x), or Q(alpha, x) if ``upper``, shaped like x: a float x is
     # a one-element array that comes back as a float.
     alpha = _require_positive(alpha, "shape alpha")
+    if alpha < sys.float_info.min:  # 1 / alpha, the series' first term, may overflow
+        raise DomainError(f"{name} shape alpha {alpha!r} is not a positive normal float")
     xs = _real_array(x, f"{name} point x")
     bad = ~(xs >= 0)
     if bad.any():
         raise DomainError(f"{name} requires x >= 0, got {xs[bad][0]}")
     inner = (xs > 0.0) & (xs < math.inf)
     out = np.where(xs == 0.0, 1.0, 0.0) if upper else np.where(xs == math.inf, 1.0, 0.0)
-    if upper and alpha <= _POISSON_MAX_SHAPE and alpha.is_integer():
-        poisson = inner & (xs < _POISSON_MAX_X)
-        if poisson.any():
-            out[poisson] = _poisson_sum(int(alpha), xs[poisson])
-            inner &= ~poisson
+    if upper and 1.0 <= alpha <= _FINITE_SUM_MAX_SHAPE and (2.0 * alpha).is_integer():
+        finite = inner & (xs < _FINITE_SUM_MAX_X)
+        if finite.any():
+            out[finite] = _finite_sum(alpha, xs[finite])
+            inner &= ~finite
     series = inner & (xs < alpha + 1.0)
     contfrac = inner & (xs >= alpha + 1.0)
     if series.any():
@@ -315,8 +335,9 @@ def reg_inc_gamma_lower(alpha: float, x):
     Series expansion for x < alpha + 1, continued fraction otherwise, run
     elementwise over ``x``, a float or an array; a float comes back as a
     float.  A point's value depends on that point alone, and lies in [0, 1].
-    P(alpha, inf) = 1.
-    Non-real (str, None, complex), NaN or negative x, and a recurrence not
+    P(alpha, inf) = 1.  A shape that is not a positive normal float (below
+    ``sys.float_info.min`` the series' first term 1 / alpha may overflow),
+    non-real (str, None, complex), NaN or negative x, and a recurrence not
     converged within 600 terms, raise :class:`DomainError`: the series at
     x = alpha from alpha of about 5.4e3, the fraction just above alpha + 1 from about 2.8e5.
     """
@@ -326,13 +347,20 @@ def reg_inc_gamma_lower(alpha: float, x):
 def reg_inc_gamma_upper(alpha: float, x):
     """Regularized upper incomplete gamma function Q(alpha, x) = 1 - P(alpha, x).
 
-    Three regimes.  For an integer shape n <= 20 and 0 < x < 700, where
-    e^-x is a normal float, Q is the finite Poisson sum e^-x sum_{k<n}
-    x**k / k! (DLMF 8.4.10), n - 1 multiply-adds of positive terms, within
-    2e-15 relative of mpmath.  Otherwise Q is computed directly by the
-    continued fraction for x >= alpha + 1, so the tail is accurate without
-    cancellation, and as 1 - P by the series below it.  ``x`` and the errors
-    are as for :func:`reg_inc_gamma_lower`; Q(alpha, inf) = 0.
+    Four regimes.  At 0 < x < 700, where e^-x is a normal float, two
+    shapes take a finite sum of positive terms, within 2e-15 relative of
+    mpmath: an integer n <= 20 the Poisson sum e^-x sum_{k<n} x**k / k!
+    (DLMF 8.4.10), and n + 1/2 with 1 <= n <= 20 the sum erfc(sqrt x) +
+    e^-x sum_{k<n} x**(k+1/2) / Gamma(k + 3/2) (DLMF 8.4.6, 8.8.6), with
+    one ``math.erfc`` per point.  Either costs n - 1 or n multiply-adds, so
+    a float call takes 25-40 us for n <= 4 and about 80 us at n = 20.
+    Otherwise Q is computed directly by the continued fraction for
+    x >= alpha + 1, so the tail is accurate without cancellation, and as
+    1 - P by the series below it.  Shape 1/2 keeps the recurrences: its
+    erfc(sqrt x) alone carries the rounding of sqrt x, about x eps.
+    ``x`` and the errors are as for :func:`reg_inc_gamma_lower`, and a
+    shape that is not a positive normal float raises :class:`DomainError`;
+    Q(alpha, inf) = 0.
     """
     return _inc_gamma("reg_inc_gamma_upper", alpha, x, upper=True)
 

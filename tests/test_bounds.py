@@ -22,7 +22,7 @@ from renewinv import (
     ruin_bound_report,
     ruin_w_functions,
 )
-from renewinv import bounds
+from renewinv import bounds, specfun
 from renewinv.bounds import _component_i_fpp, equilibrium_moments, f_second_integrals
 from renewinv.specfun import _gamma_kernel
 
@@ -422,6 +422,29 @@ class TestSupNormKernel:
         assert coarse.shape == fine.shape
         gap = float(np.max(np.abs(coarse - fine)))
         assert gap <= report.total_bound(5.0) + report.total_bound(40.0)
+
+
+HALF_INTEGER_SHAPE_MIXTURES = {
+    "gamma_3_2": GammaMixture((Component(1.0, 1.5, 1.0),)),
+    "table_mixture": GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0))),
+    "gamma_2_5_2": GammaMixture((Component(1.0, 2.5, 2.0),)),
+    "half_gamma_1_5_half_gamma_4_5_3": GammaMixture((Component(0.5, 1.5, 1.0), Component(0.5, 4.5, 3.0))),
+}
+
+
+class TestFiniteSumLedger:
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("name", HALF_INTEGER_SHAPE_MIXTURES)
+    def test_ledger_matches_recurrence_route(self, name, phi, monkeypatch):
+        # shapes n and n + 1/2 take Q as a finite sum below x = 700; with the
+        # sum's range emptied, Q runs through the series and the fraction as
+        # before the sum, and every entry agrees to 1e-14 relative
+        model = RiskModel(HALF_INTEGER_SHAPE_MIXTURES[name], phi)
+        ledger = ruin_w_functions(model)
+        monkeypatch.setattr(specfun, "_FINITE_SUM_MAX_X", 0.0)
+        recurrences = ruin_w_functions(model)
+        np.testing.assert_allclose(dataclasses.astuple(ledger), dataclasses.astuple(recurrences),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestEquilibriumMoments:

@@ -200,6 +200,19 @@ class TestRuin:
         assert out == ""
         assert err.startswith("error:") and "did not converge" in err
 
+    @pytest.mark.parametrize("u", ["5e-304,0.5", "1e-300,0.5,3"])
+    def test_subnormal_shape_refusal_names_the_shape(self, write_spec, capsys, u):
+        # the exact column's incomplete gamma refused as "did not converge", and
+        # at x = beta u = 5e-324 warned first; a mean of 1e-300 builds the mixture
+        spec = write_spec([(1.0, 1e-320, 1e-20)])
+        argv = ["invert", "--transform", "gamma_mixture", "--method", "lstar", "--t", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv + ["--u", u, "--spec", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "shape alpha 1e-320 is not a positive normal float" in err
+
 
 SPEC_COMMANDS = {
     "ruin": ["--phi", "0.9", "--t", "5", "--u-max", "10"],

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -141,30 +143,30 @@ def mpmath_upper(alpha, x):
         ])
 
 
-def takes_poisson_sum(fn, alpha, x):
-    """Where fn takes the finite Poisson sum: the upper function at an integer
-    shape n <= 20 and 0 < x < 700."""
+def takes_finite_sum(fn, alpha, x):
+    """Where fn takes the finite sum: the upper function at a shape n or n + 1/2
+    from 1 to 20.5 and 0 < x < 700."""
     x = np.asarray(x, dtype=float)
-    if fn is not reg_inc_gamma_upper or alpha > 20.0 or not float(alpha).is_integer():
+    if fn is not reg_inc_gamma_upper or not 1.0 <= alpha <= 20.5 or not (2.0 * alpha).is_integer():
         return np.zeros(x.shape, dtype=bool)
     return (x > 0.0) & (x < 700.0)
 
 
 def kernel_reference(fn, alpha, x):
-    """The scalar loop at each point of x, and mpmath where fn takes the Poisson
+    """The scalar loop at each point of x, and mpmath where fn takes the finite
     sum: there the loop's own exponent rounding, up to about x eps, exceeds the
     sum's error (at alpha = 1, x = 168 the loop errs by 1.2e-14 relative)."""
     x = np.asarray(x, dtype=float)
     ref = np.array([SCALAR_REFERENCE[fn](alpha, v) for v in x.tolist()])
-    poisson = takes_poisson_sum(fn, alpha, x)
-    if poisson.any():
-        ref[poisson] = mpmath_upper(alpha, x[poisson])
+    finite = takes_finite_sum(fn, alpha, x)
+    if finite.any():
+        ref[finite] = mpmath_upper(alpha, x[finite])
     return ref
 
 
 class TestRegIncGammaArray:
     """The elementwise kernel matches the scalar loop reference, float calls
-    included; the Poisson sum of integer shapes matches mpmath."""
+    included; the finite sum of shapes n and n + 1/2 matches mpmath."""
 
     @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
     @pytest.mark.parametrize("alpha", ARRAY_ALPHAS)
@@ -201,6 +203,7 @@ class TestRegIncGammaArray:
     # value errs by 1.2e-14 relative, past the 1.1e-14 tolerance; the Poisson
     # sum is read against mpmath
     @example(alpha=1.0, xs=[168.0])
+    @example(alpha=1.5, xs=[0.25, 2.5, 699.0])
     def test_matches_scalar_path_random(self, alpha, xs):
         x = np.array(xs)
         # widened per point only by the prefactor's conditioning |alpha log x| eps
@@ -326,7 +329,7 @@ class TestRegIncGammaPoissonSum:
         reg_inc_gamma_upper(n, 5.0)
         assert calls == []
 
-    @pytest.mark.parametrize("alpha", [1.5, 20.5, 21.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.25, 21.0, 21.5])
     def test_other_shapes_keep_the_recurrences(self, alpha, monkeypatch):
         x = poisson_points(alpha)
         expected = recurrence_upper(alpha, x)
@@ -357,16 +360,76 @@ class TestRegIncGammaPoissonSum:
                                    rtol=1e-13)
 
     def test_limits_floats_and_shapes(self):
-        assert reg_inc_gamma_upper(3.0, 0.0) == 1.0
-        assert reg_inc_gamma_upper(3.0, math.inf) == 0.0
-        value = reg_inc_gamma_upper(3, 2.5)
-        assert type(value) is float
-        assert value == pytest.approx(math.exp(-2.5) * (1.0 + 2.5 + 2.5**2 / 2.0), rel=2e-15)
-        x = np.array([[0.0, 1.0, 5.0], [40.0, 699.0, math.inf], [700.0, 0.2, 1e3]])
-        out = reg_inc_gamma_upper(3.0, x)
-        assert out.shape == x.shape
-        assert np.array_equal(out.ravel(), reg_inc_gamma_upper(3.0, x.ravel()))
-        assert np.array_equal(out.ravel(), [reg_inc_gamma_upper(3.0, v) for v in x.ravel()])
+        assert_limits_floats_and_shapes(3, math.exp(-2.5) * (1.0 + 2.5 + 2.5**2 / 2.0))
+
+
+def assert_limits_floats_and_shapes(alpha, q_at_2_5):
+    """Q(alpha, 0) = 1 and Q(alpha, inf) = 0; a float point gives a float,
+    Q(alpha, 2.5) to 2e-15 relative; a 2-d array keeps its shape, and each
+    point has the value it has flat and alone."""
+    assert reg_inc_gamma_upper(alpha, 0.0) == 1.0
+    assert reg_inc_gamma_upper(alpha, math.inf) == 0.0
+    value = reg_inc_gamma_upper(alpha, 2.5)
+    assert type(value) is float
+    assert value == pytest.approx(q_at_2_5, rel=2e-15)
+    x = np.array([[0.0, 1.0, 5.0], [40.0, 699.0, math.inf], [700.0, 0.2, 1e3]])
+    out = reg_inc_gamma_upper(alpha, x)
+    assert out.shape == x.shape
+    assert np.array_equal(out.ravel(), reg_inc_gamma_upper(alpha, x.ravel()))
+    assert np.array_equal(out.ravel(), [reg_inc_gamma_upper(alpha, v) for v in x.ravel()])
+
+
+HALF_INTEGER_SHAPES = [n + 0.5 for n in range(1, 21)]
+
+
+class TestRegIncGammaHalfIntegerSum:
+    """A shape n + 1/2 with 1 <= n <= 20 takes Q below x = 700 as
+    erfc(sqrt x) + e^-x sum_{k<n} x**(k+1/2) / Gamma(k + 3/2); shape 1/2,
+    other shapes, the lower function and x >= 700 keep the recurrences."""
+
+    @pytest.mark.parametrize("alpha", HALF_INTEGER_SHAPES)
+    def test_accuracy_against_mpmath(self, alpha):
+        x = np.concatenate([poisson_points(alpha), np.geomspace(1e-12, 699.99, 60)])
+        exact = mpmath_upper(alpha, x)
+        got = reg_inc_gamma_upper(alpha, x)
+        np.testing.assert_allclose(got, exact, rtol=2e-15, atol=0.0)
+        # and no point further from mpmath than the recurrences, beyond 1e-15
+        recurrence_err = np.abs(recurrence_upper(alpha, x) - exact) / exact
+        assert np.all(np.abs(got - exact) / exact <= recurrence_err + 1e-15)
+
+    @pytest.mark.parametrize("alpha", [1.5, 20.5])
+    def test_no_recurrence_below_700(self, alpha, monkeypatch):
+        calls = spy_recurrences(monkeypatch)
+        reg_inc_gamma_upper(alpha, poisson_points(alpha))
+        reg_inc_gamma_upper(alpha, 5.0)
+        assert calls == []
+
+    def test_lower_keeps_the_recurrences(self, monkeypatch):
+        calls = spy_recurrences(monkeypatch)
+        reg_inc_gamma_lower(1.5, poisson_points(1.0))
+        assert {name for name, _, _ in calls} == {"_series", "_contfrac"}
+
+    @pytest.mark.parametrize("alpha", [1.5, 20.5])
+    def test_both_sides_of_700(self, alpha, monkeypatch):
+        below, at = np.nextafter(700.0, 0.0), np.array([700.0, 700.5, 745.0, 800.0])
+        np.testing.assert_allclose(reg_inc_gamma_upper(alpha, below), mpmath_upper(alpha, below),
+                                   rtol=2e-15)
+        expected = recurrence_upper(alpha, at)
+        calls = spy_recurrences(monkeypatch)
+        assert np.array_equal(reg_inc_gamma_upper(alpha, at), expected)
+        assert calls == [("_contfrac", alpha, at.size)]
+
+    def test_shape_20_5_against_21_5(self):
+        # Q(21.5, x) = Q(20.5, x) + e^-x x**20.5 / Gamma(21.5) (DLMF 8.8.6): the
+        # sum at 20.5 and the recurrences at 21.5 agree with that step
+        x = np.array([0.5, 10.0, 21.5, 22.5, 40.0, 200.0])
+        step = np.exp(-x + 20.5 * np.log(x) - math.lgamma(21.5))
+        np.testing.assert_allclose(reg_inc_gamma_upper(21.5, x), reg_inc_gamma_upper(20.5, x) + step,
+                                   rtol=1e-13)
+
+    def test_limits_floats_and_shapes(self):
+        q = math.erfc(math.sqrt(2.5)) + 2.0 * math.sqrt(2.5 / math.pi) * math.exp(-2.5)
+        assert_limits_floats_and_shapes(1.5, q)
 
 
 class TestRegIncGammaTinyShapes:
@@ -426,13 +489,14 @@ class TestRegIncGammaConvergence:
             fn(1e5, x)
 
     @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
-    @pytest.mark.parametrize("x", [2.5 + 1e-6, np.array([1.0, 2.5 + 1e-6, 40.0])])
+    @pytest.mark.parametrize("x", [2.25 + 1e-6, np.array([1.0, 2.25 + 1e-6, 40.0])])
     def test_unconverged_contfrac_raises(self, fn, x, monkeypatch):
-        # at alpha = 1.5 just above the split the fraction needs depth ~36;
+        # at alpha = 1.25 just above the split the fraction needs depth ~39;
         # with an 8-term limit the doubling stops at 8 and the point raises
+        # (a shape outside the finite sum, which needs no fraction below 700)
         monkeypatch.setattr(specfun, "_MAX_ITER", 8)
         with pytest.raises(DomainError, match="did not converge.*within 8 terms"):
-            fn(1.5, x)
+            fn(1.25, x)
 
     @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
     @pytest.mark.parametrize("alpha", [1e49, 1e50, 1e300])
@@ -444,7 +508,7 @@ class TestRegIncGammaConvergence:
             with pytest.raises(DomainError, match="did not converge"):
                 fn(alpha, alpha)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 7.3, 200.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.25, 7.3, 200.0])
     def test_depth_doubling_converges(self, alpha, monkeypatch):
         # every point starts at depth 1 and doubles until its depth-N and
         # depth-(N-1) values agree, several rounds deep; the answers match
@@ -462,6 +526,24 @@ class TestRegIncGammaConvergence:
         monkeypatch.setattr(specfun, "_contfrac_tails", counted)
         np.testing.assert_allclose(reg_inc_gamma_upper(alpha, x), fitted, rtol=1e-15, atol=0.0)
         assert rounds[:4] == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324, 1e-308])
+    @pytest.mark.parametrize("x", [0.5, 5e-324, np.array([5e-324, 0.5, 3.0])])
+    def test_subnormal_shape_refused_without_a_warning(self, fn, alpha, x):
+        # below the normal floats the series' first term 1 / alpha can
+        # overflow: at 1e-320 it did, and the call warned at x = 5e-324 and
+        # refused as "did not converge"; every subnormal shape is refused by name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = re.escape(f"shape alpha {alpha!r} is not a positive normal float")
+            with pytest.raises(DomainError, match=message):
+                fn(alpha, x)
+
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    def test_smallest_normal_shape_answers(self, fn):
+        value = fn(sys.float_info.min, np.array([5e-324, 0.5, 3.0]))
+        assert np.all((value >= 0.0) & (value <= 1.0))
 
     @pytest.mark.parametrize("alpha", [0.5, 10.0, 100.0, 1e3])
     def test_large_shapes_against_scipy(self, alpha):

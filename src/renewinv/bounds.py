@@ -25,7 +25,13 @@ at the ends of a cell bound the row on the whole cell.  A cell whose bound
 is too far above the samples is cut into n equal parts: its excess over
 its end samples is first order in its width, so n is set by that excess
 over the room left below the tolerance, n = clamp(ceil(2 excess / room),
-2, 256), and the table models need one such round.  Each entry is at
+2, 256), and the table models need one such round.  A round forms
+c u^j once per distinct (j, c); it skips the flagging arithmetic of a row
+whose largest cell bound is within the tolerance, and stops before the
+cut bookkeeping when no row flags a cell.  Both skips leave out only
+work that would flag or add nothing, so the entries keep their bits; a
+NaN bound is not within the tolerance, so a row with a NaN cell still
+has its other cells cut.  Each entry is at
 least its row's sup, up to the rounding of the special functions (the
 gamma kernel's is within 3e-14 relative near its peak for shapes up to
 4000, see ``specfun._gamma_kernel``), and at most ``_SUP_RTOL`` = 1e-3
@@ -205,6 +211,18 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
       round makes one :func:`_component_pieces` call, shared by all rows.
       Any subdivision leaves every cell's bound valid, so the cut count
       only decides how soon the rounds stop.
+    - Skips.  Each round forms c u^j at the cells' right ends and at the
+      points once per distinct (j, c), and the products (c u^j) times the
+      envelope and the samples in the order a row would form them, so each
+      bound keeps its bits.  A row whose largest cell bound is <= its
+      tolerance has no cell above it, and skips the flagging arithmetic,
+      which would flag nothing.  The test asks for <=, not for "not >": a
+      NaN bound fails it, so a row with a NaN cell still takes the
+      flagging arithmetic, which cuts its other cells above the tolerance
+      (the NaN cell compares false and stays uncut).  A round that flags
+      no cell and not the tail returns before the cut bookkeeping, which
+      would add no point; the certifying round of the table models is such
+      a round.
 
     Each result is the largest bound over the final cells and the tail:
     at least the row's sup, up to the rounding of the pieces, and at most
@@ -224,12 +242,18 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
         # E; each is weighted by c u^j at the cell's right end, the tail's at E
         envelope = np.column_stack([np.maximum(np.abs(low), np.abs(high)), at_end.sum(axis=1)])
         ends = np.append(pts[1:], pts[-1])
+        # c u^j at the cells' right ends and at the points, once per distinct (j, c)
+        scales = {(j, c): (c * ends**j, c * pts**j) for j, c in {(j, c) for _, j, c in rows}}
         parts = np.zeros(pts.size)
         found = []
         for k, j, c in rows:
-            bound = c * ends**j * envelope[k]
-            weighted = c * pts**j * sampled[k]
+            bound = scales[j, c][0] * envelope[k]
+            weighted = scales[j, c][1] * sampled[k]
             allowed = (1.0 + _SUP_RTOL) * weighted.max()
+            found.append(float(bound.max()))
+            # no cell above the tolerance; a NaN bound fails this test (Skips)
+            if found[-1] <= allowed:
+                continue
             flagged = np.flatnonzero(bound > allowed)
             near = np.maximum(weighted, np.append(weighted[1:], 0.0))[flagged]
             excess, room = bound[flagged] - near, allowed - near
@@ -239,7 +263,8 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
             parts[flagged] = np.fmax(
                 parts[flagged], np.ceil(2.0 * excess / np.maximum(room, excess / 128.0))
             )
-            found.append(float(bound.max()))
+        if not parts.any():
+            return found
         cells = np.flatnonzero(parts[:-1])
         count = parts[cells].astype(np.intp)
         inner = count - 1

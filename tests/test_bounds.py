@@ -424,6 +424,200 @@ class TestSupNormKernel:
         assert gap <= report.total_bound(5.0) + report.total_bound(40.0)
 
 
+def sup_enclosures_loop_reference(mixture, kappa, rows):
+    """``bounds._sup_enclosures`` as it was before it skipped rows and rounds that cut nothing.
+
+    Verbatim but for the ``bounds.`` prefixes: every round forms every
+    row's weights and flagging arithmetic, and the cut bookkeeping runs
+    even when no cell is flagged.  The reference the skipping search must
+    equal bit for bit.
+    """
+    breaks = bounds._breakpoints(mixture, kappa)
+    end = max([2.0 * point for point in breaks] + [(a + 6.0) / b for _, a, b in mixture.components])
+    pts = np.sort(np.concatenate([np.linspace(0.0, end, 257), breaks]))
+    vals = bounds._component_pieces(mixture, kappa, pts)
+    while True:
+        sampled = np.abs(vals.sum(axis=1))
+        lo, hi = vals[..., :-1], vals[..., 1:]
+        low, high = np.minimum(lo, hi).sum(axis=1), np.maximum(lo, hi).sum(axis=1)
+        at_end = np.abs(vals[..., -1])
+        at_end[1] = vals[1, :, -1] + 2.0 * kappa * vals[0, :, -1]
+        # per piece kind, max(|L|, |H|) of every cell, then the tail's sum at
+        # E; each is weighted by c u^j at the cell's right end, the tail's at E
+        envelope = np.column_stack([np.maximum(np.abs(low), np.abs(high)), at_end.sum(axis=1)])
+        ends = np.append(pts[1:], pts[-1])
+        parts = np.zeros(pts.size)
+        found = []
+        for k, j, c in rows:
+            bound = c * ends**j * envelope[k]
+            weighted = c * pts**j * sampled[k]
+            allowed = (1.0 + bounds._SUP_RTOL) * weighted.max()
+            flagged = np.flatnonzero(bound > allowed)
+            near = np.maximum(weighted, np.append(weighted[1:], 0.0))[flagged]
+            excess, room = bound[flagged] - near, allowed - near
+            # a flagged cell has excess > room >= 0, so the count is at least
+            # 3; the floor excess/128 guards the division and caps it at 256
+            # (fmax leaves a cell whose bound is infinite uncut)
+            parts[flagged] = np.fmax(
+                parts[flagged], np.ceil(2.0 * excess / np.maximum(room, excess / 128.0))
+            )
+            found.append(float(bound.max()))
+        cells = np.flatnonzero(parts[:-1])
+        count = parts[cells].astype(np.intp)
+        inner = count - 1
+        # point m of the inner points of cell i is a_i + (b_i - a_i) m / n_i
+        cell = np.repeat(cells, inner)
+        step = np.arange(inner.sum()) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+        a, b = pts[cell], pts[cell + 1]
+        new = a + (b - a) * (step / np.repeat(count, inner))
+        new = new[(new > a) & (new < b)]
+        if parts[-1]:
+            new = np.append(new, 2.0 * pts[-1])
+        if new.size == 0:
+            return found
+        pts = np.concatenate([pts, new])
+        order = np.argsort(pts, kind="stable")
+        pts = pts[order]
+        vals = np.concatenate([vals, bounds._component_pieces(mixture, kappa, new)], axis=2)[..., order]
+
+
+def ledger_search(mixture, phi):
+    """(kappa, rows) of the ledger's one sup search, as ``ruin_w_functions`` builds them."""
+    mu = mixture.mean
+    c1 = phi * (1.0 - phi) / mu
+    rows = [(0, j, c1) for j in range(3)] + [(1, j, c1) for j in range(3)]
+    return phi / mu, rows + [(2, 0, c1), (3, 0, 1.0)]
+
+
+NARROW_SPIKE = GammaMixture((Component(0.5, 4000.0, 94.20631182289213), Component(0.5, 1.0, 1e-3)))
+
+
+class NumpyFlatnonzeroSpy:
+    """numpy, recording of each ``flatnonzero`` call whether its argument was
+    a mask (the flagging arithmetic) and how many indices it returned."""
+
+    numpy = np  # bound here, so that the spy may stand in for this module's np too
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.numpy, name)
+
+    def flatnonzero(self, a):
+        out = self.numpy.flatnonzero(a)
+        self.calls.append((a.dtype == bool, out.size))
+        return out
+
+
+class TestSupSearchSkips:
+    # the search skips the flagging arithmetic of a row with no cell above the
+    # tolerance, and the cut bookkeeping of a round that flags nothing; the
+    # loop reference runs both everywhere, and the two must agree bit for bit,
+    # with the same evaluations of the pieces at the same sizes
+
+    @staticmethod
+    def same_as_reference(monkeypatch, mixture, kappa, rows, inject=None):
+        sizes = []
+        pieces = bounds._component_pieces
+
+        def recorded(mixture, kappa, u):
+            out = pieces(mixture, kappa, u)
+            if inject is not None:
+                inject(len(sizes), out)
+            sizes.append(u.size)
+            return out
+
+        monkeypatch.setattr(bounds, "_component_pieces", recorded)
+        found = bounds._sup_enclosures(mixture, kappa, rows)
+        searched = sizes[:]
+        sizes.clear()
+        reference = sup_enclosures_loop_reference(mixture, kappa, rows)
+        assert repr(found) == repr(reference)
+        assert searched == sizes
+        return found, searched
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("name", [*LEDGER_MIXTURES, "narrow_spike"])
+    def test_ledger_search_equals_loop_reference(self, monkeypatch, name, phi):
+        mix = NARROW_SPIKE if name == "narrow_spike" else LEDGER_MIXTURES[name]
+        found, _ = self.same_as_reference(monkeypatch, mix, *ledger_search(mix, phi))
+        ledger = ruin_w_functions(RiskModel(mix, phi))
+        assert dataclasses.astuple(ledger)[:7] == tuple(found[:7])
+
+    def test_tail_only_round_equals_loop_reference(self, monkeypatch):
+        # Exp(1) at phi 0.999999: d and kappa S nearly cancel, and the third
+        # round adds only the tail point 2E = 28
+        mix = GammaMixture.exponential()
+        _, sizes = self.same_as_reference(monkeypatch, mix, *ledger_search(mix, 0.999999))
+        assert sizes == [259, 685, 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(mix=admissible_mixtures(), phi=st.sampled_from([0.5, 0.9]))
+    def test_admissible_mixtures_equal_loop_reference(self, mix, phi):
+        kappa, rows = ledger_search(mix, phi)
+        found = bounds._sup_enclosures(mix, kappa, rows)
+        assert repr(found) == repr(sup_enclosures_loop_reference(mix, kappa, rows))
+
+    def test_infinite_piece_equals_loop_reference(self, monkeypatch):
+        # an inf in the w2 pieces makes its rows' tolerance inf, so no cell
+        # of theirs is above it; inf <= inf skips them
+        def inf_at_middle(call, out):
+            out[1, 0, out.shape[2] // 2] = np.inf
+
+        mix = LEDGER_MIXTURES["mixture"]
+        found, _ = self.same_as_reference(monkeypatch, mix, *ledger_search(mix, 0.9), inf_at_middle)
+        assert math.isinf(found[3]) and all(math.isfinite(v) for v in found[:3] + found[6:])
+
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_nan_bound_still_cuts_its_other_cells(self, monkeypatch, name):
+        # a NaN survival piece at E reaches the w2 rows only through their
+        # tail bound, so their tolerance stays finite while their largest
+        # cell bound is NaN; their other cells above the tolerance (u w2 and
+        # u^2 w2 have 14 to 26 in the first round) must still be cut, which
+        # a skip on `not top > allowed` would leave uncut
+        def nan_at_end(call, out):
+            if call == 0:
+                out[0, 0, -1] = np.nan
+
+        mix = LEDGER_MIXTURES[name]
+        found, sizes = self.same_as_reference(monkeypatch, mix, *ledger_search(mix, 0.9), nan_at_end)
+        assert [math.isnan(v) for v in found] == [True] * 6 + [False] * 2
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize("name", ["exponential", "gamma_3_2", "mixture"])
+    def test_flagging_runs_only_for_rows_that_cut(self, monkeypatch, name):
+        # flatnonzero of a mask is the first call of a row's flagging
+        # arithmetic.  The search takes it only for rows with a cell above
+        # the tolerance, which are the rows whose mask the loop reference
+        # finds non-empty, and it makes none after the second evaluation of
+        # the pieces: the certifying round flags nothing.  The reference
+        # makes 18 calls a report, 8 rows and 1 cut count in each of 2 rounds
+        mix = LEDGER_MIXTURES[name]
+        kappa, rows = ledger_search(mix, 0.9)
+        marks = []
+        pieces = bounds._component_pieces
+
+        def marked(mixture, kappa, u):
+            marks.append(len(spy.calls))
+            return pieces(mixture, kappa, u)
+
+        monkeypatch.setattr(bounds, "_component_pieces", marked)
+        spy = NumpyFlatnonzeroSpy()
+        monkeypatch.setitem(sup_enclosures_loop_reference.__globals__, "np", spy)
+        sup_enclosures_loop_reference(mix, kappa, rows)
+        reference, first_round = spy.calls, marks[1]
+        assert len(reference) == 18
+        cutting = [size for is_mask, size in reference[:first_round] if is_mask and size]
+        assert all(size == 0 for is_mask, size in reference[first_round:] if is_mask)
+        marks.clear()
+        spy = NumpyFlatnonzeroSpy()
+        monkeypatch.setattr(bounds, "np", spy)
+        ruin_bound_report(RiskModel(mix, 0.9))
+        assert marks == [0, len(cutting) + 1]
+        assert spy.calls == [(True, size) for size in cutting] + [(False, spy.calls[-1][1])]
+
+
 HALF_INTEGER_SHAPE_MIXTURES = {
     "gamma_3_2": GammaMixture((Component(1.0, 1.5, 1.0),)),
     "table_mixture": GammaMixture((Component(0.5, 1.0, 1.0), Component(0.5, 1.5, 1.0))),

@@ -17,7 +17,7 @@ the chain is monotone in the ledger: the chained norms, and with them the
 constant C of :meth:`BoundReport.total_bound`, are upper bounds whenever
 every ledger entry is one.  The moments, the integrals of f'' and f(0),
 f'(0) are closed forms; the integrals of f'' are taken by parts, so each
-gamma shape takes one kernel value and one incomplete gamma
+gamma shape takes one kernel value and one upper incomplete gamma
 (:func:`_component_i_fpp`).  The eight sup norms are certified enclosures
 (:func:`_sup_enclosures`): each row is a sum over the mixture's components
 of pieces that are monotone between closed-form breakpoints, so the values
@@ -26,12 +26,12 @@ is too far above the samples is cut into n equal parts: its excess over
 its end samples is first order in its width, so n is set by that excess
 over the room left below the tolerance, n = clamp(ceil(2 excess / room),
 2, 256), and the table models need one such round.  A round forms
-c u^j once per distinct (j, c); it skips the flagging arithmetic of a row
-whose largest cell bound is within the tolerance, and stops before the
-cut bookkeeping when no row flags a cell.  Both skips leave out only
-work that would flag or add nothing, so the entries keep their bits; a
-NaN bound is not within the tolerance, so a row with a NaN cell still
-has its other cells cut.  Each entry is at
+c u^j once per distinct (j, c), from u and one shared u * u; it skips
+the flagging arithmetic of a row whose largest cell bound is within the
+tolerance, and stops before the cut bookkeeping when no row flags a
+cell.  Both skips leave out only work that would flag or add nothing, so
+the entries keep their bits; a NaN bound is not within the tolerance, so
+a row with a NaN cell still has its other cells cut.  Each entry is at
 least its row's sup, up to the rounding of the special functions (the
 gamma kernel's is within 3e-14 relative near its peak for shapes up to
 4000, see ``specfun._gamma_kernel``), and at most ``_SUP_RTOL`` = 1e-3
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import AdmissibilityError, DomainError
 from .ruin import RiskModel
 from .specfun import _gamma_kernel, _real_point, _require_positive
-from .specfun import reg_inc_gamma_lower, reg_inc_gamma_upper
+from .specfun import reg_inc_gamma_upper
 from .transforms import GammaMixture
 
 _SUP_RTOL = 1e-3
@@ -180,8 +180,9 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
     """A certified upper bound of sup |row| on [0, inf) for every row.
 
     Each row is a triple (k, j, c) and stands for c u^j sum_i P_ki(u),
-    where P_ki is row k of :func:`_component_pieces` and c >= 0.  Every
-    piece is monotone between consecutive :func:`_breakpoints`, so:
+    where P_ki is row k of :func:`_component_pieces`, j is 0, 1 or 2 and
+    c >= 0.  Every piece is monotone between consecutive
+    :func:`_breakpoints`, so:
 
     - Cells.  [0, E] is cut into 256 uniform cells plus every breakpoint,
       where E = max(2 max breakpoint, max_i (alpha_i + 6)/beta_i).  On a
@@ -214,9 +215,10 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
     - Skips.  Each round forms c u^j at the cells' right ends and at the
       points once per distinct (j, c), and the products (c u^j) times the
       envelope and the samples in the order a row would form them, so each
-      bound keeps its bits.  A row whose largest cell bound is <= its
-      tolerance has no cell above it, and skips the flagging arithmetic,
-      which would flag nothing.  The test asks for <=, not for "not >": a
+      bound keeps its bits.  u^0 is the scalar 1 and u^2 one shared u * u,
+      which is what numpy's ``u**2`` computes, with no ``**`` call.  A row
+      whose largest cell bound is <= its tolerance has no cell above it,
+      and skips the flagging arithmetic, which would flag nothing.  The test asks for <=, not for "not >": a
       NaN bound fails it, so a row with a NaN cell still takes the
       flagging arithmetic, which cuts its other cells above the tolerance
       (the NaN cell compares false and stays uncut).  A round that flags
@@ -242,8 +244,10 @@ def _sup_enclosures(mixture: GammaMixture, kappa: float, rows) -> list[float]:
         # E; each is weighted by c u^j at the cell's right end, the tail's at E
         envelope = np.column_stack([np.maximum(np.abs(low), np.abs(high)), at_end.sum(axis=1)])
         ends = np.append(pts[1:], pts[-1])
-        # c u^j at the cells' right ends and at the points, once per distinct (j, c)
-        scales = {(j, c): (c * ends**j, c * pts**j) for j, c in {(j, c) for _, j, c in rows}}
+        # c u^j at the cells' right ends and at the points, once per distinct (j, c),
+        # from u^0 = 1, u and one shared u * u, the bits of numpy's u**2
+        powers = (1.0, 1.0), (ends, pts), (ends * ends, pts * pts)
+        scales = {(j, c): (c * powers[j][0], c * powers[j][1]) for j, c in {(j, c) for _, j, c in rows}}
         parts = np.zeros(pts.size)
         found = []
         for k, j, c in rows:
@@ -327,21 +331,24 @@ def _component_i_fpp(alpha: float) -> tuple[float, float, float]:
     c = alpha - 1, and f(0) = 0 for alpha > 1.  Integrating each side of c
     by parts, int_0^c u^i f' = c^i f(c) - i int_0^c u^(i-1) f and
     int_c^inf u^i f' = -c^i f(c) - i int_c^inf u^(i-1) f, so with u f_alpha
-    = alpha f_{alpha+1}, P0 = P(alpha, c) and P1 = P(alpha + 1, c):
+    = alpha f_{alpha+1}, Q0 = Q(alpha, c) and Q1 = Q(alpha + 1, c):
 
-        I0 = 2 f(c),  I1 = 2 c f(c) + 1 - 2 P0,  I2 = 2 c^2 f(c) + 2 alpha (1 - 2 P1).
+        I0 = 2 f(c),  I1 = 2 c f(c) - 1 + 2 Q0,  I2 = 2 c^2 f(c) + 2 alpha (2 Q1 - 1).
 
-    One kernel value f(c) and one incomplete gamma P1 give all three, as
-    P0 = P1 + (c / alpha) f(c) (DLMF 8.8.5).  Exponential claims (alpha = 1,
-    where f(0) = 1) read (1, 1, 2) directly.
+    These are the forms 1 - 2 P with P = 1 - Q, and as well conditioned.
+    One kernel value f(c) and one upper incomplete gamma Q1 give all three,
+    as Q0 = Q1 - (c / alpha) f(c) (DLMF 8.8.6); a shape whose alpha + 1 is
+    n or n + 1/2 up to 20.5 takes Q1 as a finite sum, with no series (see
+    :func:`~renewinv.specfun.reg_inc_gamma_upper`).  Exponential claims
+    (alpha = 1, where f(0) = 1) read (1, 1, 2) directly.
     """
     if alpha == 1.0:
         return 1.0, 1.0, 2.0
     c = alpha - 1.0
     f_c = float(_gamma_kernel(alpha, c, c))
-    p1 = reg_inc_gamma_lower(alpha + 1.0, c)
-    p0 = p1 + c / alpha * f_c
-    return 2.0 * f_c, 2.0 * c * f_c + 1.0 - 2.0 * p0, 2.0 * c * c * f_c + 2.0 * alpha * (1.0 - 2.0 * p1)
+    q1 = reg_inc_gamma_upper(alpha + 1.0, c)
+    q0 = q1 - c / alpha * f_c
+    return 2.0 * f_c, 2.0 * c * f_c - 1.0 + 2.0 * q0, 2.0 * c * c * f_c + 2.0 * alpha * (2.0 * q1 - 1.0)
 
 
 def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, float, float]:
@@ -349,7 +356,9 @@ def f_second_integrals(mixture: GammaMixture) -> tuple[float, float, float, floa
 
     f'' = -F_X''/mean, so each gamma component with rate beta contributes
     beta**(1-i) times its unit-rate integral, which takes one kernel value
-    and one incomplete gamma per shape (none for exponential claims).
+    and one upper incomplete gamma per shape, Q1 = Q(alpha + 1, alpha - 1),
+    with Q(alpha, alpha - 1) = Q1 - (alpha - 1)**alpha e^(1 - alpha) /
+    Gamma(alpha + 1) (DLMF 8.8.6); none for exponential claims.
     """
     _require_admissible(mixture)
     mu = mixture.mean

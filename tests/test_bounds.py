@@ -658,6 +658,29 @@ class TestEquilibriumMoments:
             assert ez * ez <= ez2 * (1.0 + 1e-12)
 
 
+def component_i_fpp_lower_reference(alpha):
+    """``bounds._component_i_fpp`` as it was when it read the lower function.
+
+    Verbatim but for the ``bounds.`` and ``specfun.`` prefixes: P1 = P(alpha +
+    1, c) from ``reg_inc_gamma_lower``, P0 = P1 + (c / alpha) f(c) and the
+    forms 1 - 2 P.  The reference the upper-function integrals must agree with.
+    """
+    if alpha == 1.0:
+        return 1.0, 1.0, 2.0
+    c = alpha - 1.0
+    f_c = float(bounds._gamma_kernel(alpha, c, c))
+    p1 = specfun.reg_inc_gamma_lower(alpha + 1.0, c)
+    p0 = p1 + c / alpha * f_c
+    return 2.0 * f_c, 2.0 * c * f_c + 1.0 - 2.0 * p0, 2.0 * c * c * f_c + 2.0 * alpha * (1.0 - 2.0 * p1)
+
+
+# 19.5 is the last shape whose alpha + 1 (20.5) takes the finite sum, 20.0 the
+# first whose alpha + 1 (21) does not
+CLOSED_FORM_SHAPES = [
+    1.01, 1.5, 2.0, 2.5, 3.0, 7.5, 19.5, 20.0, 20.5, 40.0, 100.0, 1000.0, 3000.0, 4000.0,
+] + [c.alpha for seed in range(100, 106) for c in seeded_admissible_mixture(seed).components]
+
+
 class TestFSecondIntegrals:
     def test_exponential_exact(self, exp_mixture):
         i0, i1, i2, f0, f1_0 = f_second_integrals(exp_mixture)
@@ -700,18 +723,24 @@ class TestFSecondIntegrals:
         assert _component_i_fpp(alpha)[i] == pytest.approx(integral, rel=1e-5)
 
     def test_one_incomplete_gamma_per_shape(self, monkeypatch, gamma32_mixture):
-        # P(alpha + 1, c) = P(c + 2, c) is the only incomplete gamma; P(alpha, c)
+        # Q(alpha + 1, c) = Q(c + 2, c) is the only incomplete gamma; Q(alpha, c)
         # follows from it and the kernel value f(c), and a second call
-        # evaluates it afresh
+        # evaluates it afresh.  For Gamma(3/2), Q(5/2, .) is a finite sum, so
+        # the series never runs
         calls = []
-        lower = bounds.reg_inc_gamma_lower
+        upper = bounds.reg_inc_gamma_upper
 
         def counted(alpha, x):
             calls.append((alpha, x))
-            return lower(alpha, x)
+            return upper(alpha, x)
 
-        monkeypatch.setattr(bounds, "reg_inc_gamma_lower", counted)
-        f_second_integrals(gamma32_mixture)
+        def series(alpha, x):
+            raise AssertionError(f"series called at shape {alpha}")
+
+        monkeypatch.setattr(bounds, "reg_inc_gamma_upper", counted)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_series", series)
+            f_second_integrals(gamma32_mixture)
         assert calls == [(2.5, 0.5)]
         f_second_integrals(gamma32_mixture)
         assert len(calls) == 2
@@ -724,9 +753,7 @@ class TestFSecondIntegrals:
             f_second_integrals(mix)
             assert len(calls) == sum(c.alpha != 1.0 for c in mix.components)
 
-    @pytest.mark.parametrize("alpha", [1.01, 1.5, 3.0, 20.5, 40.0, 100.0, 1000.0, 3000.0, 4000.0] + [
-        c.alpha for seed in range(100, 106) for c in seeded_admissible_mixture(seed).components
-    ])
+    @pytest.mark.parametrize("alpha", CLOSED_FORM_SHAPES)
     def test_against_mpmath_closed_form(self, alpha):
         # int_0^c u^(s-1) (c - u) e^-u du + int_c^inf u^(s-1) (u - c) e^-u du
         # over Gamma(alpha), s = c + i, by incomplete gammas at 50 digits;
@@ -749,6 +776,35 @@ class TestFSecondIntegrals:
         mix = GammaMixture((Component(0.5, 0.9, 1.0), Component(0.5, 2.0, 1.0)))
         with pytest.raises(AdmissibilityError):
             f_second_integrals(mix)
+
+
+# the entries that read the f'' integrals, in the ledger and in the chained report
+FPP_ENTRIES = {"i1_fpp", "i2_fpp", "u2m3_norm", "u2m4_norm", "um3_norm"}
+
+
+class TestFSecondIntegralsAgreement:
+    # the integrals from Q(alpha + 1, c) agree with the lower-function forms
+    # they replace, and every other ledger and report entry keeps its bits
+
+    @pytest.mark.parametrize("alpha", CLOSED_FORM_SHAPES)
+    def test_upper_agrees_with_lower_reference(self, alpha):
+        np.testing.assert_allclose(_component_i_fpp(alpha), component_i_fpp_lower_reference(alpha),
+                                   rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9])
+    @pytest.mark.parametrize("name", [*LEDGER_MIXTURES, "narrow_spike"])
+    def test_report_equals_lower_reference_report(self, monkeypatch, name, phi):
+        model = RiskModel(NARROW_SPIKE if name == "narrow_spike" else LEDGER_MIXTURES[name], phi)
+        got = ruin_bound_report(model)
+        monkeypatch.setattr(bounds, "_component_i_fpp", component_i_fpp_lower_reference)
+        expected = ruin_bound_report(model)
+        for new, old in zip(got, expected):
+            for field in dataclasses.fields(new):
+                value, reference = getattr(new, field.name), getattr(old, field.name)
+                if field.name in FPP_ENTRIES:
+                    assert value == pytest.approx(reference, rel=1e-14, abs=0.0), field.name
+                else:
+                    assert repr(value) == repr(reference), field.name
 
 
 # a ledger whose entries all differ, so a misplaced term changes the result

@@ -557,6 +557,94 @@ class TestRegIncGammaConvergence:
                                    rtol=0.0, atol=1e-12)
 
 
+def inc_gamma_reference(name, alpha, x, upper):
+    """``specfun._inc_gamma`` as it was before it skipped the masks of regimes
+    that hold no point and clipped in place.
+
+    Verbatim but for the ``specfun.`` prefixes: the series and fraction
+    masks, their ``any()`` calls and the NaN scan run on every call, and the
+    result is clipped by ``np.clip``.  The reference both incomplete gammas
+    must equal bit for bit.
+    """
+    alpha = specfun._require_positive(alpha, "shape alpha")
+    if alpha < sys.float_info.min:  # 1 / alpha, the series' first term, may overflow
+        raise DomainError(f"{name} shape alpha {alpha!r} is not a positive normal float")
+    xs = specfun._real_array(x, f"{name} point x")
+    bad = ~(xs >= 0)
+    if bad.any():
+        raise DomainError(f"{name} requires x >= 0, got {xs[bad][0]}")
+    inner = (xs > 0.0) & (xs < math.inf)
+    out = np.where(xs == 0.0, 1.0, 0.0) if upper else np.where(xs == math.inf, 1.0, 0.0)
+    if upper and 1.0 <= alpha <= specfun._FINITE_SUM_MAX_SHAPE and (2.0 * alpha).is_integer():
+        finite = inner & (xs < specfun._FINITE_SUM_MAX_X)
+        if finite.any():
+            out[finite] = specfun._finite_sum(alpha, xs[finite])
+            inner &= ~finite
+    series = inner & (xs < alpha + 1.0)
+    contfrac = inner & (xs >= alpha + 1.0)
+    if series.any():
+        xp = xs[series]
+        lower = specfun._series(alpha, xp) * specfun._gamma_kernel(alpha, alpha, xp)
+        out[series] = 1.0 - lower if upper else lower
+    if contfrac.any():
+        xp = xs[contfrac]
+        tail = specfun._contfrac(alpha, xp) * specfun._gamma_kernel(alpha, alpha, xp)
+        out[contfrac] = tail if upper else 1.0 - tail
+    unconverged = np.isnan(out)
+    if unconverged.any():
+        raise DomainError(
+            f"{name}({alpha}, {xs[unconverged][0]}) did not converge to "
+            f"{specfun._EPS} within {specfun._MAX_ITER} terms"
+        )
+    # 1 - P carries P's rounding, |lgamma(alpha)| eps at a tiny alpha; [0, 1]
+    # holds the true value, so clipping onto it moves no result away from it
+    np.clip(out, 0.0, 1.0, out=out)
+    return specfun._shaped_like(xs, out)
+
+
+BITS_SHAPES = [1e-300, 0.5, 1.25] + [k / 2.0 for k in range(2, 42)] + [21.0, 21.5, 100.0, 4000.0]
+
+
+def outcome(fn, *args):
+    """(type, shape, bytes) of fn's value, or (type, message) of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class TestRegIncGammaBits:
+    """Both incomplete gammas equal ``inc_gamma_reference`` bit for bit, and
+    raise what it raises, on floats, 0-d, 1-d and 2-d arrays, arrays whose
+    points all lie in one regime and mixed arrays."""
+
+    @pytest.mark.parametrize("alpha", BITS_SHAPES)
+    @pytest.mark.parametrize("fn", [reg_inc_gamma_lower, reg_inc_gamma_upper])
+    def test_equals_reference(self, fn, alpha):
+        upper = fn is reg_inc_gamma_upper
+        points = [0.0, 5e-324, 0.5, alpha - 1.0, alpha + 1.0, 699.99, 700.0, 1e4, math.inf]
+        refused = [math.nan, -1.0] + [x for x in points if x < 0.0]
+        points = [x for x in points if x >= 0.0]
+        xs = np.array(points)
+        inner = (xs > 0.0) & (xs < math.inf)
+        regimes = [
+            xs[~inner],  # 0 and inf only
+            xs[inner & (xs < 700.0)],  # all in the finite sum, where the shape takes it
+            xs[inner & (xs < alpha + 1.0)],  # all in the series range
+            xs[inner & (xs >= alpha + 1.0)],  # all in the fraction range
+            np.array([]),
+        ]
+        cases = (
+            points + refused + [np.array(x) for x in points + refused] + regimes
+            + [xs, xs[::-1], xs.reshape(1, -1), np.array([points, points[::-1]]),
+               np.array([[0.5, math.nan]]), np.array([1.0, -1.0])]
+        )
+        for x in cases:
+            expected = outcome(inc_gamma_reference, fn.__name__, alpha, x, upper)
+            assert outcome(fn, alpha, x) == expected, x
+
+
 class TestNegbinCdf:
     def test_geometric_first_term(self):
         assert negbin_cdf(0, 1.0, 1.0 / 6.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
